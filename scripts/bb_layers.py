@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Compute exact busy-beaver step tables for the 1- and 2-state layers by
-exhaustive analysis on empty input, doubling the budget until nothing is
-left undecided."""
+"""Compute exact busy-beaver step tables for the 1- and 2-state layers by a
+lazy (tree-normal-form) sweep on empty input, doubling the budget until
+nothing is left undecided."""
 
 import argparse
 import time

@@ -16,6 +16,7 @@ import json
 import os
 import random
 import sys
+from dataclasses import asdict
 from multiprocessing import get_context
 
 from . import __version__
@@ -23,8 +24,10 @@ from .cache import CacheCorruptionError, VerdictCache, raw_to_record
 from .ctm import (
     CORRECTED,
     FLAWED,
+    check_sub_probability,
     flawed_crossing,
     flawed_table,
+    output_frequency,
     table_to_csv,
     table_to_json,
 )
@@ -38,7 +41,14 @@ from .estimator import (
     make_pair,
     phi_profile,
 )
-from .halting import Simulator, analyze, analyze_table, bb_table, verify_certificate
+from .halting import (
+    Simulator,
+    analyze,
+    analyze_table,
+    bb_table,
+    decide_layer,
+    verify_certificate,
+)
 from .tm_core import str_to_syms
 
 EXIT_OK = 0
@@ -68,8 +78,8 @@ def _config_digest(config: dict) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _write_export(text: str, args, config: dict) -> None:
-    digest = _config_digest(config)
+def _write_export(text: str, args, config: dict, stats=None) -> None:
+    """Write the export and its manifest; sweep ``stats`` go to the manifest only."""
     manifest = {
         "config": config,
         "runtime": {
@@ -80,6 +90,8 @@ def _write_export(text: str, args, config: dict) -> None:
             "export_sha256": hashlib.sha256(text.encode()).hexdigest(),
         },
     }
+    if stats is not None:
+        manifest["runtime"]["stats"] = asdict(stats)
     if args.output:
         with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
@@ -124,17 +136,6 @@ def _chunks(lo: int, hi: int, pieces: int):
         start = start + size
 
 
-def _freq_chunk(job):
-    lo, hi, budget = job
-    counts = {}
-    for i in range(lo, hi + 1):
-        _, table = index_to_table(i)
-        res = analyze_table(table, (), budget)
-        if res[0] == "h" and res[2] is not None:
-            counts[res[2]] = counts.get(res[2], 0) + 1
-    return counts
-
-
 def _corrected_chunk(job):
     lo, hi, block_len, budget, keep_raws = job
     per_machine = {}
@@ -156,21 +157,6 @@ def _corrected_chunk(job):
         if counts:
             per_machine[i] = counts
     return per_machine, raws
-
-
-def _bb_chunk(job):
-    lo, hi, budget = job
-    max_steps = 0
-    undecided = 0
-    for i in range(lo, hi + 1):
-        _, table = index_to_table(i)
-        res = analyze_table(table, (), budget)
-        if res[0] == "h":
-            if res[1] > max_steps:
-                max_steps = res[1]
-        elif res[0] == "u":
-            undecided += 1
-    return max_steps, undecided
 
 
 def _appset_chunk(job):
@@ -370,19 +356,19 @@ def cmd_ctm(args, parser) -> int:
     universe = _universe_from_args(args, parser)
     if universe.count == 0:
         parser.error("empty universe")
+    config = {
+        "cmd": "ctm",
+        "scheme": args.scheme,
+        "universe": universe.describe(),
+        "budget": args.budget,
+        "out": args.out,
+        "seed": args.seed,
+    }
     if args.scheme == CORRECTED:
         block_len = args.block_len if args.block_len is not None else 0
         if block_len < 0:
             parser.error("--L must be >= 0")
-        config = {
-            "cmd": "ctm",
-            "scheme": CORRECTED,
-            "universe": universe.describe(),
-            "L": block_len,
-            "budget": args.budget,
-            "out": args.out,
-            "seed": args.seed,
-        }
+        config["L"] = block_len
         lo, hi = universe.index_bounds()
         sweep = universe.count * (1 << block_len)
         cache = VerdictCache(args.cache_path) if args.cache_path else None
@@ -419,41 +405,15 @@ def cmd_ctm(args, parser) -> int:
             ),
         )
     else:
-        config = {
-            "cmd": "ctm",
-            "scheme": "frequency",
-            "universe": universe.describe(),
-            "budget": args.budget,
-            "out": args.out,
-            "seed": args.seed,
-        }
-        lo, hi = universe.index_bounds()
-        jobs = [
-            (clo, chi, args.budget)
-            for clo, chi in _chunks(lo, hi, max(1, args.threads * 4))
-        ]
-        from fractions import Fraction
-
-        from .ctm import DistributionTable, TableMeta
-
-        counts = {}
-        for chunk_counts in _run_jobs(jobs, _freq_chunk, args.threads):
-            for out_str, c in chunk_counts.items():
-                counts[out_str] = counts.get(out_str, 0) + c
-        entries = {x: Fraction(c, universe.count) for x, c in counts.items()}
-        table = DistributionTable(
-            entries=entries,
-            meta=TableMeta(
-                scheme="frequency", universe=universe.describe(), budget=args.budget
-            ),
-        )
+        table = output_frequency(universe, args.budget)
     total = table.total_mass()
-    assert args.scheme != CORRECTED or total <= 1
+    if args.scheme == CORRECTED:
+        check_sub_probability(total)
     digest = _config_digest(config)
     text = (
         table_to_csv(table, digest) if args.out == "csv" else table_to_json(table, digest)
     )
-    _write_export(text, args, config)
+    _write_export(text, args, config, table.stats)
     print(f"total_mass={total} ({float(total):.6f}) <= 1", file=sys.stderr)
     return EXIT_OK
 
@@ -472,8 +432,6 @@ def cmd_bb(args, parser) -> int:
         "seed": args.seed,
     }
     if args.auto_budget:
-        from .halting import decide_layer
-
         rec = decide_layer(args.n_states, start_budget=max(1, args.budget))
     elif args.universe_interval:
         a, _, b = args.universe_interval.partition(":")
@@ -482,28 +440,6 @@ def cmd_bb(args, parser) -> int:
         except ValueError as e:
             parser.error(str(e))
         rec = bb_table(args.n_states, args.budget, machine_range=rng, verify=args.verify)
-    elif args.threads > 1 and not args.verify:
-        from .enumeration import layer_offset, machine_count
-        from .halting import BBRecord
-
-        lo = layer_offset(args.n_states) + 1
-        hi = lo + machine_count(args.n_states) - 1
-        jobs = [
-            (clo, chi, args.budget)
-            for clo, chi in _chunks(lo, hi, args.threads * 8)
-        ]
-        max_steps = 0
-        undecided = 0
-        for chunk_max, chunk_unk in _run_jobs(jobs, _bb_chunk, args.threads):
-            max_steps = max(max_steps, chunk_max)
-            undecided += chunk_unk
-        rec = BBRecord(
-            n_states=args.n_states,
-            max_steps=max_steps,
-            decided_all=(undecided == 0),
-            undecided_count=undecided,
-            budget_used=args.budget,
-        )
     else:
         rec = bb_table(args.n_states, args.budget, verify=args.verify)
     digest = _config_digest(config)
@@ -524,7 +460,7 @@ def cmd_bb(args, parser) -> int:
             f"{rec.n_states},{rec.max_steps},{rec.decided_all},"
             f"{rec.undecided_count},{rec.budget_used}\n"
         )
-    _write_export(text, args, config)
+    _write_export(text, args, config, rec.stats)
     print(
         f"n={rec.n_states}: max_steps={rec.max_steps} decided_all={rec.decided_all} "
         f"undecided={rec.undecided_count} budget={rec.budget_used}",

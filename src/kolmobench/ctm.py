@@ -21,11 +21,13 @@ from __future__ import annotations
 
 import json
 import math
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .enumeration import MachineRange, index_to_table
-from .halting import Simulator, analyze_table
+from .halting import Simulator, SweepStats, analyze_table, layer_leaves
 
 FLAWED, CORRECTED, FREQUENCY = "flawed", "corrected", "frequency"
 
@@ -33,6 +35,10 @@ FLAWED, CORRECTED, FREQUENCY = "flawed", "corrected", "frequency"
 class UndefinedMassError(ValueError):
     """The requested output has zero mass at this scale; the estimate is
     undefined (insufficient universe/budget, not infinite complexity)."""
+
+
+class SubProbabilityError(ValueError):
+    """A corrected mixture's total mass exceeds 1: its alpha weights sum past 1."""
 
 
 @dataclass(frozen=True)
@@ -47,6 +53,7 @@ class TableMeta:
 class DistributionTable:
     entries: dict  # output string -> Fraction
     meta: TableMeta
+    stats: SweepStats | None = None  # of the layer sweep behind it; never exported
 
     def total_mass(self) -> Fraction:
         return sum(self.entries.values(), Fraction(0))
@@ -73,33 +80,30 @@ def alpha_sum_upto(max_i: int) -> Fraction:
     return total
 
 
-def output_frequency(
-    universe: MachineRange, budget: int, progress=None
-) -> DistributionTable:
+def output_frequency(universe: MachineRange, budget: int) -> DistributionTable:
     """Empty-input halting frequencies over every machine in the universe.
 
     Machines with invalid output or without a halting proof only count in
-    the denominator.
+    the denominator.  Each layer is swept lazily (``halting.layer_leaves``).
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
     total = universe.count
     if total == 0:
         raise ValueError("empty universe")
+    lo, hi = universe.index_bounds()
     counts = {}
-    done = 0
-    for i in universe.indices():
-        _, table = index_to_table(i)
-        res = analyze_table(table, (), budget)
-        if res[0] == "h" and res[2] is not None:
-            counts[res[2]] = counts.get(res[2], 0) + 1
-        done += 1
-        if progress is not None and done % 1_000_000 == 0:
-            progress(done)
+    stats = SweepStats()
+    for n in range(universe.min_states, universe.max_states + 1):
+        for count, res in layer_leaves(n, budget, lo, hi):
+            stats.add(res, count)
+            if res[0] == "h" and res[2] is not None:
+                counts[res[2]] = counts.get(res[2], 0) + count
     entries = {x: Fraction(c, total) for x, c in counts.items()}
     return DistributionTable(
         entries=entries,
         meta=TableMeta(scheme=FREQUENCY, universe=universe.describe(), budget=budget),
+        stats=stats,
     )
 
 
@@ -147,10 +151,9 @@ def flawed_crossing(n_cap: int, budget: int):
     return None, total
 
 
-def _corrected_counts(universe, block_len, budget, sim, progress=None):
+def _corrected_counts(universe, block_len, budget, sim):
     """Output -> number of halting length-L programs, per machine index."""
     per_machine = {}
-    done = 0
     for i in universe.indices():
         counts = {}
         if block_len == 0:
@@ -165,9 +168,6 @@ def _corrected_counts(universe, block_len, budget, sim, progress=None):
                     counts[out] = counts.get(out, 0) + 1
         if counts:
             per_machine[i] = counts
-        done += 1
-        if progress is not None and done % 100_000 == 0:
-            progress(done)
     return per_machine
 
 
@@ -177,7 +177,6 @@ def corrected_table(
     budget: int,
     alpha=default_alpha,
     sim: Simulator | None = None,
-    progress=None,
 ) -> DistributionTable:
     """Mixture sum_i alpha(i) * #(length-L programs with output x) / 2^L."""
     if block_len < 0:
@@ -190,7 +189,7 @@ def corrected_table(
         sim = Simulator(universe)
     denom = 1 << block_len
     entries = {}
-    for i, counts in _corrected_counts(universe, block_len, budget, sim, progress).items():
+    for i, counts in _corrected_counts(universe, block_len, budget, sim).items():
         a = alpha(i)
         for x, c in counts.items():
             entries[x] = entries.get(x, Fraction(0)) + a * Fraction(c, denom)
@@ -203,8 +202,14 @@ def corrected_table(
             block_len=block_len,
         ),
     )
-    assert table.total_mass() <= 1, "corrected scheme must be a sub-probability"
+    check_sub_probability(table.total_mass())
     return table
+
+
+def check_sub_probability(total: Fraction) -> None:
+    """Raise ``SubProbabilityError`` unless a corrected total mass is <= 1."""
+    if total > 1:
+        raise SubProbabilityError(f"corrected total mass {float(total):.6f} exceeds 1")
 
 
 def corrected_mass(
@@ -247,9 +252,25 @@ def neg_log_estimate(
 # Exports. CSV columns are fixed; JSON mirrors the field names. Round-trips
 # must be bit-exact, so masses travel as integer numerator/denominator.
 
+
+@contextmanager
+def _exact_int_text():
+    """Lift the int/str digit limit of Python >= 3.11 for one export or parse;
+    flawed-mixture denominators pass its default 4300 digits near N = 14,341."""
+    old = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    if old:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if old:
+            sys.set_int_max_str_digits(old)
+
+
 CSV_HEADER = "output_string,mass_numerator,mass_denominator,scheme,universe,budget,L"
 
 
+@_exact_int_text()
 def table_to_csv(table: DistributionTable, config_digest: str | None = None) -> str:
     lines = []
     if config_digest is not None:
@@ -264,6 +285,7 @@ def table_to_csv(table: DistributionTable, config_digest: str | None = None) -> 
     return "\n".join(lines) + "\n"
 
 
+@_exact_int_text()
 def table_from_csv(text: str) -> DistributionTable:
     rows = [
         line for line in text.splitlines() if line and not line.startswith("#")
@@ -286,6 +308,7 @@ def table_from_csv(text: str) -> DistributionTable:
     return DistributionTable(entries=entries, meta=meta)
 
 
+@_exact_int_text()
 def table_to_json(table: DistributionTable, config_digest: str | None = None) -> str:
     m = table.meta
     doc = {
@@ -309,6 +332,7 @@ def table_to_json(table: DistributionTable, config_digest: str | None = None) ->
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+@_exact_int_text()
 def table_from_json(text: str) -> DistributionTable:
     doc = json.loads(text)
     meta = TableMeta(

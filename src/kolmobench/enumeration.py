@@ -77,6 +77,31 @@ def machine_to_index(m: Machine) -> int:
     return table_to_index(m.n_states, m.table)
 
 
+def box_count(n: int, fixed, lo: int, hi: int) -> int:
+    """Indices in [lo, hi] of n-state machines whose table agrees with
+    ``fixed`` (entry position -> (action, next_state)); other entries are free."""
+    base, width, first = 5 * (n + 1), 3 * n, layer_offset(n) + 1
+    pinned = {pos: a * (n + 1) + s for pos, (a, s) in fixed.items()}
+
+    def below(x):  # members with offset < x: a digit DP from the top digit down
+        free = width - len(pinned)  # free digits below the current one
+        if x <= 0:
+            return 0
+        if x >= base**width:
+            return base**free
+        count = 0
+        for pos in reversed(range(width)):
+            d, v = x // base**pos % base, pinned.get(pos)
+            if v is None:
+                free -= 1
+                count += d * base**free
+            elif v != d:
+                return count + (base**free if v < d else 0)
+        return count
+
+    return below(hi - first + 1) - below(lo - first) if lo <= hi else 0
+
+
 def iter_tables(n: int):
     """Yield (index, table) for every n-state machine, in index order.
 

@@ -27,16 +27,17 @@ Certificate kinds, each with a mechanical checker:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from .enumeration import MachineRange, iter_tables
+from .enumeration import MachineRange, box_count, layer_offset, machine_count
 from .tm_core import (
     MOVE_LEFT,
     MOVE_RIGHT,
     Machine,
     Table,
+    read_output,
     str_to_syms,
-    syms_to_str,
 )
 
 # Detector tuning. Soundness never depends on these; they only bound the
@@ -97,15 +98,6 @@ class Unknown:
 
 
 HaltingVerdict = ProvedHalts | ProvedDiverges | Unknown
-
-
-def _read_output(tape, lo, hi):
-    cells = sorted(p for p in tape if lo <= p <= hi)
-    if not cells:
-        return ""
-    if cells[-1] - cells[0] + 1 != len(cells):
-        return None
-    return syms_to_str(tape[p] for p in cells)
 
 
 def _walk_check(table, q, sym, dir_right, cache):
@@ -420,7 +412,7 @@ def analyze_table(table: Table, input_syms: tuple, budget: int):
                 out_hi = head
         steps += 1
         if nxt == 0:
-            return ("h", steps, _read_output(tape, out_lo, out_hi))
+            return ("h", steps, read_output(tape, out_lo, out_hi))
         state = nxt
         if len(tape) <= CYCLE_TAPE_CAP:
             ckey = (state, head, frozenset(tape.items()))
@@ -586,19 +578,94 @@ def verify_certificate(m: Machine, input_str: str, verdict: ProvedDiverges) -> b
     return False
 
 
+@dataclass
+class SweepStats:
+    """What a lazy layer sweep did.  The verdict histogram is weighted by the
+    machines each leaf covers, so it sums to ``machines``, the indices swept."""
+
+    machines: int = 0
+    leaves: int = 0
+    leaves_verified: int = 0
+    verdicts: dict = field(default_factory=dict)
+
+    def add(self, res, count: int) -> None:
+        """Count one analysed leaf covering ``count`` machines."""
+        if res[0] == "h":
+            kind = "halt" if res[2] is not None else "invalid"
+        else:
+            kind = res[1][0] if res[0] == "d" else "unknown"
+        self.leaves += 1
+        self.machines += count
+        self.verdicts[kind] = self.verdicts.get(kind, 0) + count
+
+
 @dataclass(frozen=True)
 class BBRecord:
-    """Busy-beaver style summary of one state-count layer on empty input."""
+    """Busy-beaver style summary of one state-count layer on empty input.
+
+    ``stats`` describes the sweep behind the record and is never compared.
+    """
 
     n_states: int
     max_steps: int
     decided_all: bool
     undecided_count: int
     budget_used: int
+    stats: SweepStats | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.decided_all != (self.undecided_count == 0):
             raise ValueError("decided_all must mirror undecided_count == 0")
+
+
+class Undefined(Exception):
+    """A run read table entry ``args[0]``, which its partial table leaves open."""
+
+
+class PartialTable(dict):
+    """A transition table with open entries: position -> (action, next_state).
+
+    Detectors and replay read tables only through ``[]``, so an open read
+    raises ``Undefined`` wherever it happens, speculative reads included.
+    """
+
+    def __missing__(self, k):
+        raise Undefined(k)
+
+
+class _LeafMachine(NamedTuple):  # what verify_certificate reads of a Machine
+    n_states: int
+    table: PartialTable
+
+
+def layer_leaves(n: int, budget: int, lo: int, hi: int, verify: bool = False):
+    """Lazy (tree-normal-form) sweep of the n-state layer on empty input.
+
+    Yields ``(count, result)`` per leaf (a partial table): how many indices
+    in [lo, hi] complete the leaf, and the ``analyze_table`` result they all
+    share.  A run that reads an open entry is re-run once per value of
+    that entry; a run that finishes read no entry outside its leaf, so every
+    completion gets its verdict.  With ``verify`` a divergent leaf's
+    certificate is replayed on the same partial table, branching likewise;
+    a failed replay raises.
+    """
+    entries = [divmod(d, n + 1) for d in range(5 * (n + 1))]
+    stack = [PartialTable()]
+    while stack:
+        table = stack.pop()
+        count = box_count(n, table, lo, hi)
+        if count == 0:
+            continue
+        try:
+            res = analyze_table(table, (), budget)
+            if verify and res[0] == "d":
+                verdict = ProvedDiverges(_to_certificate(res[1]), res[2])
+                if not verify_certificate(_LeafMachine(n, table), "", verdict):
+                    raise AssertionError(f"certificate failed replay on leaf {dict(table)}")
+        except Undefined as e:
+            stack.extend(PartialTable({**table, e.args[0]: entry}) for entry in entries)
+            continue
+        yield count, res
 
 
 def bb_table(
@@ -606,7 +673,6 @@ def bb_table(
     budget: int,
     machine_range: MachineRange | None = None,
     verify: bool = False,
-    progress=None,
 ) -> BBRecord:
     """Analyze every n-state machine on empty input; track the max halting
     step count and how many machines stay undecided at this budget.
@@ -618,8 +684,6 @@ def bb_table(
     With ``verify`` every divergence certificate is re-checked by replay; a
     failure raises, since it would mean an unsound detector.
     """
-    from .enumeration import layer_offset, machine_count
-
     layer_lo = layer_offset(n) + 1
     layer_hi = layer_lo + machine_count(n) - 1
     lo, hi = layer_lo, layer_hi
@@ -630,80 +694,29 @@ def bb_table(
         lo, hi = max(lo, rlo), min(hi, rhi)
         if lo > hi:
             raise ValueError("index interval excludes the whole layer")
-    unswept = (lo - layer_lo) + (layer_hi - hi)
+    stats = SweepStats()
     max_steps = 0
-    undecided = 0
-    done = 0
-    if lo == layer_lo and hi == layer_hi:
-        source = iter_tables(n)
-    else:
-        from .enumeration import index_to_table
-
-        source = ((i, index_to_table(i)[1]) for i in range(lo, hi + 1))
-    for idx, table in source:
-        res = analyze_table(table, (), budget)
+    for count, res in layer_leaves(n, budget, lo, hi, verify):
+        stats.add(res, count)
         if res[0] == "h":
-            if res[1] > max_steps:
-                max_steps = res[1]
-        elif res[0] == "u":
-            undecided += 1
-        elif verify:
-            ok = verify_certificate(
-                Machine(n_states=n, table=table),
-                "",
-                ProvedDiverges(certificate=_to_certificate(res[1]), found_at=res[2]),
-            )
-            if not ok:
-                raise AssertionError(f"certificate failed replay for machine {idx}")
-        done += 1
-        if progress is not None and done % 1_000_000 == 0:
-            progress(done)
-    undecided += unswept
-    return BBRecord(
-        n_states=n,
-        max_steps=max_steps,
-        decided_all=(undecided == 0),
-        undecided_count=undecided,
-        budget_used=budget,
-    )
+            max_steps = max(max_steps, res[1])
+        elif res[0] == "d" and verify:
+            stats.leaves_verified += 1
+    undecided = (lo - layer_lo) + (layer_hi - hi) + stats.verdicts.get("unknown", 0)
+    return BBRecord(n, max_steps, undecided == 0, undecided, budget, stats)
 
 
 def decide_layer(n: int, start_budget: int = 16, max_budget: int = 1 << 16) -> BBRecord:
     """Doubling search for a budget that fully decides the n-state layer.
 
-    Only machines still unknown are re-analyzed at the next budget; proved
-    verdicts are final, so the aggregate stays exact.
+    Each budget sweeps the layer afresh; verdicts are monotone in the budget,
+    so the last sweep's record is exact.
     """
     budget = start_budget
-    max_steps = 0
-    pending = None  # None = everything; else list of (idx, table)
     while True:
-        nxt_pending = []
-        source = iter_tables(n) if pending is None else pending
-        for idx, table in source:
-            res = analyze_table(table, (), budget)
-            if res[0] == "h":
-                if res[1] > max_steps:
-                    max_steps = res[1]
-            elif res[0] == "u":
-                nxt_pending.append((idx, table))
-        if not nxt_pending:
-            return BBRecord(
-                n_states=n,
-                max_steps=max_steps,
-                decided_all=True,
-                undecided_count=0,
-                budget_used=budget,
-            )
-        if budget * 2 > max_budget:
-            return BBRecord(
-                n_states=n,
-                max_steps=max_steps,
-                decided_all=False,
-                undecided_count=len(nxt_pending),
-                budget_used=budget,
-            )
-        pending = nxt_pending
+        rec = bb_table(n, budget)
+        if rec.decided_all or budget * 2 > max_budget:
+            return rec
         budget *= 2
 
 

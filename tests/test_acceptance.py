@@ -203,7 +203,6 @@ def test_criterion_6_bijection_suites():
     )
 
 
-@pytest.mark.slow
 def test_criterion_7_busy_beaver_layers_fully_decided():
     rec1 = decide_layer(1, start_budget=16)
     assert rec1.decided_all and rec1.undecided_count == 0

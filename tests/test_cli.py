@@ -92,6 +92,36 @@ def test_ctm_flawed_reports_crossing(capsys):
     assert out.splitlines()[1].startswith("output_string,")
 
 
+def test_ctm_flawed_exports_past_int_digit_limit(tmp_path, capsys):
+    # From about N = 14,341 mass denominators run past Python's default
+    # 4300-digit int/str limit; exports and parses must stay exact anyway.
+    import re
+    import sys
+
+    from kolmobench.ctm import table_from_csv, table_from_json, table_to_csv, table_to_json
+
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    texts = {}
+    for fmt in ("csv", "json"):
+        path = tmp_path / f"flawed.{fmt}"
+        code, _, _ = run_cli(
+            ["ctm", "--scheme", "flawed", "--N", "15000", "--out", fmt,
+             "--output", str(path)],
+            capsys,
+        )
+        assert code == EXIT_OK
+        texts[fmt] = path.read_text()
+    back_csv = table_from_csv(texts["csv"])
+    back_json = table_from_json(texts["json"])
+    assert back_csv.entries == back_json.entries
+    assert max(m.denominator.bit_length() for m in back_csv.entries.values()) > 4300 * 3.33
+    csv_digest = texts["csv"].splitlines()[0].split("=", 1)[1]
+    json_digest = re.search(r'"manifest_config":"(\w+)"', texts["json"]).group(1)
+    assert table_to_csv(back_csv, csv_digest) == texts["csv"]
+    assert table_to_json(back_json, json_digest) == texts["json"]
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
 def test_ctm_corrected_total_line(capsys):
     code, out, err = run_cli(
         ["ctm", "--scheme", "corrected", "--L", "2",
@@ -214,6 +244,24 @@ def test_manifest_written_alongside_export(tmp_path, capsys):
         manifest["runtime"]["export_sha256"]
         == hashlib.sha256(out.read_bytes()).hexdigest()
     )
+
+
+def test_sweep_stats_go_to_manifest_only(tmp_path, capsys):
+    lo, hi = 2001, 9000
+    for argv in (["bb", "2", "--verify"], ["ctm", "--scheme", "frequency"]):
+        out = tmp_path / "sweep.csv"
+        code, _, _ = run_cli(
+            argv + ["--universe-interval", f"{lo}:{hi}", "--budget", "64",
+                    "--output", str(out)],
+            capsys,
+        )
+        assert code == EXIT_OK
+        manifest = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())
+        stats = manifest["runtime"]["stats"]
+        assert sum(stats["verdicts"].values()) == stats["machines"] == hi - lo + 1
+        assert 0 < stats["leaves"] < stats["machines"]
+        assert (stats["leaves_verified"] > 0) == (argv[0] == "bb")
+        assert "leaves" not in out.read_text()
 
 
 def test_bb_auto_budget_and_partial_interval(capsys):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from kolmobench.ctm import (
     DistributionTable,
+    SubProbabilityError,
     TableMeta,
     UndefinedMassError,
     alpha_sum_upto,
@@ -121,6 +122,12 @@ def test_corrected_total_mass_never_exceeds_alpha_budget():
         for block in (0, 2, 4):
             total = corrected_mass(None, u, block, budget=64)
             assert total <= alpha_sum_upto(interval[1]) <= Fraction(1, 4) < 1
+
+
+def test_alpha_summing_past_one_raises_named_error():
+    # machines 1 and 3 halt on empty input, so unit weights give mass 2
+    with pytest.raises(SubProbabilityError):
+        corrected_table(MachineRange(1, 1, 1, 3), 0, budget=16, alpha=lambda i: Fraction(1))
 
 
 def test_corrected_monotone_in_budget_and_universe():
