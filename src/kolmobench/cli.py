@@ -10,6 +10,7 @@ randomness is seeded and recorded.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import hashlib
 import json
@@ -17,28 +18,26 @@ import os
 import random
 import sys
 from dataclasses import asdict
-from multiprocessing import get_context
 
 from . import __version__
 from .cache import CacheCorruptionError, VerdictCache, raw_to_record
 from .ctm import (
     CORRECTED,
     FLAWED,
-    check_sub_probability,
+    corrected_table,
     flawed_crossing,
     flawed_table,
     output_frequency,
     table_to_csv,
     table_to_json,
 )
-from .enumeration import MachineRange, index_to_machine, index_to_table, str_to_nat
+from .enumeration import MachineRange, index_to_machine, index_to_table
 from .estimator import (
     EnumerationLimitError,
     PRUNING_POLICIES,
     applicable_set,
     bound_from_pairs,
     cap_constant,
-    make_pair,
     phi_profile,
 )
 from .halting import (
@@ -58,7 +57,6 @@ EXIT_CACHE_CORRUPT = 4
 EXIT_VERIFY_FAILED = 5
 
 ENV_PREFIX = "KOLMOBENCH_"
-CACHEABLE_SWEEP_LIMIT = 1 << 16
 CLI_DEFAULT_CEILING = 1 << 26
 ESTIMATE_DEFAULT_INTERVAL = "1:4096"
 
@@ -93,17 +91,29 @@ def _write_export(text: str, args, config: dict, stats=None) -> None:
     if stats is not None:
         manifest["runtime"]["stats"] = asdict(stats)
     if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        with open(args.output + ".manifest.json", "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        manifest_text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+        _replace_files({args.output: text, args.output + ".manifest.json": manifest_text})
     else:
         sys.stdout.write(text)
         print(json.dumps(manifest, sort_keys=True), file=sys.stderr)
 
 
-def _universe_from_args(args, parser) -> MachineRange:
+def _replace_files(texts: dict) -> None:
+    """Write each path's text to a temp file beside it, then move all into
+    place, so a failed write leaves the previous files whole."""
+    try:
+        for path, text in texts.items():
+            with open(path + ".tmp", "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        for path in texts:
+            os.replace(path + ".tmp", path)
+    finally:
+        for path in texts:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path + ".tmp")
+
+
+def _universe_from_args(args, parser, max_states=None) -> MachineRange:
     lo = hi = None
     if getattr(args, "universe_interval", None):
         try:
@@ -112,7 +122,7 @@ def _universe_from_args(args, parser) -> MachineRange:
         except ValueError:
             parser.error(f"bad --universe-interval {args.universe_interval!r}")
     try:
-        return MachineRange(1, args.max_states, lo, hi)
+        return MachineRange(1, max_states or args.max_states, lo, hi)
     except ValueError as e:
         parser.error(str(e))
 
@@ -121,69 +131,6 @@ def _check_binary_arg(parser, x: str) -> str:
     if any(ch not in "01" for ch in x):
         parser.error(f"x must be a binary string, got {x!r}")
     return x
-
-
-# ---------------------------------------------------------------------------
-# parallel sweep helpers (top-level so they pickle)
-
-
-def _chunks(lo: int, hi: int, pieces: int):
-    count = hi - lo + 1
-    size = max(1, -(-count // pieces))
-    start = lo
-    while start <= hi:
-        yield start, min(hi, start + size - 1)
-        start = start + size
-
-
-def _corrected_chunk(job):
-    lo, hi, block_len, budget, keep_raws = job
-    per_machine = {}
-    raws = []
-    programs = (
-        [""]
-        if block_len == 0
-        else [format(v, f"0{block_len}b") for v in range(1 << block_len)]
-    )
-    for i in range(lo, hi + 1):
-        _, table = index_to_table(i)
-        counts = {}
-        for p in programs:
-            raw = analyze_table(table, str_to_syms(p), budget)
-            if keep_raws:
-                raws.append((i, p, budget, raw))
-            if raw[0] == "h" and raw[2] is not None:
-                counts[raw[2]] = counts.get(raw[2], 0) + 1
-        if counts:
-            per_machine[i] = counts
-    return per_machine, raws
-
-
-def _appset_chunk(job):
-    lo, hi, x, budget, max_prog_len, keep_raws = job
-    pairs = []
-    raws = []
-    programs = [
-        format(v, f"0{L}b") if L else ""
-        for L in range(max_prog_len + 1)
-        for v in (range(1 << L) if L else [0])
-    ]
-    for i in range(lo, hi + 1):
-        _, table = index_to_table(i)
-        for p in programs:
-            raw = analyze_table(table, str_to_syms(p), budget)
-            if keep_raws:
-                raws.append((i, p, budget, raw))
-            if raw[0] == "h" and raw[2] == x:
-                pairs.append((i, p, raw[1]))
-    return pairs, raws
-
-
-def _run_jobs(jobs, worker, threads: int):
-    if threads <= 1:
-        return [worker(job) for job in jobs]
-    with get_context("fork").Pool(processes=threads) as pool:
-        return pool.map(worker, jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -239,39 +186,10 @@ def cmd_estimate(args, parser) -> int:
     profile = phi_profile(
         x, schedule, universe, cap=cap, ceiling=args.ceiling, sim=sim
     )
-    work = universe.count * ((1 << (args.max_prog_len + 1)) - 1)
-    if work > args.ceiling:
-        raise EnumerationLimitError(
-            f"{work} simulations exceed ceiling {args.ceiling}; "
-            "shrink --universe-interval or --max-prog-len"
-        )
-    appset_cacheable = cache is not None and work <= CACHEABLE_SWEEP_LIMIT
-    if args.threads > 1:
-        lo, hi = universe.index_bounds()
-        jobs = [
-            (clo, chi, x, args.budget, args.max_prog_len, appset_cacheable)
-            for clo, chi in _chunks(lo, hi, args.threads * 4)
-        ]
-        pairs = []
-        for chunk_pairs, raws in _run_jobs(jobs, _appset_chunk, args.threads):
-            pairs.extend(make_pair(i, p, steps) for i, p, steps in chunk_pairs)
-            if cache is not None:
-                for i, p, b, raw in raws:
-                    cache.record(i, p, b, raw)
-        pairs = PRUNING_POLICIES[args.policy](pairs)
-        pairs.sort(key=lambda pr: (pr.i, len(pr.p), str_to_nat(pr.p)))
-    else:
-        sim.cache = cache if appset_cacheable else None
-        pairs = applicable_set(
-            x,
-            universe,
-            args.budget,
-            args.max_prog_len,
-            policy=args.policy,
-            ceiling=args.ceiling,
-            sim=sim,
-        )
-        sim.cache = cache
+    pairs = applicable_set(
+        x, universe, args.budget, args.max_prog_len, policy=args.policy,
+        ceiling=args.ceiling, sim=sim, threads=args.threads,
+    )
     bound, witness = bound_from_pairs(x, pairs)
     n_pairs = len(pairs)
     if cache is not None:
@@ -319,9 +237,11 @@ def cmd_estimate(args, parser) -> int:
 
 
 def cmd_ctm(args, parser) -> int:
+    if args.scheme != CORRECTED and args.block_len is not None:
+        parser.error("--L applies to the corrected scheme only")
+    if args.scheme != FLAWED and args.n_ceiling is not None:
+        parser.error("--N applies to the flawed scheme only")
     if args.scheme == FLAWED:
-        if args.block_len is not None:
-            parser.error("--L applies to the corrected scheme only")
         n_max = args.n_ceiling
         if n_max is None or n_max < 1:
             parser.error("flawed scheme needs --N >= 1")
@@ -369,46 +289,15 @@ def cmd_ctm(args, parser) -> int:
         if block_len < 0:
             parser.error("--L must be >= 0")
         config["L"] = block_len
-        lo, hi = universe.index_bounds()
-        sweep = universe.count * (1 << block_len)
         cache = VerdictCache(args.cache_path) if args.cache_path else None
-        keep = cache is not None and sweep <= CACHEABLE_SWEEP_LIMIT
-        jobs = [
-            (clo, chi, block_len, args.budget, keep)
-            for clo, chi in _chunks(lo, hi, max(1, args.threads * 4))
-        ]
-        from fractions import Fraction
-
-        from .ctm import DistributionTable, TableMeta, default_alpha
-
-        entries = {}
-        for per_machine, raws in _run_jobs(jobs, _corrected_chunk, args.threads):
-            for i, counts in sorted(per_machine.items()):
-                a = default_alpha(i)
-                for out_str, c in counts.items():
-                    entries[out_str] = entries.get(out_str, Fraction(0)) + a * Fraction(
-                        c, 1 << block_len
-                    )
-            if cache is not None:
-                for i, p, b, raw in raws:
-                    cache.record(i, p, b, raw)
+        sim = Simulator(universe, cache=cache) if cache is not None else None
+        table = corrected_table(universe, block_len, args.budget, sim=sim, threads=args.threads)
         if cache is not None:
             cache.flush()
             cache.close()
-        table = DistributionTable(
-            entries=entries,
-            meta=TableMeta(
-                scheme=CORRECTED,
-                universe=universe.describe(),
-                budget=args.budget,
-                block_len=block_len,
-            ),
-        )
     else:
         table = output_frequency(universe, args.budget)
     total = table.total_mass()
-    if args.scheme == CORRECTED:
-        check_sub_probability(total)
     digest = _config_digest(config)
     text = (
         table_to_csv(table, digest) if args.out == "csv" else table_to_json(table, digest)
@@ -432,16 +321,17 @@ def cmd_bb(args, parser) -> int:
         "seed": args.seed,
     }
     if args.auto_budget:
-        rec = decide_layer(args.n_states, start_budget=max(1, args.budget))
-    elif args.universe_interval:
-        a, _, b = args.universe_interval.partition(":")
+        if args.universe_interval:
+            parser.error("--auto-budget sweeps whole layers; drop --universe-interval")
+        rec = decide_layer(args.n_states, start_budget=max(1, args.budget), verify=args.verify)
+    else:
+        rng = None
+        if args.universe_interval:
+            rng = _universe_from_args(args, parser, max(args.n_states, args.max_states))
         try:
-            rng = MachineRange(1, max(args.n_states, args.max_states), int(a), int(b))
+            rec = bb_table(args.n_states, args.budget, machine_range=rng, verify=args.verify)
         except ValueError as e:
             parser.error(str(e))
-        rec = bb_table(args.n_states, args.budget, machine_range=rng, verify=args.verify)
-    else:
-        rec = bb_table(args.n_states, args.budget, verify=args.verify)
     digest = _config_digest(config)
     if args.out == "json":
         doc = {

@@ -25,9 +25,11 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
+from operator import itemgetter
 
 from .enumeration import MachineRange, index_to_table
-from .halting import Simulator, SweepStats, analyze_table, layer_leaves
+from .halting import Simulator, SweepStats, analyze_table, layer_leaves, program_sweep
 
 FLAWED, CORRECTED, FREQUENCY = "flawed", "corrected", "frequency"
 
@@ -107,14 +109,20 @@ def output_frequency(universe: MachineRange, budget: int) -> DistributionTable:
     )
 
 
-def _flawed_counts(n_max: int, budget: int):
-    """Output string -> exact 1/i mass, over machines 1..n_max on empty input."""
-    masses = {}
+def _flawed_halts(n_max: int, budget: int):
+    """(i, output) for each machine 1..n_max halting with valid output on empty input."""
     for i in range(1, n_max + 1):
         _, table = index_to_table(i)
         res = analyze_table(table, (), budget)
         if res[0] == "h" and res[2] is not None:
-            masses[res[2]] = masses.get(res[2], Fraction(0)) + Fraction(1, i)
+            yield i, res[2]
+
+
+def _flawed_counts(n_max: int, budget: int):
+    """Output string -> exact 1/i mass, over machines 1..n_max on empty input."""
+    masses = {}
+    for i, x in _flawed_halts(n_max, budget):
+        masses[x] = masses.get(x, Fraction(0)) + Fraction(1, i)
     return masses
 
 
@@ -140,35 +148,15 @@ def flawed_crossing(n_cap: int, budget: int):
     """First N <= n_cap where the total flawed mass exceeds 1 exactly,
     with the mass at that N; (None, final mass) if never."""
     total = Fraction(0)
-    one = Fraction(1)
-    for i in range(1, n_cap + 1):
-        _, table = index_to_table(i)
-        res = analyze_table(table, (), budget)
-        if res[0] == "h" and res[2] is not None:
-            total += Fraction(1, i)
-            if total > one:
-                return i, total
+    for i, _ in _flawed_halts(n_cap, budget):
+        total += Fraction(1, i)
+        if total > 1:
+            return i, total
     return None, total
 
 
-def _corrected_counts(universe, block_len, budget, sim):
-    """Output -> number of halting length-L programs, per machine index."""
-    per_machine = {}
-    for i in universe.indices():
-        counts = {}
-        if block_len == 0:
-            out = sim.halted_output(i, "", budget)
-            if out is not None:
-                counts[out] = 1
-        else:
-            for v in range(1 << block_len):
-                p = format(v, f"0{block_len}b")
-                out = sim.halted_output(i, p, budget)
-                if out is not None:
-                    counts[out] = counts.get(out, 0) + 1
-        if counts:
-            per_machine[i] = counts
-    return per_machine
+def _index_and_output(i: int, p: str, steps: int, output: str):
+    return i, output
 
 
 def corrected_table(
@@ -177,19 +165,27 @@ def corrected_table(
     budget: int,
     alpha=default_alpha,
     sim: Simulator | None = None,
+    threads: int = 1,
 ) -> DistributionTable:
-    """Mixture sum_i alpha(i) * #(length-L programs with output x) / 2^L."""
+    """Mixture sum_i alpha(i) * #(length-L programs with output x) / 2^L.
+
+    The sweep is ``halting.program_sweep``: a shared ``sim`` at one thread
+    reuses its memo, and its verdict cache records small sweeps.
+    """
     if block_len < 0:
         raise ValueError("block length must be >= 0")
     if budget < 1:
         raise ValueError("budget must be >= 1")
     if universe.count == 0:
         raise ValueError("empty universe")
-    if sim is None:
-        sim = Simulator(universe)
+    programs = [format(v, f"0{block_len}b") for v in range(1 << block_len)] if block_len else [""]
     denom = 1 << block_len
     entries = {}
-    for i, counts in _corrected_counts(universe, block_len, budget, sim).items():
+    halts = program_sweep(universe, programs, budget, _index_and_output, threads, sim)
+    for i, outputs in groupby(halts, key=itemgetter(0)):
+        counts = {}
+        for _, x in outputs:
+            counts[x] = counts.get(x, 0) + 1
         a = alpha(i)
         for x, c in counts.items():
             entries[x] = entries.get(x, Fraction(0)) + a * Fraction(c, denom)

@@ -17,10 +17,10 @@ a certified minimum.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .enumeration import MachineRange, str_to_nat
-from .halting import Simulator
+from .halting import Simulator, program_sweep
 from .tm_core import Halted, identity_scanner, immediate_halt
 
 DEFAULT_ENUM_CEILING = 1 << 22
@@ -198,6 +198,10 @@ PRUNING_POLICIES = {
 }
 
 
+def _pair_with_output(x: str, i: int, p: str, steps: int, output: str):
+    return make_pair(i, p, steps) if output == x else None
+
+
 def applicable_set(
     x: str,
     universe: MachineRange,
@@ -207,8 +211,13 @@ def applicable_set(
     policy: str = "discard-dominated",
     ceiling: int = DEFAULT_ENUM_CEILING,
     sim: Simulator | None = None,
+    threads: int = 1,
 ) -> list[ProgramPair]:
-    """All proved-halting pairs with output x, pruned, in canonical order."""
+    """All proved-halting pairs with output x, pruned, in canonical order.
+
+    The sweep is ``halting.program_sweep``: a shared ``sim`` at one thread
+    reuses its memo, and its verdict cache serves and records small sweeps.
+    """
     _check_binary(x)
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -222,15 +231,9 @@ def applicable_set(
             f"{work} simulations exceed ceiling {ceiling}; shrink the "
             "universe or max_prog_len, or raise the ceiling"
         )
-    if sim is None:
-        sim = Simulator(universe)
-    pairs = []
-    for i in universe.indices():
-        for length in range(max_prog_len + 1):
-            for p in _programs_of_length(length):
-                res = sim.raw_verdict(i, p, budget)
-                if res[0] == "h" and res[2] == x:
-                    pairs.append(make_pair(i, p, res[1]))
+    programs = [p for n in range(max_prog_len + 1) for p in _programs_of_length(n)]
+    reduce = partial(_pair_with_output, x)
+    pairs = list(program_sweep(universe, programs, budget, reduce, threads, sim))
     pruned = PRUNING_POLICIES[policy](pairs)
     pruned.sort(key=lambda pr: (pr.i, len(pr.p), str_to_nat(pr.p)))
     return pruned

@@ -28,9 +28,10 @@ Certificate kinds, each with a mechanical checker:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from multiprocessing import get_context
 from typing import NamedTuple
 
-from .enumeration import MachineRange, box_count, layer_offset, machine_count
+from .enumeration import MachineRange, box_count, index_to_table, layer_offset, machine_count
 from .tm_core import (
     MOVE_LEFT,
     MOVE_RIGHT,
@@ -47,6 +48,7 @@ SNAPSHOT_TAPE_CAP = 2048
 CYCLE_TAPE_CAP = 128
 MAX_SNAPSHOTS_PER_KEY = 6
 SNAPSHOT_GROWTH = (5, 4)  # admit a new snapshot when steps >= last * 5/4
+CACHEABLE_SWEEP_LIMIT = 1 << 16  # most (index, program) pairs a sweep may cache
 
 
 @dataclass(frozen=True)
@@ -706,15 +708,17 @@ def bb_table(
     return BBRecord(n, max_steps, undecided == 0, undecided, budget, stats)
 
 
-def decide_layer(n: int, start_budget: int = 16, max_budget: int = 1 << 16) -> BBRecord:
+def decide_layer(
+    n: int, start_budget: int = 16, max_budget: int = 1 << 16, verify: bool = False
+) -> BBRecord:
     """Doubling search for a budget that fully decides the n-state layer.
 
-    Each budget sweeps the layer afresh; verdicts are monotone in the budget,
-    so the last sweep's record is exact.
+    Each budget sweeps the layer afresh (``verify`` as in ``bb_table``);
+    verdicts are monotone in the budget, so the last sweep's record is exact.
     """
     budget = start_budget
     while True:
-        rec = bb_table(n, budget)
+        rec = bb_table(n, budget, verify=verify)
         if rec.decided_all or budget * 2 > max_budget:
             return rec
         budget *= 2
@@ -738,8 +742,6 @@ class Simulator:
     def _table(self, i: int):
         t = self._tables.get(i)
         if t is None:
-            from .enumeration import index_to_table
-
             _, t = index_to_table(i)
             self._tables[i] = t
         return t
@@ -799,3 +801,70 @@ class Simulator:
         if res[0] == "h":
             return res[2]
         return None
+
+
+def program_sweep(
+    universe: MachineRange,
+    programs,
+    budget: int,
+    reduce,
+    threads: int = 1,
+    sim: Simulator | None = None,
+):
+    """Yield ``reduce(i, p, steps, output)`` for every (index, program) pair
+    of the universe that halts with a valid output, skipping ``None``s, in
+    index-then-``programs`` order whatever the thread count.
+
+    One thread with a ``sim`` goes through its memo, so callers sharing a
+    ``Simulator`` reuse earlier runs; otherwise every pair is run plainly and
+    nothing is kept.  ``threads > 1`` splits the index range into fixed
+    chunks over a fork pool; ``reduce`` must then pickle.  ``sim.cache``
+    serves and records only sweeps of at most ``CACHEABLE_SWEEP_LIMIT``
+    pairs; for larger ones it is left untouched, and the memo unused.
+    """
+    programs = list(programs)
+    lo, hi = universe.index_bounds()
+    cache = None
+    if sim is not None and universe.count * len(programs) <= CACHEABLE_SWEEP_LIMIT:
+        cache = sim.cache
+    if threads <= 1:
+        memo = sim is not None and (sim.cache is None or cache is not None)
+        yield from _sweep_range(lo, hi, programs, budget, reduce, sim if memo else None)
+        return
+    size = max(1, -(-(hi - lo + 1) // (threads * 4)))
+    jobs = [
+        (start, min(hi, start + size - 1), programs, budget, reduce, cache is not None)
+        for start in range(lo, hi + 1, size)
+    ]
+    with get_context("fork").Pool(processes=threads) as pool:
+        for items, raws in pool.imap(_sweep_chunk, jobs):
+            for i, p, raw in raws:
+                cache.record(i, p, budget, raw)
+            yield from items
+
+
+def _sweep_range(lo, hi, programs, budget, reduce, sim=None, raws=None):
+    """The loop of ``program_sweep`` over indices lo..hi: through ``sim``'s
+    memo when given, else plain runs, appended to ``raws`` when given."""
+    inputs = [(p, str_to_syms(p)) for p in programs]
+    for i in range(lo, hi + 1):
+        table = None if sim is not None else index_to_table(i)[1]
+        for p, syms in inputs:
+            if sim is not None:
+                res = sim.raw_verdict(i, p, budget)
+            else:
+                res = analyze_table(table, syms, budget)
+                if raws is not None:
+                    raws.append((i, p, res))
+            if res[0] == "h" and res[2] is not None:
+                item = reduce(i, p, res[1], res[2])
+                if item is not None:
+                    yield item
+
+
+def _sweep_chunk(job):
+    """One pool worker's share of ``program_sweep``: (items, raw verdicts)."""
+    lo, hi, programs, budget, reduce, keep_raws = job
+    raws = []
+    items = list(_sweep_range(lo, hi, programs, budget, reduce, raws=raws if keep_raws else None))
+    return items, raws

@@ -281,6 +281,68 @@ def test_bb_auto_budget_and_partial_interval(capsys):
     assert doc["decided_all"] is False and doc["undecided_count"] == 950
 
 
+def test_bb_auto_budget_verifies_and_refuses_intervals(tmp_path, capsys):
+    out = tmp_path / "bb.csv"
+    code, _, _ = run_cli(
+        ["bb", "1", "--auto-budget", "--verify", "--budget", "4", "--output", str(out)],
+        capsys,
+    )
+    assert code == EXIT_OK
+    stats = json.loads((tmp_path / "bb.csv.manifest.json").read_text())["runtime"]["stats"]
+    assert stats["machines"] == 1000 and stats["leaves_verified"] > 0
+    # a clipped sweep is never decided_all, so doubling could only run out
+    code, _, _ = run_cli(
+        ["bb", "1", "--auto-budget", "--universe-interval", "1:50"], capsys
+    )
+    assert code == EXIT_BAD_INPUT
+    code, _, _ = run_cli(["bb", "2", "--universe-interval", "1:50"], capsys)
+    assert code == EXIT_BAD_INPUT  # the interval misses the 2-state layer
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [("frequency", "--L", "2"), ("corrected", "--N", "10"), ("frequency", "--N", "10")],
+)
+def test_ctm_rejects_flags_of_other_schemes(flags, capsys):
+    scheme, *rest = flags
+    code, _, err = run_cli(
+        ["ctm", "--scheme", scheme, *rest, "--max-states", "1", "--budget", "8"], capsys
+    )
+    assert code == EXIT_BAD_INPUT and "applies to the" in err
+
+
+def test_failed_export_write_keeps_previous_files(tmp_path, monkeypatch, capsys):
+    import errno
+
+    import kolmobench.cli as cli
+
+    argv = ["bb", "1", "--output", str(tmp_path / "bb.csv")]
+    assert run_cli(argv + ["--budget", "64"], capsys)[0] == EXIT_OK
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+    class DiskFullMidway:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[: len(text) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(
+        cli, "open", lambda *a, **kw: DiskFullMidway(open(*a, **kw)), raising=False
+    )
+    with pytest.raises(OSError):
+        main(argv + ["--budget", "2"])
+    capsys.readouterr()
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 def test_bb_export_identical_across_threads(tmp_path, capsys):
     outs = []
     for threads in ("1", "2"):

@@ -116,6 +116,34 @@ def test_corrected_block_zero_degenerates_to_weighted_frequency():
     assert t.entries == expected
 
 
+@pytest.fixture(scope="module")
+def plain_run_masses():
+    """Corrected masses over i1-1500, L=2, budget 64 from a plain run double
+    loop: no detector, memo, cache or pool."""
+    from kolmobench.enumeration import index_to_machine
+    from kolmobench.tm_core import Halted, run
+
+    masses = {}
+    for i in range(1, 1501):
+        m = index_to_machine(i)
+        for p in ("00", "01", "10", "11"):
+            out = run(m, p, 64)
+            if isinstance(out, Halted):
+                masses[out.output] = masses.get(out.output, Fraction(0)) + default_alpha(i) / 4
+    return masses
+
+
+@pytest.mark.parametrize("threads, shared", [(1, False), (2, False), (1, True)])
+def test_corrected_table_matches_plain_run_oracle(plain_run_masses, threads, shared):
+    u = MachineRange(1, 2, 1, 1500)
+    sim = None
+    if shared:
+        sim = Simulator(u)
+        corrected_table(u, 2, budget=16, sim=sim)  # memo entries then re-derive at 64
+    table = corrected_table(u, 2, budget=64, sim=sim, threads=threads)
+    assert table.entries == plain_run_masses
+
+
 def test_corrected_total_mass_never_exceeds_alpha_budget():
     for interval in ((1, 1000), (1, 3000)):
         u = MachineRange(1, 2, *interval)

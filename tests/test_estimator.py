@@ -106,8 +106,13 @@ def test_applicable_set_contains_immediate_halt_for_empty_string():
 
 def test_applicable_set_pairs_replay(small_universe):
     u = MachineRange(1, 2, 1, 1200)
+    shared = Simulator(u)  # its memo serves both strings
     for x in ("", "1"):
-        for pr in applicable_set(x, u, budget=32, max_prog_len=3):
+        pairs = applicable_set(x, u, budget=32, max_prog_len=3)
+        # every path of the sweep kernel: plain, fork pool, shared memo
+        assert applicable_set(x, u, budget=32, max_prog_len=3, threads=2) == pairs
+        assert applicable_set(x, u, budget=32, max_prog_len=3, sim=shared) == pairs
+        for pr in pairs:
             from kolmobench.enumeration import index_to_machine
 
             assert run(index_to_machine(pr.i), pr.p, pr.steps) == Halted(x, pr.steps)
