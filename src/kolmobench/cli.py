@@ -71,6 +71,17 @@ def _env_default(name: str, fallback, conv=str):
         raise SystemExit(f"bad {ENV_PREFIX + name}={raw!r}")
 
 
+def _budget(text: str) -> int:
+    """argparse type of ``--budget`` (and of KOLMOBENCH_BUDGET): an int >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _config_digest(config: dict) -> str:
     blob = json.dumps(config, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
@@ -323,7 +334,7 @@ def cmd_bb(args, parser) -> int:
     if args.auto_budget:
         if args.universe_interval:
             parser.error("--auto-budget sweeps whole layers; drop --universe-interval")
-        rec = decide_layer(args.n_states, start_budget=max(1, args.budget), verify=args.verify)
+        rec = decide_layer(args.n_states, start_budget=args.budget, verify=args.verify)
     else:
         rng = None
         if args.universe_interval:
@@ -409,8 +420,8 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--budget",
-        type=int,
-        default=_env_default("BUDGET", 256, int),
+        type=_budget,
+        default=_env_default("BUDGET", "256"),
         help="simulation step budget (env KOLMOBENCH_BUDGET)",
     )
     common.add_argument(

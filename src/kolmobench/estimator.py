@@ -21,7 +21,7 @@ from functools import lru_cache, partial
 
 from .enumeration import MachineRange, str_to_nat
 from .halting import Simulator, program_sweep
-from .tm_core import Halted, identity_scanner, immediate_halt
+from .tm_core import Halted, identity_scanner, immediate_halt, run
 
 DEFAULT_ENUM_CEILING = 1 << 22
 
@@ -247,8 +247,6 @@ def bound_from_pairs(x: str, pairs) -> tuple[int, ProgramPair]:
     if pairs:
         best = min(pairs, key=lambda pr: (pr.encoded_len, pr.i, str_to_nat(pr.p)))
         return best.encoded_len, best
-    from .tm_core import run
-
     scanner_steps = run(identity_scanner(), x, len(x) + 1).steps
     return len(x) + cap_constant(), make_pair(identity_index(), x, scanner_steps)
 

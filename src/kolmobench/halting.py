@@ -28,6 +28,7 @@ Certificate kinds, each with a mechanical checker:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from multiprocessing import get_context
 from typing import NamedTuple
 
@@ -35,9 +36,14 @@ from .enumeration import MachineRange, box_count, index_to_table, layer_offset, 
 from .tm_core import (
     MOVE_LEFT,
     MOVE_RIGHT,
+    Cutoff,
+    Halted,
+    InvalidOutput,
     Machine,
     Table,
+    decode_program,
     read_output,
+    steps,
     str_to_syms,
 )
 
@@ -113,22 +119,14 @@ def _walk_check(table, q, sym, dir_right, cache):
     hit = cache.get(key)
     if hit is not None:
         return hit[0]
-    state, cell = q, sym
+    tape = {0: sym}
     res = None
-    for _ in range(16):
-        action, nxt = table[3 * (state - 1) + cell]
-        if nxt == 0:
+    for head, state in islice(steps(table, q, 0, tape), 16):
+        if state == 0:
             break
-        if action < MOVE_LEFT:
-            cell = 0 if action == 0 else action
-            state = nxt
-        elif action == MOVE_LEFT:
-            if not dir_right and nxt == q:
-                res = cell
-            break
-        else:
-            if dir_right and nxt == q:
-                res = cell
+        if head:
+            if state == q and (head > 0) == dir_right:
+                res = tape.get(0, 0)
             break
     cache[key] = (res,)
     return res
@@ -283,26 +281,13 @@ def _check_crossings(table, state0, head0, tape0, nsteps, acuts):
     ``acuts`` is a list of [cut position, current symbol]; symbols evolve as
     crossings repaint and must return to their initial values.
     """
-    state, head, tape = state0, head0, dict(tape0)
     first = [sym for _, sym in acuts]
     cur = [list(c) for c in acuts]
     cache = {}
-    for _ in range(nsteps):
-        sym = tape.get(head, 0)
-        action, nxt = table[3 * (state - 1) + sym]
-        oldh = head
-        if action < MOVE_LEFT:
-            if action == 0:
-                tape.pop(head, None)
-            else:
-                tape[head] = action
-        elif action == MOVE_LEFT:
-            head -= 1
-        else:
-            head += 1
-        if nxt == 0:
+    oldh = head0
+    for head, state in islice(steps(table, state0, head0, dict(tape0)), nsteps):
+        if state == 0:
             return False
-        state = nxt
         for c in cur:
             if oldh == c[0] - 1 and head == c[0]:
                 t = _walk_check(table, state, c[1], True, cache)
@@ -314,6 +299,7 @@ def _check_crossings(table, state0, head0, tape0, nsteps, acuts):
                 if t is None:
                     return False
                 c[1] = t
+        oldh = head
     return all(c[1] == f for c, f in zip(cur, first))
 
 
@@ -329,6 +315,7 @@ def analyze_table(table: Table, input_syms: tuple, budget: int):
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
+    # The hot path keeps its own inlined step loop: detector state updates between steps.
     state, head, steps = 1, 0, 0
     tape = dict(enumerate(input_syms))
     ilen = len(input_syms)
@@ -464,35 +451,28 @@ def analyze(m: Machine, input_str: str, budget: int) -> HaltingVerdict:
     return Unknown(budget=res[1])
 
 
-def _replay_to(table, input_syms, upto):
-    """Plain replay to ``upto`` steps; returns (state, head, tape, heads list)."""
+def _replay(table, input_syms, step_a, step_b):
+    """One plain run: the configuration (state, head, tape) at ``step_a``,
+    the one at ``step_b >= step_a``, and the head's range [lo, hi] between
+    them.  A run that halts earlier ends in state 0."""
     state, head = 1, 0
     tape = dict(enumerate(input_syms))
-    heads = [0]
-    for _ in range(upto):
-        sym = tape.get(head, 0)
-        action, nxt = table[3 * (state - 1) + sym]
-        if action < MOVE_LEFT:
-            if action == 0:
-                tape.pop(head, None)
-            else:
-                tape[head] = action
-        elif action == MOVE_LEFT:
-            head -= 1
-        else:
-            head += 1
-        heads.append(head)
-        if nxt == 0:
-            state = 0
-            break
-        state = nxt
-    return state, head, tape, heads
+    run = steps(table, state, head, tape)
+    for head, state in islice(run, step_a):
+        pass
+    at_a = (state, head, dict(tape))
+    lo = hi = head
+    for head, state in islice(run, step_b - step_a):
+        if head < lo:
+            lo = head
+        elif head > hi:
+            hi = head
+    return at_a, (state, head, tape), lo, hi
 
 
 def _tape_matches_splice(ta, tb, d, cuts):
     positions = set(tb)
     positions.update(y + d for y in ta)
-    acc_prev = 0
     spans = []
     acc = 0
     for x, g, sym in cuts:
@@ -502,7 +482,6 @@ def _tape_matches_splice(ta, tb, d, cuts):
     total = acc
 
     def expected(y):
-        shift = d
         for x, xe, sym, before in spans:
             if y < x:
                 return ta.get(y - d - before, 0)
@@ -526,58 +505,50 @@ def verify_certificate(m: Machine, input_str: str, verdict: ProvedDiverges) -> b
     table = m.table
     input_syms = str_to_syms(input_str)
     cert = verdict.certificate
-    if isinstance(cert, ConfigCycle):
-        sa, ha, ta, _ = _replay_to(table, input_syms, cert.step_a)
-        sb, hb, tb, _ = _replay_to(table, input_syms, cert.step_b)
-        return (
-            cert.step_a < cert.step_b
-            and sa == sb != 0
-            and ha == hb
-            and ta == tb
-        )
     if isinstance(cert, BlankEscape):
-        s, h, tape, _ = _replay_to(table, input_syms, cert.step)
-        if s != cert.state or s == 0:
+        step_a = step_b = cert.step
+    elif isinstance(cert, (ConfigCycle, DirectionalEscape, SpliceCycle)):
+        if cert.step_a >= cert.step_b:
             return False
-        action, nxt = table[3 * (s - 1)]
+        step_a, step_b = cert.step_a, cert.step_b
+    else:
+        return False
+    if step_a < 0:
+        return False
+    (sa, ha, ta), (sb, hb, tb), lo, hi = _replay(table, input_syms, step_a, step_b)
+    if sa != sb or sa == 0:
+        return False
+    if isinstance(cert, BlankEscape):
+        if sa != cert.state:
+            return False
+        action, nxt = table[3 * (sa - 1)]
         if cert.direction == "R":
-            return action == MOVE_RIGHT and nxt == s and all(p < h for p in tape)
-        return action == MOVE_LEFT and nxt == s and all(p > h for p in tape)
+            return action == MOVE_RIGHT and nxt == sa and all(p < ha for p in ta)
+        return action == MOVE_LEFT and nxt == sa and all(p > ha for p in ta)
+    if isinstance(cert, ConfigCycle):
+        return ha == hb and ta == tb
     if isinstance(cert, DirectionalEscape):
-        sa, ha, ta, _ = _replay_to(table, input_syms, cert.step_a)
-        sb, hb, tb, heads = _replay_to(table, input_syms, cert.step_b)
-        if sa != sb or sa == 0:
-            return False
-        seg = heads[cert.step_a : cert.step_b + 1]
         if cert.direction == "R":
-            if hb <= ha or min(seg) < ha:
+            if hb <= ha or lo < ha:
                 return False
             fa = {p - ha: v for p, v in ta.items() if p >= ha}
             fb = {p - hb: v for p, v in tb.items() if p >= hb}
         else:
-            if hb >= ha or max(seg) > ha:
+            if hb >= ha or hi > ha:
                 return False
             fa = {p - ha: v for p, v in ta.items() if p <= ha}
             fb = {p - hb: v for p, v in tb.items() if p <= hb}
         return fa == fb
-    if isinstance(cert, SpliceCycle):
-        sa, ha, ta, _ = _replay_to(table, input_syms, cert.step_a)
-        sb, hb, tb, _ = _replay_to(table, input_syms, cert.step_b)
-        if sa != sb or sa == 0 or cert.step_a >= cert.step_b:
-            return False
-        if cert.cuts == () and cert.shift == 0:
-            return False
-        if not _tape_matches_splice(ta, tb, cert.shift, cert.cuts):
-            return False
-        if not _head_matches_splice(ha, hb, cert.shift, cert.cuts):
-            return False
-        if not cert.cuts:
-            return True
-        acuts = _cuts_in_a_coords(cert.shift, cert.cuts)
-        return _check_crossings(
-            table, sa, ha, ta, cert.step_b - cert.step_a, acuts
-        )
-    return False
+    if cert.cuts == () and cert.shift == 0:
+        return False
+    if not _tape_matches_splice(ta, tb, cert.shift, cert.cuts):
+        return False
+    if not _head_matches_splice(ha, hb, cert.shift, cert.cuts):
+        return False
+    if not cert.cuts:
+        return True
+    acuts = _cuts_in_a_coords(cert.shift, cert.cuts)
+    return _check_crossings(table, sa, ha, ta, cert.step_b - cert.step_a, acuts)
 
 
 @dataclass
@@ -773,34 +744,16 @@ class Simulator:
             return ent if ent[2] <= budget else ("u", budget)
         return ("u", budget) if budget <= ent[1] else ent  # caller re-analyzes
 
-    def outcome(self, i: int, p: str, budget: int):
-        """Budgeted run outcome (Halted/InvalidOutput/Cutoff) for T_i(p)."""
-        from .tm_core import Cutoff, Halted, InvalidOutput
-
-        res = self.raw_verdict(i, p, budget)
-        if res[0] == "h":
-            out = res[2]
-            return InvalidOutput(res[1]) if out is None else Halted(out, res[1])
-        return Cutoff(budget)
-
     def u_outcome(self, program: str, budget: int):
-        """Reference-machine run of a raw program via the memo."""
-        from .tm_core import Cutoff, decode_program
-
+        """Reference-machine run outcome (Halted/InvalidOutput/Cutoff) of a
+        raw program via the memo."""
         dec = decode_program(program)
-        if dec is None:
+        if dec is None or not self.universe.contains_index(dec[0]):
             return Cutoff(budget)
-        i, p = dec
-        if not self.universe.contains_index(i):
+        res = self.raw_verdict(*dec, budget)
+        if res[0] != "h":
             return Cutoff(budget)
-        return self.outcome(i, p, budget)
-
-    def halted_output(self, i: int, p: str, budget: int):
-        """Output string if T_i(p) provably halts with valid output, else None."""
-        res = self.raw_verdict(i, p, budget)
-        if res[0] == "h":
-            return res[2]
-        return None
+        return InvalidOutput(res[1]) if res[2] is None else Halted(res[2], res[1])
 
 
 def program_sweep(

@@ -19,7 +19,8 @@ Conventions fixed here (everything downstream depends on them):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import islice
 
 # Tape symbols.
 BLANK, ZERO, ONE = 0, 1, 2
@@ -81,56 +82,24 @@ class Machine:
         return " ".join(parts)
 
 
-@dataclass
-class Config:
-    """A machine configuration mid-run.
+def steps(table, state: int, head: int, tape: dict):
+    """The plain step loop: run from ``state`` with the head at ``head``.
 
-    ``visited`` is the inclusive interval [lo, hi] of cells that are
-    initialized or have been under the head; the input cells count as
-    visited from the start, which keeps every non-blank cell inside the
-    interval at all times.
+    Updates ``tape`` (cell -> symbol, blanks absent) in place and yields
+    ``(head, state)`` after every transition, the halting one (state 0)
+    last.  A table entry is read only when its transition is taken.
     """
-
-    state: int
-    head: int
-    tape: dict[int, int] = field(default_factory=dict)
-    lo: int = 0
-    hi: int = 0
-    steps: int = 0
-
-
-def initial_config(input_str: str) -> Config:
-    tape = {i: sym for i, sym in enumerate(str_to_syms(input_str))}
-    hi = max(0, len(input_str) - 1)
-    return Config(state=1, head=0, tape=tape, lo=0, hi=hi, steps=0)
-
-
-def step(m: Machine, c: Config) -> Config:
-    """One transition. Pure: the successor is a fresh Config."""
-    if c.state == 0:
-        raise ValueError("machine already halted")
-    sym = c.tape.get(c.head, BLANK)
-    action, nxt = m.entry(c.state, sym)
-    tape = dict(c.tape)
-    head = c.head
-    if action == WRITE_BLANK:
-        tape.pop(head, None)
-    elif action == WRITE_ZERO:
-        tape[head] = ZERO
-    elif action == WRITE_ONE:
-        tape[head] = ONE
-    elif action == MOVE_LEFT:
-        head -= 1
-    else:
-        head += 1
-    return Config(
-        state=nxt,
-        head=head,
-        tape=tape,
-        lo=min(c.lo, head),
-        hi=max(c.hi, head),
-        steps=c.steps + 1,
-    )
+    while state:
+        action, state = table[3 * (state - 1) + tape.get(head, BLANK)]
+        if action == WRITE_BLANK:
+            tape.pop(head, None)
+        elif action < MOVE_LEFT:
+            tape[head] = action  # WRITE_ZERO/WRITE_ONE write their symbol code
+        elif action == MOVE_LEFT:
+            head -= 1
+        else:
+            head += 1
+        yield head, state
 
 
 @dataclass(frozen=True)
@@ -165,45 +134,23 @@ def read_output(tape: dict[int, int], lo: int, hi: int):
     return syms_to_str(tape[p] for p in cells)
 
 
-def final_config(m: Machine, input_str: str, budget: int) -> Config:
-    """Run up to ``budget`` transitions; returns the last configuration."""
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-    table = m.table
-    c = initial_config(input_str)
-    tape = c.tape
-    state, head, lo, hi = c.state, c.head, c.lo, c.hi
-    steps = 0
-    while steps < budget:
-        action, nxt = table[3 * (state - 1) + tape.get(head, BLANK)]
-        if action == WRITE_BLANK:
-            tape.pop(head, None)
-        elif action < MOVE_LEFT:
-            tape[head] = action  # WRITE_ZERO/WRITE_ONE write their symbol code
-        elif action == MOVE_LEFT:
-            head -= 1
-            if head < lo:
-                lo = head
-        else:
-            head += 1
-            if head > hi:
-                hi = head
-        steps += 1
-        state = nxt
-        if state == 0:
-            break
-    return Config(state=state, head=head, tape=tape, lo=lo, hi=hi, steps=steps)
-
-
 def run(m: Machine, input_str: str, budget: int) -> RunOutcome:
     """Budgeted run with the fixed input/output conventions."""
-    c = final_config(m, input_str, budget)
-    if c.state != 0:
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
+    tape = dict(enumerate(str_to_syms(input_str)))
+    lo, hi = 0, max(0, len(input_str) - 1)  # the visited interval
+    for n, (head, state) in enumerate(islice(steps(m.table, 1, 0, tape), budget), 1):
+        if head < lo:
+            lo = head
+        elif head > hi:
+            hi = head
+    if state != 0:
         return Cutoff(budget)
-    out = read_output(c.tape, c.lo, c.hi)
+    out = read_output(tape, lo, hi)
     if out is None:
-        return InvalidOutput(c.steps)
-    return Halted(out, c.steps)
+        return InvalidOutput(n)
+    return Halted(out, n)
 
 
 def encode_index(i: int) -> str:

@@ -300,6 +300,26 @@ def test_bb_auto_budget_verifies_and_refuses_intervals(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["estimate", "1"],
+        ["ctm", "--scheme", "flawed", "--N", "3"],
+        ["ctm", "--scheme", "corrected", "--L", "1"],
+        ["ctm", "--scheme", "frequency"],
+        ["enumerate", "1", "--verdicts"],
+        ["bb", "1"],
+        ["bb", "1", "--auto-budget"],
+    ],
+)
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_every_command_refuses_budget_below_one(argv, budget, tmp_path, capsys):
+    out = tmp_path / "export"
+    code, _, err = run_cli(argv + ["--budget", budget, "--output", str(out)], capsys)
+    assert code == EXIT_BAD_INPUT
+    assert "--budget" in err and not out.exists()
+
+
+@pytest.mark.parametrize(
     "flags",
     [("frequency", "--L", "2"), ("corrected", "--N", "10"), ("frequency", "--N", "10")],
 )
@@ -368,3 +388,5 @@ def test_env_variable_overrides_defaults(tmp_path, monkeypatch, capsys):
     with pytest.raises(SystemExit):
         main(["bb", "1"])
     capsys.readouterr()
+    monkeypatch.setenv("KOLMOBENCH_BUDGET", "0")
+    assert run_cli(["estimate", "1"], capsys)[0] == EXIT_BAD_INPUT

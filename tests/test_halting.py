@@ -29,6 +29,7 @@ from kolmobench.tm_core import (
     Halted,
     InvalidOutput,
     Machine,
+    encode_index,
     immediate_halt,
     run,
 )
@@ -188,13 +189,23 @@ def test_verify_rejects_tampered_certificates():
     assert not verify_certificate(
         blink, "", ProvedDiverges(certificate=ConfigCycle(0, 1), found_at=1)
     )
+    left = Machine(1, ((MOVE_LEFT, 1), (MOVE_LEFT, 1), (MOVE_LEFT, 1)))
+    assert verify_certificate(left, "", analyze(left, "", 10))
+    for cert in (
+        DirectionalEscape(step_a=5, step_b=3, direction="R"),
+        DirectionalEscape(step_a=3, step_b=3, direction="L"),
+        ConfigCycle(-1, 2),
+        BlankEscape(state=1, step=-1, direction="L"),
+    ):
+        assert not verify_certificate(left, "", ProvedDiverges(certificate=cert, found_at=5))
 
 
 def test_simulator_memoizes_across_budgets(small_universe):
     sim = Simulator(small_universe)
-    assert sim.outcome(991, "11", 2) == Cutoff(2)
-    assert sim.outcome(991, "11", 3) == Halted("11", 3)
-    assert sim.outcome(991, "11", 100) == Halted("11", 3)
+    prog = encode_index(991) + "11"
+    assert sim.u_outcome(prog, 2) == Cutoff(2)
+    assert sim.u_outcome(prog, 3) == Halted("11", 3)
+    assert sim.u_outcome(prog, 100) == Halted("11", 3)
     # derived verdicts equal fresh analyze at every budget
     m = index_to_machine(2)
     for b in (1, 2, 7):

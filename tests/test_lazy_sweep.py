@@ -84,6 +84,22 @@ def test_two_state_slices_match_oracle(seed, budget):
     assert_matches_oracle(2, budget, lo, hi, tables)
 
 
+def test_verified_two_state_layer_stats_are_pinned():
+    # A replay or detector that read an entry its run never took would
+    # split leaves, and move these counts.
+    rec = bb_table(2, 256, verify=True)
+    assert (rec.max_steps, rec.undecided_count) == (10, 0)
+    assert (rec.stats.leaves, rec.stats.leaves_verified) == (16_353, 10_513)
+    assert rec.stats.verdicts == {
+        "halt": 6_370_014,
+        "invalid": 16,
+        "cycle": 1_930_525,
+        "escape": 1_891_172,
+        "dir": 1_187_106,
+        "splice": 11_792,
+    }
+
+
 def test_decide_layer_counts_every_machine_once():
     rec = decide_layer(1, start_budget=1)
     assert rec.decided_all and rec.max_steps == 3

@@ -1,3 +1,6 @@
+from itertools import islice
+
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -7,19 +10,17 @@ from kolmobench.tm_core import (
     ONE,
     WRITE_BLANK,
     WRITE_ONE,
-    Config,
     Cutoff,
     Halted,
     InvalidOutput,
     Machine,
     decode_program,
     encode_index,
-    final_config,
     identity_scanner,
     immediate_halt,
-    initial_config,
     run,
-    step,
+    steps,
+    str_to_syms,
     u_run,
 )
 
@@ -43,27 +44,34 @@ def machines(max_states=3):
 
 
 def test_step_immediate_halt_on_empty_tape():
-    m = immediate_halt()
-    c1 = step(m, initial_config(""))
-    assert c1.state == 0 and c1.steps == 1 and c1.tape == {}
+    tape = {}
+    assert list(steps(immediate_halt().table, 1, 0, tape)) == [(0, 0)]
+    assert tape == {}
 
 
 def test_step_right_scanner_single_transition():
-    c1 = step(identity_scanner(), initial_config("101"))
-    assert c1.head == 1 and c1.state == 1 and c1.steps == 1
+    tape = dict(enumerate(str_to_syms("101")))
+    assert next(steps(identity_scanner().table, 1, 0, tape)) == (1, 1)
 
 
 def test_step_write_one_keeps_head():
     m = Machine(1, ((WRITE_ONE, 1), (WRITE_BLANK, 0), (WRITE_BLANK, 0)))
-    c1 = step(m, initial_config(""))
-    assert c1.tape == {0: ONE} and c1.head == 0 and c1.steps == 1
+    tape = {}
+    assert next(steps(m.table, 1, 0, tape)) == (0, 1)
+    assert tape == {0: ONE}
 
 
 def test_step_rejects_halted_config():
-    import pytest
+    # from the halt state the stepper takes no step and reads no entry
+    assert list(steps({}, 0, 0, {})) == []
 
-    with pytest.raises(ValueError):
-        step(immediate_halt(), Config(state=0, head=0))
+
+def test_step_reads_only_the_entries_it_takes():
+    table = {0: (MOVE_RIGHT, 2)}  # state 2 has no entries
+    run = steps(table, 1, 0, {})
+    assert next(run) == (1, 2)
+    with pytest.raises(KeyError):
+        next(run)
 
 
 def test_run_identity_scanner_copies_input():
@@ -96,8 +104,6 @@ def test_run_detects_invalid_output():
 
 
 def test_run_rejects_zero_budget():
-    import pytest
-
     with pytest.raises(ValueError):
         run(immediate_halt(), "", 0)
 
@@ -116,9 +122,11 @@ def test_budget_monotonicity(m, x, budget, extra):
 
 @given(machines(), binary, st.integers(1, 60))
 def test_nonblank_cells_stay_inside_visited(m, x, budget):
-    c = final_config(m, x, budget)
-    assert all(c.lo <= p <= c.hi for p in c.tape)
-    assert c.lo <= c.head <= c.hi
+    tape = dict(enumerate(str_to_syms(x)))
+    lo, hi = 0, max(0, len(x) - 1)
+    for head, _ in islice(steps(m.table, 1, 0, tape), budget):
+        lo, hi = min(lo, head), max(hi, head)
+        assert all(lo <= p <= hi for p in tape)
 
 
 @given(binary)
@@ -133,8 +141,6 @@ def test_encode_index_examples():
 
 
 def test_encode_index_rejects_zero():
-    import pytest
-
     with pytest.raises(ValueError):
         encode_index(0)
 
@@ -178,8 +184,6 @@ def test_u_run_outside_universe_is_cutoff():
 
 
 def test_machine_validation():
-    import pytest
-
     with pytest.raises(ValueError):
         Machine(0, ())
     with pytest.raises(ValueError):
