@@ -61,18 +61,15 @@ CLI_DEFAULT_CEILING = 1 << 26
 ESTIMATE_DEFAULT_INTERVAL = "1:4096"
 
 
-def _env_default(name: str, fallback, conv=str):
-    raw = os.environ.get(ENV_PREFIX + name)
-    if raw is None:
-        return fallback
-    try:
-        return conv(raw)
-    except ValueError:
-        raise SystemExit(f"bad {ENV_PREFIX + name}={raw!r}")
+def _env_default(name: str, fallback):
+    """The raw KOLMOBENCH_<name> string, else ``fallback``; argparse converts
+    a string default with the flag's own ``type`` and exits 2 on a bad one."""
+    return os.environ.get(ENV_PREFIX + name, fallback)
 
 
-def _budget(text: str) -> int:
-    """argparse type of ``--budget`` (and of KOLMOBENCH_BUDGET): an int >= 1."""
+def _positive_int(text: str) -> int:
+    """argparse type of ``--budget`` and ``--threads`` (and their
+    KOLMOBENCH_* variables): an int >= 1."""
     try:
         value = int(text)
     except ValueError:
@@ -420,14 +417,14 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--budget",
-        type=_budget,
+        type=_positive_int,
         default=_env_default("BUDGET", "256"),
         help="simulation step budget (env KOLMOBENCH_BUDGET)",
     )
     common.add_argument(
         "--max-states",
         type=int,
-        default=_env_default("MAX_STATES", 2, int),
+        default=_env_default("MAX_STATES", 2),
         help="largest machine size in the universe (env KOLMOBENCH_MAX_STATES)",
     )
     common.add_argument(
@@ -448,15 +445,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--threads",
-        type=int,
-        default=_env_default("THREADS", 1, int),
+        type=_positive_int,
+        default=_env_default("THREADS", 1),
         help="worker processes for sweeps; never changes results "
         "(env KOLMOBENCH_THREADS)",
     )
     common.add_argument(
         "--seed",
         type=int,
-        default=_env_default("SEED", 0, int),
+        default=_env_default("SEED", 0),
         help="seed for all sampling (env KOLMOBENCH_SEED)",
     )
     parser = argparse.ArgumentParser(

@@ -11,10 +11,11 @@ Two weighting schemes over enumerated machines:
   output's mass.  The per-output masses look harmless, but the total over
   all outputs is a harmonic-type sum that crosses 1 at a small index
   ceiling, so this is not a (sub-)probability at all.
-* ``corrected`` -- machine i is weighted by alpha(i) with sum(alpha) <= 1
-  (the default alpha are the Kraft weights of the self-delimiting index
-  code), and programs of one fixed block length L each carry 2^-L inside a
-  machine.  The total is then provably at most sum(alpha) <= 1.
+* ``corrected`` -- machine i is weighted by alpha(i) = 2^-(2|bin(i)|+1), the
+  Kraft weight of the self-delimiting index code, and programs of one fixed
+  block length L each carry 2^-L inside a machine.  The total is then
+  provably at most sum(alpha) < 1.  Every such mass is dyadic, so it is
+  summed as an integer numerator over one power-of-two denominator.
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
-from operator import itemgetter
 
 from .enumeration import MachineRange, index_to_table
 from .halting import Simulator, SweepStats, analyze_table, layer_leaves, program_sweep
@@ -40,7 +39,7 @@ class UndefinedMassError(ValueError):
 
 
 class SubProbabilityError(ValueError):
-    """A corrected mixture's total mass exceeds 1: its alpha weights sum past 1."""
+    """A corrected mixture's total mass exceeds 1: its weights sum past 1."""
 
 
 @dataclass(frozen=True)
@@ -64,11 +63,16 @@ class DistributionTable:
         return sorted(self.entries.items(), key=lambda kv: (len(kv[0]), kv[0]))
 
 
+def _kraft_exponent(bits: int) -> int:
+    """-log2 of the Kraft weight of an index of this bit length."""
+    return 2 * bits + 1
+
+
 def default_alpha(i: int) -> Fraction:
     """Kraft weight of the self-delimiting index code: 2^-(2|bin(i)|+1)."""
     if i < 1:
         raise ValueError("indices start at 1")
-    return Fraction(1, 1 << (2 * i.bit_length() + 1))
+    return Fraction(1, 1 << _kraft_exponent(i.bit_length()))
 
 
 def alpha_sum_upto(max_i: int) -> Fraction:
@@ -77,7 +81,7 @@ def alpha_sum_upto(max_i: int) -> Fraction:
     k = 1
     while (1 << (k - 1)) <= max_i:
         count = min(max_i, (1 << k) - 1) - (1 << (k - 1)) + 1
-        total += Fraction(count, 1 << (2 * k + 1))
+        total += Fraction(count, 1 << _kraft_exponent(k))
         k += 1
     return total
 
@@ -163,12 +167,14 @@ def corrected_table(
     universe: MachineRange,
     block_len: int,
     budget: int,
-    alpha=default_alpha,
     sim: Simulator | None = None,
     threads: int = 1,
 ) -> DistributionTable:
-    """Mixture sum_i alpha(i) * #(length-L programs with output x) / 2^L.
+    """Mixture sum_i default_alpha(i) * #(length-L programs with output x) / 2^L.
 
+    Each halting (i, program) pair adds 2^-(2|bin(i)|+1+L), summed as the
+    integer 2^(2(K-|bin(i)|)) over 2^(2K+1+L), K the bit length of the
+    largest index; each output's sum becomes one ``Fraction`` at the end.
     The sweep is ``halting.program_sweep``: a shared ``sim`` at one thread
     reuses its memo, and its verdict cache records small sweeps.
     """
@@ -179,18 +185,16 @@ def corrected_table(
     if universe.count == 0:
         raise ValueError("empty universe")
     programs = [format(v, f"0{block_len}b") for v in range(1 << block_len)] if block_len else [""]
-    denom = 1 << block_len
-    entries = {}
-    halts = program_sweep(universe, programs, budget, _index_and_output, threads, sim)
-    for i, outputs in groupby(halts, key=itemgetter(0)):
-        counts = {}
-        for _, x in outputs:
-            counts[x] = counts.get(x, 0) + 1
-        a = alpha(i)
-        for x, c in counts.items():
-            entries[x] = entries.get(x, Fraction(0)) + a * Fraction(c, denom)
-    table = DistributionTable(
-        entries=entries,
+    kraft_max = _kraft_exponent(universe.index_bounds()[1].bit_length())
+    numerators = {}
+    for i, x in program_sweep(universe, programs, budget, _index_and_output, threads, sim):
+        numerators[x] = numerators.get(x, 0) + (1 << (kraft_max - _kraft_exponent(i.bit_length())))
+    denom = 1 << (kraft_max + block_len)
+    total = sum(numerators.values())
+    if total > denom:
+        raise SubProbabilityError(f"corrected total mass {total / denom:.6f} exceeds 1")
+    return DistributionTable(
+        entries={x: Fraction(n, denom) for x, n in numerators.items()},
         meta=TableMeta(
             scheme=CORRECTED,
             universe=universe.describe(),
@@ -198,14 +202,6 @@ def corrected_table(
             block_len=block_len,
         ),
     )
-    check_sub_probability(table.total_mass())
-    return table
-
-
-def check_sub_probability(total: Fraction) -> None:
-    """Raise ``SubProbabilityError`` unless a corrected total mass is <= 1."""
-    if total > 1:
-        raise SubProbabilityError(f"corrected total mass {float(total):.6f} exceeds 1")
 
 
 def corrected_mass(
@@ -213,10 +209,9 @@ def corrected_mass(
     universe: MachineRange,
     block_len: int,
     budget: int,
-    alpha=default_alpha,
     sim: Simulator | None = None,
 ) -> Fraction:
-    table = corrected_table(universe, block_len, budget, alpha=alpha, sim=sim)
+    table = corrected_table(universe, block_len, budget, sim=sim)
     if x is None:
         return table.total_mass()
     return table.entries.get(x, Fraction(0))
@@ -227,7 +222,6 @@ def neg_log_estimate(
     universe: MachineRange,
     block_len: int,
     budget: int,
-    alpha=default_alpha,
     sim: Simulator | None = None,
 ) -> float:
     """-log2 of the corrected mass of x, in bits.
@@ -236,7 +230,7 @@ def neg_log_estimate(
     constant of the coding theorem; it is a comparison target, not a value
     of C(x) or K(x).
     """
-    mass = corrected_mass(x, universe, block_len, budget, alpha=alpha, sim=sim)
+    mass = corrected_mass(x, universe, block_len, budget, sim=sim)
     if mass == 0:
         raise UndefinedMassError(
             f"{x!r} was never produced at this scale; grow the universe or budget"
@@ -307,6 +301,7 @@ def table_from_csv(text: str) -> DistributionTable:
 @_exact_int_text()
 def table_to_json(table: DistributionTable, config_digest: str | None = None) -> str:
     m = table.meta
+    total = table.total_mass()
     doc = {
         "meta": {
             "scheme": m.scheme,
@@ -318,10 +313,7 @@ def table_to_json(table: DistributionTable, config_digest: str | None = None) ->
             {"output": x, "num": mass.numerator, "den": mass.denominator}
             for x, mass in table.sorted_items()
         ],
-        "total": {
-            "num": table.total_mass().numerator,
-            "den": table.total_mass().denominator,
-        },
+        "total": {"num": total.numerator, "den": total.denominator},
     }
     if config_digest is not None:
         doc["manifest_config"] = config_digest

@@ -390,3 +390,37 @@ def test_env_variable_overrides_defaults(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     monkeypatch.setenv("KOLMOBENCH_BUDGET", "0")
     assert run_cli(["estimate", "1"], capsys)[0] == EXIT_BAD_INPUT
+
+
+@pytest.mark.parametrize(
+    "env, flags, flag",
+    [
+        ({"KOLMOBENCH_THREADS": "x"}, [], "--threads"),
+        ({"KOLMOBENCH_SEED": "y"}, [], "--seed"),
+        ({"KOLMOBENCH_MAX_STATES": "z"}, [], "--max-states"),
+        ({}, ["--threads", "0"], "--threads"),
+        ({}, ["--threads", "-3"], "--threads"),
+    ],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [["bb", "1"], ["ctm", "--scheme", "corrected", "--L", "1", "--universe-interval", "1:20"]],
+)
+def test_malformed_env_values_and_threads_below_one_exit_2(
+    env, flags, flag, argv, tmp_path, monkeypatch, capsys
+):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    out = tmp_path / "export"
+    code, _, err = run_cli(argv + flags + ["--budget", "8", "--output", str(out)], capsys)
+    assert code == EXIT_BAD_INPUT
+    assert f"argument {flag}" in err
+    assert not out.exists()
+
+
+def test_env_threads_reaches_the_manifest(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("KOLMOBENCH_THREADS", "2")
+    out = tmp_path / "bb.csv"
+    assert run_cli(["bb", "1", "--budget", "8", "--output", str(out)], capsys)[0] == EXIT_OK
+    manifest = json.loads((tmp_path / "bb.csv.manifest.json").read_text())
+    assert manifest["runtime"]["threads"] == 2

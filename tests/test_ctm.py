@@ -1,9 +1,11 @@
+import functools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from kolmobench import ctm
 from kolmobench.ctm import (
     DistributionTable,
     SubProbabilityError,
@@ -116,32 +118,46 @@ def test_corrected_block_zero_degenerates_to_weighted_frequency():
     assert t.entries == expected
 
 
-@pytest.fixture(scope="module")
-def plain_run_masses():
-    """Corrected masses over i1-1500, L=2, budget 64 from a plain run double
-    loop: no detector, memo, cache or pool."""
+@functools.cache
+def _plain_run_masses(lo, hi, block_len, budget):
+    """Corrected masses over indices lo..hi from a plain run double loop
+    with default_alpha(i) / 2^L Fraction sums: no detector, memo, cache or pool."""
     from kolmobench.enumeration import index_to_machine
     from kolmobench.tm_core import Halted, run
 
+    programs = [format(v, f"0{block_len}b") for v in range(1 << block_len)]
     masses = {}
-    for i in range(1, 1501):
+    for i in range(lo, hi + 1):
         m = index_to_machine(i)
-        for p in ("00", "01", "10", "11"):
-            out = run(m, p, 64)
+        for p in programs:
+            out = run(m, p, budget)
             if isinstance(out, Halted):
-                masses[out.output] = masses.get(out.output, Fraction(0)) + default_alpha(i) / 4
+                share = default_alpha(i) / (1 << block_len)
+                masses[out.output] = masses.get(out.output, Fraction(0)) + share
     return masses
 
 
 @pytest.mark.parametrize("threads, shared", [(1, False), (2, False), (1, True)])
-def test_corrected_table_matches_plain_run_oracle(plain_run_masses, threads, shared):
+def test_corrected_table_matches_plain_run_oracle(threads, shared):
     u = MachineRange(1, 2, 1, 1500)
     sim = None
     if shared:
         sim = Simulator(u)
         corrected_table(u, 2, budget=16, sim=sim)  # memo entries then re-derive at 64
     table = corrected_table(u, 2, budget=64, sim=sim, threads=threads)
-    assert table.entries == plain_run_masses
+    assert table.entries == _plain_run_masses(1, 1500, 2, 64)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("lo, hi", [(1020, 1030), (1048570, 1048580)])
+def test_corrected_table_matches_plain_run_oracle_across_bit_lengths(lo, hi, threads):
+    # Both windows lie in the 2-state layer and straddle a bit-length step
+    # (2^10, 2^20), so one sum mixes numerators shifted by different amounts.
+    edge = 1 << lo.bit_length()
+    assert _plain_run_masses(lo, edge - 1, 6, 64) and _plain_run_masses(edge, hi, 6, 64)
+    expected = _plain_run_masses(lo, hi, 6, 64)
+    table = corrected_table(MachineRange(1, 2, lo, hi), 6, budget=64, threads=threads)
+    assert table.entries == expected
 
 
 def test_corrected_total_mass_never_exceeds_alpha_budget():
@@ -152,10 +168,15 @@ def test_corrected_total_mass_never_exceeds_alpha_budget():
             assert total <= alpha_sum_upto(interval[1]) <= Fraction(1, 4) < 1
 
 
-def test_alpha_summing_past_one_raises_named_error():
-    # machines 1 and 3 halt on empty input, so unit weights give mass 2
-    with pytest.raises(SubProbabilityError):
-        corrected_table(MachineRange(1, 1, 1, 3), 0, budget=16, alpha=lambda i: Fraction(1))
+def test_alpha_summing_past_one_raises_named_error(monkeypatch):
+    # machines 1 and 3 halt on empty input: weights 1/2 give mass exactly 1,
+    # unit weights give mass 2
+    u = MachineRange(1, 1, 1, 3)
+    monkeypatch.setattr(ctm, "_kraft_exponent", lambda bits: 1)
+    assert corrected_table(u, 0, budget=16).total_mass() == 1
+    monkeypatch.setattr(ctm, "_kraft_exponent", lambda bits: 0)
+    with pytest.raises(SubProbabilityError, match="exceeds 1"):
+        corrected_table(u, 0, budget=16)
 
 
 def test_corrected_monotone_in_budget_and_universe():
