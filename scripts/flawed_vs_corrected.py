@@ -7,7 +7,6 @@ import argparse
 
 from kolmobench.ctm import alpha_sum_upto, corrected_mass, flawed_crossing, flawed_mass
 from kolmobench.enumeration import MachineRange
-from kolmobench.halting import Simulator
 
 
 def main():
@@ -27,12 +26,11 @@ def main():
 
     lo, _, hi = args.interval.partition(":")
     universe = MachineRange(1, 2, int(lo), int(hi))
-    sim = Simulator(universe)
     print(f"\n== corrected scheme over {universe.describe()} ==")
     print(f"  alpha budget (sum of weights): {alpha_sum_upto(int(hi))} "
           f"~ {float(alpha_sum_upto(int(hi))):.6f}")
     for block_len in (0, 2, 4, 6):
-        total = corrected_mass(None, universe, block_len, args.budget, sim=sim)
+        total = corrected_mass(None, universe, block_len, args.budget)
         assert total <= 1
         print(f"  L={block_len}: total {str(total):>32} ~ {float(total):.8f}  (<= 1)")
 

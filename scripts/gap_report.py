@@ -36,7 +36,7 @@ def main():
             x, universe, args.budget, args.block_len, sim=sim
         )
         try:
-            est = neg_log_estimate(x, universe, args.block_len, args.budget, sim=sim)
+            est = neg_log_estimate(x, universe, args.block_len, args.budget)
         except UndefinedMassError:
             print(f"{x!r:>6}  {'undefined':>11}  {bound:>11}  {'-':>8}")
             continue

@@ -67,16 +67,23 @@ def _env_default(name: str, fallback):
     return os.environ.get(ENV_PREFIX + name, fallback)
 
 
-def _positive_int(text: str) -> int:
-    """argparse type of ``--budget`` and ``--threads`` (and their
-    KOLMOBENCH_* variables): an int >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type for integers >= ``low``; a bad value exits 2."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1)  # --budget, --threads and their KOLMOBENCH_* variables
+_non_negative_int = _int_at_least(0)  # counts and lengths: --limit, --cap, --max-prog-len, --sample
 
 
 def _config_digest(config: dict) -> str:
@@ -249,6 +256,8 @@ def cmd_ctm(args, parser) -> int:
         parser.error("--L applies to the corrected scheme only")
     if args.scheme != FLAWED and args.n_ceiling is not None:
         parser.error("--N applies to the flawed scheme only")
+    if args.cache_path:
+        parser.error("--cache-path applies to estimate and cache only; ctm keeps no verdicts")
     if args.scheme == FLAWED:
         n_max = args.n_ceiling
         if n_max is None or n_max < 1:
@@ -297,12 +306,7 @@ def cmd_ctm(args, parser) -> int:
         if block_len < 0:
             parser.error("--L must be >= 0")
         config["L"] = block_len
-        cache = VerdictCache(args.cache_path) if args.cache_path else None
-        sim = Simulator(universe, cache=cache) if cache is not None else None
-        table = corrected_table(universe, block_len, args.budget, sim=sim, threads=args.threads)
-        if cache is not None:
-            cache.flush()
-            cache.close()
+        table = corrected_table(universe, block_len, args.budget, threads=args.threads)
     else:
         table = output_frequency(universe, args.budget)
     total = table.total_mass()
@@ -464,14 +468,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", parents=[common], help="list machines of one state count")
     p.add_argument("n_states", type=int)
-    p.add_argument("--limit", type=int, default=20)
+    p.add_argument("--limit", type=_non_negative_int, default=20)
     p.add_argument("--verdicts", action="store_true", help="add empty-input verdicts")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("estimate", parents=[common], help="anytime upper bounds for one string")
     p.add_argument("x", help="binary target string")
-    p.add_argument("--cap", type=int, default=None, help="program-length cap")
-    p.add_argument("--max-prog-len", type=int, default=4)
+    p.add_argument("--cap", type=_non_negative_int, default=None, help="program-length cap")
+    p.add_argument("--max-prog-len", type=_non_negative_int, default=4)
     p.add_argument("--ceiling", type=int, default=CLI_DEFAULT_CEILING,
                    help="program-enumeration refusal threshold")
     p.add_argument("--policy", choices=sorted(PRUNING_POLICIES), default="discard-dominated")
@@ -500,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cache", parents=[common], help="inspect, verify, or compact the verdict cache")
     p.add_argument("action", choices=("inspect", "verify", "compact"))
-    p.add_argument("--sample", type=int, default=64)
+    p.add_argument("--sample", type=_non_negative_int, default=64)
     p.set_defaults(func=cmd_cache)
     return parser
 

@@ -27,8 +27,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .enumeration import MachineRange, index_to_table
-from .halting import Simulator, SweepStats, analyze_table, layer_leaves, program_sweep
+from .enumeration import BoxCounter, MachineRange, index_to_table, layer_offset, machine_count
+from .halting import SweepStats, analyze_table, layer_leaves, pool_imap
 
 FLAWED, CORRECTED, FREQUENCY = "flawed", "corrected", "frequency"
 
@@ -101,7 +101,7 @@ def output_frequency(universe: MachineRange, budget: int) -> DistributionTable:
     counts = {}
     stats = SweepStats()
     for n in range(universe.min_states, universe.max_states + 1):
-        for count, res in layer_leaves(n, budget, lo, hi):
+        for _, count, res in layer_leaves(n, budget, lo, hi):
             stats.add(res, count)
             if res[0] == "h" and res[2] is not None:
                 counts[res[2]] = counts.get(res[2], 0) + count
@@ -159,15 +159,10 @@ def flawed_crossing(n_cap: int, budget: int):
     return None, total
 
 
-def _index_and_output(i: int, p: str, steps: int, output: str):
-    return i, output
-
-
 def corrected_table(
     universe: MachineRange,
     block_len: int,
     budget: int,
-    sim: Simulator | None = None,
     threads: int = 1,
 ) -> DistributionTable:
     """Mixture sum_i default_alpha(i) * #(length-L programs with output x) / 2^L.
@@ -175,8 +170,8 @@ def corrected_table(
     Each halting (i, program) pair adds 2^-(2|bin(i)|+1+L), summed as the
     integer 2^(2(K-|bin(i)|)) over 2^(2K+1+L), K the bit length of the
     largest index; each output's sum becomes one ``Fraction`` at the end.
-    The sweep is ``halting.program_sweep``: a shared ``sim`` at one thread
-    reuses its memo, and its verdict cache records small sweeps.
+    The sweep walks one lazy leaf tree (``halting.layer_leaves``) per layer
+    and program; ``threads > 1`` spreads the trees over a fork pool.
     """
     if block_len < 0:
         raise ValueError("block length must be >= 0")
@@ -185,10 +180,19 @@ def corrected_table(
     if universe.count == 0:
         raise ValueError("empty universe")
     programs = [format(v, f"0{block_len}b") for v in range(1 << block_len)] if block_len else [""]
-    kraft_max = _kraft_exponent(universe.index_bounds()[1].bit_length())
-    numerators = {}
-    for i, x in program_sweep(universe, programs, budget, _index_and_output, threads, sim):
-        numerators[x] = numerators.get(x, 0) + (1 << (kraft_max - _kraft_exponent(i.bit_length())))
+    lo, hi = universe.index_bounds()
+    kraft_max = _kraft_exponent(hi.bit_length())
+    jobs = []
+    for n in range(universe.min_states, universe.max_states + 1):
+        n_lo = max(lo, layer_offset(n) + 1)
+        n_hi = min(hi, layer_offset(n) + machine_count(n))
+        if n_lo <= n_hi:
+            jobs += [(n, n_lo, n_hi, budget, p, kraft_max) for p in programs]
+    numerators, stats = {}, SweepStats()
+    for part, part_stats in pool_imap(_leaf_numerators, jobs, threads):
+        for x, v in part.items():
+            numerators[x] = numerators.get(x, 0) + v
+        stats.merge(part_stats)
     denom = 1 << (kraft_max + block_len)
     total = sum(numerators.values())
     if total > denom:
@@ -201,7 +205,35 @@ def corrected_table(
             budget=budget,
             block_len=block_len,
         ),
+        stats=stats,
     )
+
+
+def _leaf_numerators(job):
+    """One layer's leaf tree on one program, over indices lo..hi of that
+    layer: (output -> numerator over 2^(kraft_max + L), the tree's stats).
+
+    A halting leaf adds its count in each bit-length sub-interval of
+    [lo, hi], shifted by that bit length's weight; in an interval of one bit
+    length that count is the leaf's own."""
+    n, lo, hi, budget, program, kraft_max = job
+    pieces = [
+        (
+            kraft_max - _kraft_exponent(bits),
+            BoxCounter(n, max(lo, 1 << (bits - 1)), min(hi, (1 << bits) - 1)),
+        )
+        for bits in range(lo.bit_length(), hi.bit_length() + 1)
+    ]
+    numerators, stats = {}, SweepStats()
+    for table, count, res in layer_leaves(n, budget, lo, hi, input_str=program):
+        stats.add(res, count)
+        if res[0] == "h" and res[2] is not None:
+            if len(pieces) == 1:
+                share = count << pieces[0][0]
+            else:
+                share = sum(boxes(table) << shift for shift, boxes in pieces)
+            numerators[res[2]] = numerators.get(res[2], 0) + share
+    return numerators, stats
 
 
 def corrected_mass(
@@ -209,9 +241,8 @@ def corrected_mass(
     universe: MachineRange,
     block_len: int,
     budget: int,
-    sim: Simulator | None = None,
 ) -> Fraction:
-    table = corrected_table(universe, block_len, budget, sim=sim)
+    table = corrected_table(universe, block_len, budget)
     if x is None:
         return table.total_mass()
     return table.entries.get(x, Fraction(0))
@@ -222,7 +253,6 @@ def neg_log_estimate(
     universe: MachineRange,
     block_len: int,
     budget: int,
-    sim: Simulator | None = None,
 ) -> float:
     """-log2 of the corrected mass of x, in bits.
 
@@ -230,7 +260,7 @@ def neg_log_estimate(
     constant of the coding theorem; it is a comparison target, not a value
     of C(x) or K(x).
     """
-    mass = corrected_mass(x, universe, block_len, budget, sim=sim)
+    mass = corrected_mass(x, universe, block_len, budget)
     if mass == 0:
         raise UndefinedMassError(
             f"{x!r} was never produced at this scale; grow the universe or budget"

@@ -77,29 +77,69 @@ def machine_to_index(m: Machine) -> int:
     return table_to_index(m.n_states, m.table)
 
 
-def box_count(n: int, fixed, lo: int, hi: int) -> int:
-    """Indices in [lo, hi] of n-state machines whose table agrees with
-    ``fixed`` (entry position -> (action, next_state)); other entries are free."""
-    base, width, first = 5 * (n + 1), 3 * n, layer_offset(n) + 1
-    pinned = {pos: a * (n + 1) + s for pos, (a, s) in fixed.items()}
+class BoxCounter:
+    """Counts the indices in [lo, hi] of n-state machines whose table agrees
+    with a partial table ``fixed`` (entry position -> (action, next_state));
+    other entries are free.
 
-    def below(x):  # members with offset < x: a digit DP from the top digit down
-        free = width - len(pinned)  # free digits below the current one
-        if x <= 0:
-            return 0
-        if x >= base**width:
-            return base**free
-        count = 0
-        for pos in reversed(range(width)):
-            d, v = x // base**pos % base, pinned.get(pos)
-            if v is None:
-                free -= 1
-                count += d * base**free
-            elif v != d:
-                return count + (base**free if v < d else 0)
-        return count
+    A digit DP over the mixed-radix offset, from the top digit down.  The
+    digits and powers of the interval's bounds are computed once, here.
+    """
 
-    return below(hi - first + 1) - below(lo - first) if lo <= hi else 0
+    def __init__(self, n: int, lo: int, hi: int):
+        base, width, first = 5 * (n + 1), 3 * n, layer_offset(n) + 1
+        self.n1, self.base, self.width = n + 1, base, width
+        self.powers = [base**k for k in range(width + 1)]
+        lo, hi = max(lo, first) - first, min(hi, first + machine_count(n) - 1) - first
+        self.size = max(0, hi - lo + 1)
+        # A box counts its members below offset hi + 1 minus those below lo.
+        # A bound past the layer is None (every member is below it); a bound
+        # at 0 is dropped (none is).
+        self.bounds = [
+            (sign, None if x >= self.powers[width] else
+             [(pos, x // self.powers[pos] % base) for pos in reversed(range(width))])
+            for sign, x in ((1, hi + 1), (-1, lo))
+            if x > 0 and self.size
+        ]
+
+    def __call__(self, fixed) -> int:
+        if not fixed:
+            return self.size
+        pos = next(iter(fixed))
+        rest = {k: v for k, v in fixed.items() if k != pos}
+        a, s = fixed[pos]
+        return self.children(rest, pos)[a * self.n1 + s]
+
+    def children(self, fixed, pos: int) -> list:
+        """Counts of the boxes that pin the open entry ``pos`` of ``fixed``
+        to each value, in digit order (entry ``divmod(d, n + 1)`` at ``d``)."""
+        base, powers, n1 = self.base, self.powers, self.n1
+        out = [0] * base
+        for sign, digits in self.bounds:
+            free = self.width - len(fixed) - 1  # free digits below the current one
+            below, count = None, 0
+            for p, d in digits or ():
+                if p == pos:  # values below d count every completion; above d none
+                    below, at = [count + powers[free]] * d + [count] * (base - d), d
+                    continue
+                v = fixed.get(p)
+                if v is None:
+                    free -= 1
+                    count += d * powers[free]
+                    continue
+                v = v[0] * n1 + v[1]
+                if v != d:
+                    count += powers[free] if v < d else 0
+                    break
+            if digits is None:
+                below = [powers[free]] * base
+            elif below is None:  # the walk left before reaching pos
+                below = [count] * base
+            else:  # the child at d walked on to the end
+                below[at] = count
+            for k in range(base):
+                out[k] += sign * below[k]
+        return out
 
 
 def iter_tables(n: int):

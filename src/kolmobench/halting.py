@@ -32,7 +32,7 @@ from itertools import islice
 from multiprocessing import get_context
 from typing import NamedTuple
 
-from .enumeration import MachineRange, box_count, index_to_table, layer_offset, machine_count
+from .enumeration import BoxCounter, MachineRange, index_to_table, layer_offset, machine_count
 from .tm_core import (
     MOVE_LEFT,
     MOVE_RIGHT,
@@ -553,8 +553,9 @@ def verify_certificate(m: Machine, input_str: str, verdict: ProvedDiverges) -> b
 
 @dataclass
 class SweepStats:
-    """What a lazy layer sweep did.  The verdict histogram is weighted by the
-    machines each leaf covers, so it sums to ``machines``, the indices swept."""
+    """What a lazy sweep did.  The verdict histogram is weighted by the
+    machines each leaf covers, so it sums to ``machines``, the indices swept;
+    a sweep over several inputs counts each (index, input) pair."""
 
     machines: int = 0
     leaves: int = 0
@@ -570,6 +571,14 @@ class SweepStats:
         self.leaves += 1
         self.machines += count
         self.verdicts[kind] = self.verdicts.get(kind, 0) + count
+
+    def merge(self, other: "SweepStats") -> None:
+        """Add the counts of another sweep, such as a pool worker's."""
+        self.machines += other.machines
+        self.leaves += other.leaves
+        self.leaves_verified += other.leaves_verified
+        for kind, count in other.verdicts.items():
+            self.verdicts[kind] = self.verdicts.get(kind, 0) + count
 
 
 @dataclass(frozen=True)
@@ -611,34 +620,39 @@ class _LeafMachine(NamedTuple):  # what verify_certificate reads of a Machine
     table: PartialTable
 
 
-def layer_leaves(n: int, budget: int, lo: int, hi: int, verify: bool = False):
-    """Lazy (tree-normal-form) sweep of the n-state layer on empty input.
+def layer_leaves(
+    n: int, budget: int, lo: int, hi: int, verify: bool = False, input_str: str = ""
+):
+    """Lazy (tree-normal-form) sweep of the n-state layer on one input.
 
-    Yields ``(count, result)`` per leaf (a partial table): how many indices
-    in [lo, hi] complete the leaf, and the ``analyze_table`` result they all
-    share.  A run that reads an open entry is re-run once per value of
-    that entry; a run that finishes read no entry outside its leaf, so every
-    completion gets its verdict.  With ``verify`` a divergent leaf's
-    certificate is replayed on the same partial table, branching likewise;
-    a failed replay raises.
+    Yields ``(table, count, result)`` per leaf (a partial table): how many
+    indices in [lo, hi] complete the leaf, and the ``analyze_table`` result
+    they all share on ``input_str``.  A run that reads an open entry is
+    re-run once per value of that entry that some index in [lo, hi] takes;
+    a run that finishes read no entry outside its leaf, so every completion
+    gets its verdict.  With ``verify`` a divergent leaf's certificate is
+    replayed on the same partial table, branching likewise; a failed replay
+    raises.
     """
     entries = [divmod(d, n + 1) for d in range(5 * (n + 1))]
-    stack = [PartialTable()]
+    boxes = BoxCounter(n, lo, hi)
+    input_syms = str_to_syms(input_str)
+    stack = [(PartialTable(), boxes.size)] if boxes.size else []
     while stack:
-        table = stack.pop()
-        count = box_count(n, table, lo, hi)
-        if count == 0:
-            continue
+        table, count = stack.pop()
         try:
-            res = analyze_table(table, (), budget)
+            res = analyze_table(table, input_syms, budget)
             if verify and res[0] == "d":
                 verdict = ProvedDiverges(_to_certificate(res[1]), res[2])
-                if not verify_certificate(_LeafMachine(n, table), "", verdict):
+                if not verify_certificate(_LeafMachine(n, table), input_str, verdict):
                     raise AssertionError(f"certificate failed replay on leaf {dict(table)}")
         except Undefined as e:
-            stack.extend(PartialTable({**table, e.args[0]: entry}) for entry in entries)
+            pos = e.args[0]
+            for entry, c in zip(entries, boxes.children(table, pos)):
+                if c:
+                    stack.append((PartialTable({**table, pos: entry}), c))
             continue
-        yield count, res
+        yield table, count, res
 
 
 def bb_table(
@@ -669,7 +683,7 @@ def bb_table(
             raise ValueError("index interval excludes the whole layer")
     stats = SweepStats()
     max_steps = 0
-    for count, res in layer_leaves(n, budget, lo, hi, verify):
+    for _, count, res in layer_leaves(n, budget, lo, hi, verify):
         stats.add(res, count)
         if res[0] == "h":
             max_steps = max(max_steps, res[1])
@@ -789,11 +803,21 @@ def program_sweep(
         (start, min(hi, start + size - 1), programs, budget, reduce, cache is not None)
         for start in range(lo, hi + 1, size)
     ]
+    for items, raws in pool_imap(_sweep_chunk, jobs, threads):
+        for i, p, raw in raws:
+            cache.record(i, p, budget, raw)
+        yield from items
+
+
+def pool_imap(fn, jobs, threads: int):
+    """``fn`` over ``jobs``, results in job order: in this process at one
+    thread, else over a fork pool of ``threads`` workers (``fn`` and its
+    jobs must then pickle)."""
+    if threads <= 1:
+        yield from map(fn, jobs)
+        return
     with get_context("fork").Pool(processes=threads) as pool:
-        for items, raws in pool.imap(_sweep_chunk, jobs):
-            for i, p, raw in raws:
-                cache.record(i, p, budget, raw)
-            yield from items
+        yield from pool.imap(fn, jobs)
 
 
 def _sweep_range(lo, hi, programs, budget, reduce, sim=None, raws=None):

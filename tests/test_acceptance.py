@@ -162,10 +162,9 @@ def test_criterion_4_flawed_mass_crosses_one():
 def test_criterion_5_corrected_mass_never_exceeds_one():
     combos = 0
     for universe in (MachineRange(1, 1), MachineRange(1, 2, 1, 8000)):
-        sim = Simulator(universe)
         for block_len in (0, 1, 2, 3, 6):
             masses = {
-                budget: corrected_mass(None, universe, block_len, budget, sim=sim)
+                budget: corrected_mass(None, universe, block_len, budget)
                 for budget in (16, 1024)
             }
             for budget, total in masses.items():

@@ -264,6 +264,50 @@ def test_sweep_stats_go_to_manifest_only(tmp_path, capsys):
         assert "leaves" not in out.read_text()
 
 
+def test_corrected_stats_go_to_manifest_only(tmp_path, capsys):
+    out = tmp_path / "mix.json"
+    code, _, _ = run_cli(
+        ["ctm", "--scheme", "corrected", "--L", "3", "--universe-interval", "990:1400",
+         "--budget", "32", "--out", "json", "--output", str(out)],
+        capsys,
+    )
+    assert code == EXIT_OK
+    stats = json.loads((tmp_path / "mix.json.manifest.json").read_text())["runtime"]["stats"]
+    assert sum(stats["verdicts"].values()) == stats["machines"] == 411 << 3
+    assert 0 < stats["leaves"] < stats["machines"]
+    assert "leaves" not in out.read_text() and "verdicts" not in out.read_text()
+
+
+def test_ctm_refuses_cache_path(tmp_path, capsys):
+    # No ctm scheme keeps verdicts, so a cache path would be silently ignored.
+    cache, out = tmp_path / "vc.jsonl", tmp_path / "mix.csv"
+    for scheme in (["corrected", "--L", "1"], ["frequency"]):
+        code, _, err = run_cli(
+            ["ctm", "--scheme", *scheme, "--universe-interval", "1:20",
+             "--cache-path", str(cache), "--output", str(out)],
+            capsys,
+        )
+        assert code == EXIT_BAD_INPUT and "--cache-path" in err
+    assert not cache.exists() and not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["estimate", "101", "--max-prog-len", "-1"],
+        ["estimate", "101", "--cap", "-1"],
+        ["cache", "verify", "--sample", "-2"],
+        ["enumerate", "1", "--limit", "-3"],
+    ],
+)
+def test_negative_counts_exit_2(argv, tmp_path, capsys):
+    cache = tmp_path / "vc.jsonl"
+    code, out, err = run_cli(argv + ["--budget", "8", "--cache-path", str(cache)], capsys)
+    assert code == EXIT_BAD_INPUT
+    assert "must be >= 0" in err and not out
+    assert not cache.exists()
+
+
 def test_bb_auto_budget_and_partial_interval(capsys):
     code, out, _ = run_cli(
         ["bb", "1", "--auto-budget", "--budget", "4", "--out", "json"], capsys

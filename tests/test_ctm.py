@@ -27,7 +27,7 @@ from kolmobench.ctm import (
 )
 from kolmobench.enumeration import MachineRange
 from kolmobench.estimator import identity_index, upper_bound_C
-from kolmobench.halting import Simulator
+from kolmobench.halting import Simulator, program_sweep
 
 N1 = MachineRange(1, 1)
 
@@ -137,15 +137,45 @@ def _plain_run_masses(lo, hi, block_len, budget):
     return masses
 
 
-@pytest.mark.parametrize("threads, shared", [(1, False), (2, False), (1, True)])
-def test_corrected_table_matches_plain_run_oracle(threads, shared):
+@pytest.mark.parametrize("threads", [1, 2])
+def test_corrected_table_matches_plain_run_oracle(threads):
     u = MachineRange(1, 2, 1, 1500)
-    sim = None
-    if shared:
-        sim = Simulator(u)
-        corrected_table(u, 2, budget=16, sim=sim)  # memo entries then re-derive at 64
-    table = corrected_table(u, 2, budget=64, sim=sim, threads=threads)
+    table = corrected_table(u, 2, budget=64, threads=threads)
     assert table.entries == _plain_run_masses(1, 1500, 2, 64)
+
+
+def _index_and_output(i, p, steps, output):
+    return i, output
+
+
+def test_program_sweep_with_warm_simulator_matches_plain_run_oracle():
+    u = MachineRange(1, 2, 1, 1500)
+    programs = ["00", "01", "10", "11"]
+    sim = Simulator(u)
+    list(program_sweep(u, programs, 16, _index_and_output, sim=sim))
+    masses = {}  # memo entries of budget 16 re-derive at 64
+    for i, x in program_sweep(u, programs, 64, _index_and_output, sim=sim):
+        masses[x] = masses.get(x, Fraction(0)) + default_alpha(i) / 4
+    assert masses == _plain_run_masses(1, 1500, 2, 64)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_corrected_table_matches_plain_run_oracle_across_layers(threads):
+    # 990:1040 holds the last 1-state machines (up to 1000) and 2-state
+    # machines on both sides of 1024, the step from bit length 10 to 11.
+    u = MachineRange(1, 2, 990, 1040)
+    table = corrected_table(u, 2, budget=64, threads=threads)
+    assert table.entries == _plain_run_masses(990, 1040, 2, 64)
+    assert table.stats.machines == sum(table.stats.verdicts.values()) == u.count << 2
+
+
+@pytest.mark.parametrize("block_len", [0, 3])
+def test_corrected_stats_weigh_verdicts_by_pairs(block_len):
+    u = MachineRange(1, 2, 700, 1300)
+    stats = corrected_table(u, block_len, budget=32, threads=2).stats
+    assert sum(stats.verdicts.values()) == stats.machines == u.count << block_len
+    assert stats.leaves < u.count << block_len
+    assert stats == corrected_table(u, block_len, budget=32).stats
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -219,7 +249,7 @@ def test_gap_report_produced_and_finite():
     gaps = {}
     for x in strings:
         try:
-            est = neg_log_estimate(x, u, 4, budget=64, sim=sim)
+            est = neg_log_estimate(x, u, 4, budget=64)
         except UndefinedMassError:
             continue
         bound, _ = upper_bound_C(x, u, budget=64, max_prog_len=4, sim=sim)

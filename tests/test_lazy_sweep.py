@@ -13,10 +13,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from kolmobench import ctm
 from kolmobench.ctm import output_frequency
 from kolmobench.enumeration import (
+    BoxCounter,
     MachineRange,
-    box_count,
     index_to_table,
     iter_tables,
     layer_offset,
@@ -34,7 +35,7 @@ from kolmobench.halting import (
     decide_layer,
     verify_certificate,
 )
-from kolmobench.tm_core import MOVE_RIGHT, WRITE_ONE
+from kolmobench.tm_core import MOVE_RIGHT, WRITE_ONE, str_to_syms
 
 LAYER2_LO = layer_offset(2) + 1
 
@@ -124,20 +125,24 @@ def boxes(draw):
 
 @given(boxes())
 def test_box_count_matches_brute_force(box):
+    # Every child count too, the zeros of the children the sweep prunes included.
     n, fixed, lo, hi = box
     first = layer_offset(n) + 1
     last = first + machine_count(n) - 1
-    want = sum(
-        all(index_to_table(i)[1][pos] == entry for pos, entry in fixed.items())
-        for i in range(max(lo, first), min(hi, last) + 1)
-    )
-    assert box_count(n, fixed, lo, hi) == want
+    tables = [index_to_table(i)[1] for i in range(max(lo, first), min(hi, last) + 1)]
+    members = [t for t in tables if all(t[pos] == entry for pos, entry in fixed.items())]
+    counter = BoxCounter(n, lo, hi)
+    assert counter(fixed) == len(members)
+    for pos in set(range(3 * n)) - set(fixed):
+        want = [sum(t[pos] == divmod(d, n + 1) for t in members) for d in range(5 * (n + 1))]
+        assert counter.children(fixed, pos) == want
 
 
 def test_box_count_of_open_table_is_interval_size():
-    assert box_count(2, {}, 1, 10**12) == machine_count(2)
-    assert box_count(2, {}, LAYER2_LO + 7, LAYER2_LO + 99) == 93
-    assert box_count(1, {0: (MOVE_RIGHT, 1)}, 1, 1000) == 1000 // 10
+    assert BoxCounter(2, 1, 10**12)({}) == machine_count(2)
+    assert BoxCounter(2, LAYER2_LO + 7, LAYER2_LO + 99)({}) == 93
+    assert BoxCounter(1, 1, 1000)({0: (MOVE_RIGHT, 1)}) == 1000 // 10
+    assert sum(BoxCounter(2, 1, 10**12).children({}, 5)) == machine_count(2)
 
 
 def test_speculative_blank_escape_read_branches():
@@ -170,3 +175,20 @@ def test_full_two_state_layer_matches_oracle():
     lo = LAYER2_LO
     hi = lo + machine_count(2) - 1
     assert_matches_oracle(2, 256, lo, hi, iter_tables(2))
+
+
+@pytest.mark.slow
+def test_full_two_state_layer_on_input_one_matches_plain_loop():
+    # The corrected mixture's leaf tree on a non-empty input, over every bit
+    # length of the layer (10 to 24), against one analysis per machine.
+    lo, hi = LAYER2_LO, LAYER2_LO + machine_count(2) - 1
+    kraft_max = ctm._kraft_exponent(hi.bit_length())
+    syms, want = str_to_syms("1"), {}
+    for i, table in iter_tables(2):
+        res = analyze_table(table, syms, 256)
+        if res[0] == "h" and res[2] is not None:
+            share = 1 << (kraft_max - ctm._kraft_exponent(i.bit_length()))
+            want[res[2]] = want.get(res[2], 0) + share
+    got, stats = ctm._leaf_numerators((2, lo, hi, 256, "1", kraft_max))
+    assert got == want
+    assert stats.machines == machine_count(2)
