@@ -8,7 +8,6 @@ import argparse
 from kolmobench.ctm import UndefinedMassError, neg_log_estimate
 from kolmobench.enumeration import MachineRange
 from kolmobench.estimator import upper_bound_C
-from kolmobench.halting import Simulator
 
 
 def all_strings(max_len):
@@ -28,13 +27,10 @@ def main():
 
     lo, _, hi = args.interval.partition(":")
     universe = MachineRange(1, 2, int(lo), int(hi))
-    sim = Simulator(universe)
     print(f"universe {universe.describe()}, L={args.block_len}, budget {args.budget}")
     print(f"{'x':>6}  {'-log2 m(x)':>11}  {'upper bound':>11}  {'gap':>8}")
     for x in all_strings(args.max_len):
-        bound, _ = upper_bound_C(
-            x, universe, args.budget, args.block_len, sim=sim
-        )
+        bound, _ = upper_bound_C(x, universe, args.budget, args.block_len)
         try:
             est = neg_log_estimate(x, universe, args.block_len, args.budget)
         except UndefinedMassError:

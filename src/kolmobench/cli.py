@@ -42,6 +42,7 @@ from .estimator import (
 )
 from .halting import (
     Simulator,
+    SweepStats,
     analyze,
     analyze_table,
     bb_table,
@@ -152,9 +153,19 @@ def _check_binary_arg(parser, x: str) -> str:
 # subcommands
 
 
+def _refuse_cache_path(args, parser) -> None:
+    """Exit 2 on ``--cache-path`` (or ``KOLMOBENCH_CACHE_PATH``) for a
+    command that keeps no verdicts."""
+    if args.cache_path:
+        parser.error(
+            f"--cache-path applies to estimate and cache only; {args.command} keeps no verdicts"
+        )
+
+
 def cmd_enumerate(args, parser) -> int:
     if args.n_states < 1:
         parser.error("n_states must be >= 1")
+    _refuse_cache_path(args, parser)
     from .enumeration import layer_offset, machine_count
 
     total = machine_count(args.n_states)
@@ -201,9 +212,10 @@ def cmd_estimate(args, parser) -> int:
     profile = phi_profile(
         x, schedule, universe, cap=cap, ceiling=args.ceiling, sim=sim
     )
+    stats = SweepStats()
     pairs = applicable_set(
         x, universe, args.budget, args.max_prog_len, policy=args.policy,
-        ceiling=args.ceiling, sim=sim, threads=args.threads,
+        ceiling=args.ceiling, threads=args.threads, stats=stats,
     )
     bound, witness = bound_from_pairs(x, pairs)
     n_pairs = len(pairs)
@@ -241,7 +253,7 @@ def cmd_estimate(args, parser) -> int:
             f"bound,{x},{args.budget},{bound},{cap},,{witness.i},{witness.p},{witness.steps}"
         )
         text = "\n".join(lines) + "\n"
-    _write_export(text, args, config)
+    _write_export(text, args, config, stats)
     print(
         f"phi stabilized at {profile[-1].value} (cap {cap}); "
         f"upper bound {bound} via (i={witness.i}, p={witness.p!r}); "
@@ -256,8 +268,7 @@ def cmd_ctm(args, parser) -> int:
         parser.error("--L applies to the corrected scheme only")
     if args.scheme != FLAWED and args.n_ceiling is not None:
         parser.error("--N applies to the flawed scheme only")
-    if args.cache_path:
-        parser.error("--cache-path applies to estimate and cache only; ctm keeps no verdicts")
+    _refuse_cache_path(args, parser)
     if args.scheme == FLAWED:
         n_max = args.n_ceiling
         if n_max is None or n_max < 1:
@@ -322,6 +333,7 @@ def cmd_ctm(args, parser) -> int:
 def cmd_bb(args, parser) -> int:
     if args.n_states < 1:
         parser.error("n must be >= 1")
+    _refuse_cache_path(args, parser)
     config = {
         "cmd": "bb",
         "n": args.n_states,

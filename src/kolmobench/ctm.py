@@ -27,7 +27,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .enumeration import BoxCounter, MachineRange, index_to_table, layer_offset, machine_count
+from .enumeration import BoxCounter, MachineRange, index_to_table
 from .halting import SweepStats, analyze_table, layer_leaves, pool_imap
 
 FLAWED, CORRECTED, FREQUENCY = "flawed", "corrected", "frequency"
@@ -97,10 +97,9 @@ def output_frequency(universe: MachineRange, budget: int) -> DistributionTable:
     total = universe.count
     if total == 0:
         raise ValueError("empty universe")
-    lo, hi = universe.index_bounds()
     counts = {}
     stats = SweepStats()
-    for n in range(universe.min_states, universe.max_states + 1):
+    for n, lo, hi in universe.layers():
         for _, count, res in layer_leaves(n, budget, lo, hi):
             stats.add(res, count)
             if res[0] == "h" and res[2] is not None:
@@ -180,14 +179,12 @@ def corrected_table(
     if universe.count == 0:
         raise ValueError("empty universe")
     programs = [format(v, f"0{block_len}b") for v in range(1 << block_len)] if block_len else [""]
-    lo, hi = universe.index_bounds()
-    kraft_max = _kraft_exponent(hi.bit_length())
-    jobs = []
-    for n in range(universe.min_states, universe.max_states + 1):
-        n_lo = max(lo, layer_offset(n) + 1)
-        n_hi = min(hi, layer_offset(n) + machine_count(n))
-        if n_lo <= n_hi:
-            jobs += [(n, n_lo, n_hi, budget, p, kraft_max) for p in programs]
+    kraft_max = _kraft_exponent(universe.index_bounds()[1].bit_length())
+    jobs = [
+        (n, n_lo, n_hi, budget, p, kraft_max)
+        for n, n_lo, n_hi in universe.layers()
+        for p in programs
+    ]
     numerators, stats = {}, SweepStats()
     for part, part_stats in pool_imap(_leaf_numerators, jobs, threads):
         for x, v in part.items():

@@ -88,7 +88,7 @@ class BoxCounter:
 
     def __init__(self, n: int, lo: int, hi: int):
         base, width, first = 5 * (n + 1), 3 * n, layer_offset(n) + 1
-        self.n1, self.base, self.width = n + 1, base, width
+        self.n1, self.base, self.width, self.first = n + 1, base, width, first
         self.powers = [base**k for k in range(width + 1)]
         lo, hi = max(lo, first) - first, min(hi, first + machine_count(n) - 1) - first
         self.size = max(0, hi - lo + 1)
@@ -139,6 +139,31 @@ class BoxCounter:
                 below[at] = count
             for k in range(base):
                 out[k] += sign * below[k]
+        return out
+
+    def members(self, fixed) -> list:
+        """The indices counted by ``self(fixed)``, in increasing order.
+
+        A walk down the open entries, top digit first, that follows only
+        children with a nonzero count, so its cost scales with the members.
+        """
+        n1, powers = self.n1, self.powers
+        start = self.first + sum((a * n1 + s) * powers[pos] for pos, (a, s) in fixed.items())
+        free = [pos for pos in reversed(range(self.width)) if pos not in fixed]
+        if not free:
+            return [start] if self(fixed) else []
+        out = []
+
+        def walk(fixed, depth, index):
+            if depth == len(free):
+                out.append(index)
+                return
+            pos = free[depth]
+            for d, c in enumerate(self.children(fixed, pos)):
+                if c:
+                    walk({**fixed, pos: divmod(d, n1)}, depth + 1, index + d * powers[pos])
+
+        walk(dict(fixed), 0, start)
         return out
 
 
@@ -197,6 +222,15 @@ class MachineRange:
     def indices(self) -> range:
         lo, hi = self.index_bounds()
         return range(lo, hi + 1)
+
+    def layers(self) -> list:
+        """(n, lo, hi) for each state count n with indices in the range."""
+        lo, hi = self.index_bounds()
+        spans = [
+            (n, max(lo, layer_offset(n) + 1), min(hi, layer_offset(n) + machine_count(n)))
+            for n in range(self.min_states, self.max_states + 1)
+        ]
+        return [(n, a, b) for n, a, b in spans if a <= b]
 
     def describe(self) -> str:
         s = f"s{self.min_states}-{self.max_states}"

@@ -17,10 +17,10 @@ a certified minimum.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
-from .enumeration import MachineRange, str_to_nat
-from .halting import Simulator, program_sweep
+from .enumeration import BoxCounter, MachineRange, str_to_nat
+from .halting import Simulator, SweepStats, layer_leaves, pool_imap
 from .tm_core import Halted, identity_scanner, immediate_halt, run
 
 DEFAULT_ENUM_CEILING = 1 << 22
@@ -198,10 +198,6 @@ PRUNING_POLICIES = {
 }
 
 
-def _pair_with_output(x: str, i: int, p: str, steps: int, output: str):
-    return make_pair(i, p, steps) if output == x else None
-
-
 def applicable_set(
     x: str,
     universe: MachineRange,
@@ -210,13 +206,15 @@ def applicable_set(
     *,
     policy: str = "discard-dominated",
     ceiling: int = DEFAULT_ENUM_CEILING,
-    sim: Simulator | None = None,
     threads: int = 1,
+    stats: SweepStats | None = None,
 ) -> list[ProgramPair]:
     """All proved-halting pairs with output x, pruned, in canonical order.
 
-    The sweep is ``halting.program_sweep``: a shared ``sim`` at one thread
-    reuses its memo, and its verdict cache serves and records small sweeps.
+    The sweep walks one lazy leaf tree (``halting.layer_leaves``) per layer
+    and program; ``threads > 1`` spreads the trees over a fork pool.  A
+    ``stats`` given is updated with the trees' counts, (index, program)
+    pairs weighted.
     """
     _check_binary(x)
     if budget < 1:
@@ -231,12 +229,34 @@ def applicable_set(
             f"{work} simulations exceed ceiling {ceiling}; shrink the "
             "universe or max_prog_len, or raise the ceiling"
         )
-    programs = [p for n in range(max_prog_len + 1) for p in _programs_of_length(n)]
-    reduce = partial(_pair_with_output, x)
-    pairs = list(program_sweep(universe, programs, budget, reduce, threads, sim))
+    jobs = [
+        (n, lo, hi, budget, p, x)
+        for n, lo, hi in universe.layers()
+        for length in range(max_prog_len + 1)
+        for p in _programs_of_length(length)
+    ]
+    pairs = []
+    for part, part_stats in pool_imap(_leaf_pairs, jobs, threads):
+        pairs += part
+        if stats is not None:
+            stats.merge(part_stats)
     pruned = PRUNING_POLICIES[policy](pairs)
     pruned.sort(key=lambda pr: (pr.i, len(pr.p), str_to_nat(pr.p)))
     return pruned
+
+
+def _leaf_pairs(job):
+    """One layer's leaf tree on one program, over indices lo..hi of that
+    layer: (the pairs with output x, the tree's stats).  A halting leaf with
+    output x gives one pair per index of its box, at the leaf's step count."""
+    n, lo, hi, budget, program, x = job
+    boxes = BoxCounter(n, lo, hi)
+    pairs, stats = [], SweepStats()
+    for table, count, res in layer_leaves(n, budget, lo, hi, input_str=program):
+        stats.add(res, count)
+        if res[0] == "h" and res[2] == x:
+            pairs += [make_pair(i, program, res[1]) for i in boxes.members(table)]
+    return pairs, stats
 
 
 def bound_from_pairs(x: str, pairs) -> tuple[int, ProgramPair]:
@@ -259,7 +279,6 @@ def upper_bound_C(
     *,
     policy: str = "discard-dominated",
     ceiling: int = DEFAULT_ENUM_CEILING,
-    sim: Simulator | None = None,
 ) -> tuple[int, ProgramPair]:
     """Shortest self-delimiting encoding over the applicable set."""
     pairs = applicable_set(
@@ -269,6 +288,5 @@ def upper_bound_C(
         max_prog_len,
         policy=policy,
         ceiling=ceiling,
-        sim=sim,
     )
     return bound_from_pairs(x, pairs)

@@ -54,7 +54,6 @@ SNAPSHOT_TAPE_CAP = 2048
 CYCLE_TAPE_CAP = 128
 MAX_SNAPSHOTS_PER_KEY = 6
 SNAPSHOT_GROWTH = (5, 4)  # admit a new snapshot when steps >= last * 5/4
-CACHEABLE_SWEEP_LIMIT = 1 << 16  # most (index, program) pairs a sweep may cache
 
 
 @dataclass(frozen=True)
@@ -710,7 +709,7 @@ def decide_layer(
 
 
 class Simulator:
-    """Memoized machine runs for program sweeps.
+    """Memoized machine runs for the phi profile's program sweeps.
 
     One underlying analysis per (index, program) serves every queried
     budget: halting is monotone in budget and certificate discovery steps
@@ -770,45 +769,6 @@ class Simulator:
         return InvalidOutput(res[1]) if res[2] is None else Halted(res[2], res[1])
 
 
-def program_sweep(
-    universe: MachineRange,
-    programs,
-    budget: int,
-    reduce,
-    threads: int = 1,
-    sim: Simulator | None = None,
-):
-    """Yield ``reduce(i, p, steps, output)`` for every (index, program) pair
-    of the universe that halts with a valid output, skipping ``None``s, in
-    index-then-``programs`` order whatever the thread count.
-
-    One thread with a ``sim`` goes through its memo, so callers sharing a
-    ``Simulator`` reuse earlier runs; otherwise every pair is run plainly and
-    nothing is kept.  ``threads > 1`` splits the index range into fixed
-    chunks over a fork pool; ``reduce`` must then pickle.  ``sim.cache``
-    serves and records only sweeps of at most ``CACHEABLE_SWEEP_LIMIT``
-    pairs; for larger ones it is left untouched, and the memo unused.
-    """
-    programs = list(programs)
-    lo, hi = universe.index_bounds()
-    cache = None
-    if sim is not None and universe.count * len(programs) <= CACHEABLE_SWEEP_LIMIT:
-        cache = sim.cache
-    if threads <= 1:
-        memo = sim is not None and (sim.cache is None or cache is not None)
-        yield from _sweep_range(lo, hi, programs, budget, reduce, sim if memo else None)
-        return
-    size = max(1, -(-(hi - lo + 1) // (threads * 4)))
-    jobs = [
-        (start, min(hi, start + size - 1), programs, budget, reduce, cache is not None)
-        for start in range(lo, hi + 1, size)
-    ]
-    for items, raws in pool_imap(_sweep_chunk, jobs, threads):
-        for i, p, raw in raws:
-            cache.record(i, p, budget, raw)
-        yield from items
-
-
 def pool_imap(fn, jobs, threads: int):
     """``fn`` over ``jobs``, results in job order: in this process at one
     thread, else over a fork pool of ``threads`` workers (``fn`` and its
@@ -818,30 +778,3 @@ def pool_imap(fn, jobs, threads: int):
         return
     with get_context("fork").Pool(processes=threads) as pool:
         yield from pool.imap(fn, jobs)
-
-
-def _sweep_range(lo, hi, programs, budget, reduce, sim=None, raws=None):
-    """The loop of ``program_sweep`` over indices lo..hi: through ``sim``'s
-    memo when given, else plain runs, appended to ``raws`` when given."""
-    inputs = [(p, str_to_syms(p)) for p in programs]
-    for i in range(lo, hi + 1):
-        table = None if sim is not None else index_to_table(i)[1]
-        for p, syms in inputs:
-            if sim is not None:
-                res = sim.raw_verdict(i, p, budget)
-            else:
-                res = analyze_table(table, syms, budget)
-                if raws is not None:
-                    raws.append((i, p, res))
-            if res[0] == "h" and res[2] is not None:
-                item = reduce(i, p, res[1], res[2])
-                if item is not None:
-                    yield item
-
-
-def _sweep_chunk(job):
-    """One pool worker's share of ``program_sweep``: (items, raw verdicts)."""
-    lo, hi, programs, budget, reduce, keep_raws = job
-    raws = []
-    items = list(_sweep_range(lo, hi, programs, budget, reduce, raws=raws if keep_raws else None))
-    return items, raws

@@ -107,7 +107,6 @@ def test_criterion_2_cap_soundness_and_witness_replay(phi_profiles):
 def test_criterion_3_oracle_equivalence():
     universe = MachineRange(1, 2, 1, 2000)
     budget, mpl = 48, 6
-    sim = Simulator(universe)
 
     def naive_oracle(x):
         # plain double loop: no certificates, no memo, no pruning
@@ -128,7 +127,7 @@ def test_criterion_3_oracle_equivalence():
 
     checked = 0
     for x in all_strings(3):
-        pairs = applicable_set(x, universe, budget, mpl, sim=sim)
+        pairs = applicable_set(x, universe, budget, mpl)
         bound, witness = bound_from_pairs(x, pairs)
         want = naive_oracle(x)
         assert want is not None, f"oracle found nothing for {x!r}"

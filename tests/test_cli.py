@@ -291,6 +291,41 @@ def test_ctm_refuses_cache_path(tmp_path, capsys):
     assert not cache.exists() and not out.exists()
 
 
+def test_estimate_stats_go_to_manifest_only(tmp_path, capsys):
+    out = tmp_path / "est.json"
+    code, _, _ = run_cli(
+        ["estimate", "0110", "--budget", "64", "--universe-interval", "1:1100",
+         "--max-prog-len", "3", "--out", "json", "--output", str(out)],
+        capsys,
+    )
+    assert code == EXIT_OK
+    stats = json.loads((tmp_path / "est.json.manifest.json").read_text())["runtime"]["stats"]
+    assert sum(stats["verdicts"].values()) == stats["machines"] == 1100 * 15
+    assert 0 < stats["leaves"] < stats["machines"]
+    import hashlib
+
+    # The export of the exhaustive applicable-set sweep, before the leaf trees.
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "07a24bb2b0861b4744d54a6dafee9b50ef72de836f823d43914e8cb265668a54"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["bb", "1", "--budget", "16"], ["enumerate", "1", "--limit", "2", "--verdicts"]],
+    ids=["bb", "enumerate"],
+)
+def test_refuses_cache_path(argv, tmp_path, capsys, monkeypatch):
+    # Neither command keeps verdicts, so a cache path would be silently ignored.
+    cache, out = tmp_path / "vc.jsonl", tmp_path / "out.csv"
+    code, stdout, err = run_cli(argv + ["--cache-path", str(cache), "--output", str(out)], capsys)
+    assert code == EXIT_BAD_INPUT and "--cache-path" in err and not stdout
+    monkeypatch.setenv("KOLMOBENCH_CACHE_PATH", str(cache))
+    code, stdout, err = run_cli(argv + ["--output", str(out)], capsys)
+    assert code == EXIT_BAD_INPUT and "--cache-path" in err and not stdout
+    assert not cache.exists() and not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

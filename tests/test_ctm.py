@@ -27,7 +27,7 @@ from kolmobench.ctm import (
 )
 from kolmobench.enumeration import MachineRange
 from kolmobench.estimator import identity_index, upper_bound_C
-from kolmobench.halting import Simulator, program_sweep
+from kolmobench.halting import Simulator
 
 N1 = MachineRange(1, 1)
 
@@ -144,18 +144,19 @@ def test_corrected_table_matches_plain_run_oracle(threads):
     assert table.entries == _plain_run_masses(1, 1500, 2, 64)
 
 
-def _index_and_output(i, p, steps, output):
-    return i, output
-
-
-def test_program_sweep_with_warm_simulator_matches_plain_run_oracle():
+def test_simulator_raw_verdict_across_budgets_matches_plain_run_oracle():
     u = MachineRange(1, 2, 1, 1500)
     programs = ["00", "01", "10", "11"]
     sim = Simulator(u)
-    list(program_sweep(u, programs, 16, _index_and_output, sim=sim))
+    for i in u.indices():
+        for p in programs:
+            sim.raw_verdict(i, p, 16)
     masses = {}  # memo entries of budget 16 re-derive at 64
-    for i, x in program_sweep(u, programs, 64, _index_and_output, sim=sim):
-        masses[x] = masses.get(x, Fraction(0)) + default_alpha(i) / 4
+    for i in u.indices():
+        for p in programs:
+            res = sim.raw_verdict(i, p, 64)
+            if res[0] == "h" and res[2] is not None:
+                masses[res[2]] = masses.get(res[2], Fraction(0)) + default_alpha(i) / 4
     assert masses == _plain_run_masses(1, 1500, 2, 64)
 
 
@@ -242,7 +243,6 @@ def test_gap_report_produced_and_finite():
     import math
 
     u = MachineRange(1, 1)
-    sim = Simulator(u)
     strings = [""] + [
         format(v, f"0{L}b") for L in (1, 2, 3) for v in range(1 << L)
     ]
@@ -252,7 +252,7 @@ def test_gap_report_produced_and_finite():
             est = neg_log_estimate(x, u, 4, budget=64)
         except UndefinedMassError:
             continue
-        bound, _ = upper_bound_C(x, u, budget=64, max_prog_len=4, sim=sim)
+        bound, _ = upper_bound_C(x, u, budget=64, max_prog_len=4)
         gaps[x] = est - bound
     assert gaps, "no string got a defined estimate"
     assert all(math.isfinite(g) for g in gaps.values())

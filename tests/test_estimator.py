@@ -1,11 +1,12 @@
 import inspect
 import re
+from functools import lru_cache
 
 import pytest
 
 import kolmobench.ctm
 import kolmobench.estimator
-from kolmobench.enumeration import MachineRange
+from kolmobench.enumeration import MachineRange, index_to_table, str_to_nat
 from kolmobench.estimator import (
     EnumerationLimitError,
     PRUNING_POLICIES,
@@ -19,8 +20,8 @@ from kolmobench.estimator import (
     phi_profile,
     upper_bound_C,
 )
-from kolmobench.halting import Simulator
-from kolmobench.tm_core import Halted, run, u_run
+from kolmobench.halting import Simulator, SweepStats, analyze_table
+from kolmobench.tm_core import Halted, run, str_to_syms, u_run
 
 N1 = MachineRange(1, 1)
 
@@ -106,18 +107,55 @@ def test_applicable_set_contains_immediate_halt_for_empty_string():
 
 def test_applicable_set_pairs_replay(small_universe):
     u = MachineRange(1, 2, 1, 1200)
-    shared = Simulator(u)  # its memo serves both strings
     for x in ("", "1"):
         pairs = applicable_set(x, u, budget=32, max_prog_len=3)
-        # every path of the sweep kernel: plain, fork pool, shared memo
         assert applicable_set(x, u, budget=32, max_prog_len=3, threads=2) == pairs
-        assert applicable_set(x, u, budget=32, max_prog_len=3, sim=shared) == pairs
         for pr in pairs:
             from kolmobench.enumeration import index_to_machine
 
             assert run(index_to_machine(pr.i), pr.p, pr.steps) == Halted(x, pr.steps)
             assert pr.cost == pr.i.bit_length() + len(pr.p)
             assert pr.encoded_len == 2 * pr.i.bit_length() + 1 + len(pr.p)
+
+
+@lru_cache(maxsize=None)
+def _plain_loop_pairs(lo, hi, budget, max_prog_len):
+    """Output -> every halting (i, p, steps) of the window, in canonical order,
+    by one ``analyze_table`` run per (index, program)."""
+    programs = [format(v, f"0{n}b") if n else "" for n in range(max_prog_len + 1)
+                for v in range(1 << n)]
+    found = {}
+    for i in range(lo, hi + 1):
+        table = index_to_table(i)[1]
+        for p in programs:
+            res = analyze_table(table, str_to_syms(p), budget)
+            if res[0] == "h" and res[2] is not None:
+                found.setdefault(res[2], []).append((i, p, res[1]))
+    for pairs in found.values():
+        pairs.sort(key=lambda t: (t[0], len(t[1]), str_to_nat(t[1])))
+    return found
+
+
+# 990:1040 crosses from the 1-state to the 2-state layer and the bit length
+# of its indices steps at 1024; so does 2040:2060's at 2048.
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("lo, hi", [(990, 1040), (2040, 2060), (1, 1200)])
+def test_applicable_set_matches_plain_loop(lo, hi, threads):
+    u, budget, mpl = MachineRange(1, 2, lo, hi), 64, 3
+    oracle = _plain_loop_pairs(lo, hi, budget, mpl)
+    for x in ("", "0", "1", "11", "010"):
+        pairs = applicable_set(x, u, budget, mpl, policy="none", threads=threads)
+        assert [(pr.i, pr.p, pr.steps) for pr in pairs] == oracle.get(x, [])
+        assert pairs == [make_pair(*t) for t in oracle.get(x, [])]
+
+
+def test_applicable_set_stats_weigh_verdicts_by_pairs():
+    u, mpl = MachineRange(1, 2, 990, 1040), 3
+    stats = SweepStats()
+    pairs = applicable_set("1", u, 64, mpl, policy="none", stats=stats)
+    assert stats.machines == sum(stats.verdicts.values()) == u.count * ((1 << (mpl + 1)) - 1)
+    assert 0 < stats.leaves < stats.machines
+    assert 0 < len(pairs) <= stats.verdicts["halt"]
 
 
 def test_applicable_set_resource_refusal():
@@ -179,7 +217,7 @@ def test_upper_bound_agrees_with_phi_at_stabilization(shared_sim, small_universe
     u = MachineRange(1, 2, 1, 1000)
     sim = Simulator(u)
     for x in ("", "0", "11"):
-        pairs = applicable_set(x, u, budget=64, max_prog_len=6, sim=sim)
+        pairs = applicable_set(x, u, budget=64, max_prog_len=6)
         bound, _ = bound_from_pairs(x, pairs)
         r = phi(64, x, u, cap=27, ceiling=1 << 28, sim=sim)
         assert r.value == bound

@@ -16,7 +16,6 @@ from kolmobench.halting import (
     analyze,
     bb_table,
     decide_layer,
-    program_sweep,
     verify_certificate,
 )
 from kolmobench.tm_core import (
@@ -219,33 +218,19 @@ def test_simulator_memoizes_across_budgets(small_universe):
             assert raw[0] == "u"
 
 
-def _index_and_program(i, p, steps, output):
-    return i, p
-
-
-def test_program_sweep_memo_and_cache_only_where_due(tmp_path, monkeypatch):
-    import kolmobench.halting as halting
+def test_simulator_warm_cache_serves_without_running(tmp_path):
     from kolmobench.cache import VerdictCache
     from kolmobench.enumeration import MachineRange
 
-    u, programs = MachineRange(1, 1, 1, 300), ["", "0", "1"]
-    plain = list(program_sweep(u, programs, 32, _index_and_program))
-    caches = {}
-    for threads in (1, 2):
-        caches[threads] = VerdictCache(str(tmp_path / f"vc{threads}.jsonl"))
-        sim = Simulator(u, cache=caches[threads])
-        assert list(program_sweep(u, programs, 32, _index_and_program, threads, sim)) == plain
-        assert len(caches[threads]) == 900
-        assert len(sim._memo) == (900 if threads == 1 else 0)
-        caches[threads].close()
-    assert (tmp_path / "vc1.jsonl").read_bytes() == (tmp_path / "vc2.jsonl").read_bytes()
-    warm = Simulator(u, cache=VerdictCache(str(tmp_path / "vc1.jsonl")))
-    assert list(program_sweep(u, programs, 32, _index_and_program, sim=warm)) == plain
+    u, path = MachineRange(1, 1, 1, 300), str(tmp_path / "vc.jsonl")
+    keys = [(i, p) for i in u.indices() for p in ("", "0", "1")]
+    cold = Simulator(u, cache=VerdictCache(path))
+    verdicts = [cold.raw_verdict(i, p, 32) for i, p in keys]
+    assert len(cold.cache) == len(cold._memo) == 900
+    cold.cache.close()
+    warm = Simulator(u, cache=VerdictCache(path))
+    assert [warm.raw_verdict(i, p, 32) for i, p in keys] == verdicts
     assert not warm._memo  # every verdict came from the cache
-    monkeypatch.setattr(halting, "CACHEABLE_SWEEP_LIMIT", 899)
-    big = Simulator(u, cache=VerdictCache(str(tmp_path / "big.jsonl")))
-    assert list(program_sweep(u, programs, 32, _index_and_program, sim=big)) == plain
-    assert not big._memo and not big.cache.records  # too big to cache: plain runs
 
 
 def test_bb_table_partial_interval_counts_unswept_as_undecided():

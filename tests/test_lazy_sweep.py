@@ -138,6 +138,24 @@ def test_box_count_matches_brute_force(box):
         assert counter.children(fixed, pos) == want
 
 
+@given(boxes())
+def test_box_members_match_brute_force(box):
+    n, fixed, lo, hi = box
+    first = layer_offset(n) + 1
+    last = first + machine_count(n) - 1
+    want = [
+        i
+        for i in range(max(lo, first), min(hi, last) + 1)
+        if all(index_to_table(i)[1][pos] == entry for pos, entry in fixed.items())
+    ]
+    counter = BoxCounter(n, lo, hi)
+    members = counter.members(fixed)
+    assert all(lo <= i <= hi for i in members)
+    assert all(index_to_table(i)[1][pos] == entry for i in members for pos, entry in fixed.items())
+    assert len(members) == counter(fixed)
+    assert members == want
+
+
 def test_box_count_of_open_table_is_interval_size():
     assert BoxCounter(2, 1, 10**12)({}) == machine_count(2)
     assert BoxCounter(2, LAYER2_LO + 7, LAYER2_LO + 99)({}) == 93
