@@ -6,8 +6,7 @@ scale the expected outcome is a negative report."""
 import argparse
 
 from kolmobench.enumeration import MachineRange
-from kolmobench.estimator import phi
-from kolmobench.halting import Simulator
+from kolmobench.estimator import phi_profile
 
 
 def all_strings(max_len):
@@ -24,11 +23,11 @@ def main():
     args = ap.parse_args()
 
     universe = MachineRange(1, 2)
-    sim = Simulator(universe)
     schedule = [1 << k for k in range(args.max_budget_log2 + 1)]
     found = []
     for x in all_strings(args.max_len):
-        values = {t: phi(t, x, universe, ceiling=1 << 26, sim=sim).value for t in schedule}
+        profile = phi_profile(x, schedule, universe, ceiling=1 << 26)
+        values = {r.t: r.value for r in profile}
         drops = [(t, values[t], values[4 * t]) for t in schedule
                  if 4 * t in values and values[t] > values[4 * t]]
         marker = " overshoot!" if drops else ""

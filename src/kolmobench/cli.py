@@ -31,7 +31,7 @@ from .ctm import (
     table_to_csv,
     table_to_json,
 )
-from .enumeration import MachineRange, index_to_machine, index_to_table
+from .enumeration import MAX_STATES_SUPPORTED, MachineRange, index_to_machine, index_to_table
 from .estimator import (
     EnumerationLimitError,
     PRUNING_POLICIES,
@@ -41,7 +41,6 @@ from .estimator import (
     phi_profile,
 )
 from .halting import (
-    Simulator,
     SweepStats,
     analyze,
     analyze_table,
@@ -83,7 +82,7 @@ def _int_at_least(low: int):
     return parse
 
 
-_positive_int = _int_at_least(1)  # --budget, --threads and their KOLMOBENCH_* variables
+_positive_int = _int_at_least(1)  # --budget, --threads (and their KOLMOBENCH_* variables), --ceiling
 _non_negative_int = _int_at_least(0)  # counts and lengths: --limit, --cap, --max-prog-len, --sample
 
 
@@ -163,8 +162,8 @@ def _refuse_cache_path(args, parser) -> None:
 
 
 def cmd_enumerate(args, parser) -> int:
-    if args.n_states < 1:
-        parser.error("n_states must be >= 1")
+    if not 1 <= args.n_states <= MAX_STATES_SUPPORTED:
+        parser.error(f"n_states must be in 1..{MAX_STATES_SUPPORTED}")
     _refuse_cache_path(args, parser)
     from .enumeration import layer_offset, machine_count
 
@@ -207,10 +206,9 @@ def cmd_estimate(args, parser) -> int:
         "seed": args.seed,
     }
     cache = VerdictCache(args.cache_path) if args.cache_path else None
-    sim = Simulator(universe, cache=cache)
     schedule = list(_doubling_schedule(args.budget))
     profile = phi_profile(
-        x, schedule, universe, cap=cap, ceiling=args.ceiling, sim=sim
+        x, schedule, universe, cap=cap, ceiling=args.ceiling, cache=cache
     )
     stats = SweepStats()
     pairs = applicable_set(
@@ -488,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("x", help="binary target string")
     p.add_argument("--cap", type=_non_negative_int, default=None, help="program-length cap")
     p.add_argument("--max-prog-len", type=_non_negative_int, default=4)
-    p.add_argument("--ceiling", type=int, default=CLI_DEFAULT_CEILING,
+    p.add_argument("--ceiling", type=_positive_int, default=CLI_DEFAULT_CEILING,
                    help="program-enumeration refusal threshold")
     p.add_argument("--policy", choices=sorted(PRUNING_POLICIES), default="discard-dominated")
     p.add_argument("--universe-interval", default=ESTIMATE_DEFAULT_INTERVAL,

@@ -1,11 +1,16 @@
 """Anytime upper bounds on plain complexity from budgeted program sweeps.
 
-``phi(t, x)`` sweeps every reference-machine program of length up to
-``len(x) + c`` for ``t`` steps and reports the shortest one that outputs
-``x``, defaulting to the cap when none does.  The constant ``c`` is pinned
-to the encoding length of the built-in right-scanner, which copies any
-program to the output, so the cap is always witnessed at sufficient
-budget.
+``phi(t, x)`` is the shortest reference-machine program of length up to
+``len(x) + c`` that outputs ``x`` within ``t`` steps, defaulting to the cap
+when none does.  The constant ``c`` is pinned to the encoding length of the
+built-in right-scanner, which copies any program to the output, so the cap
+is always witnessed at sufficient budget.
+
+``phi_profile`` computes phi along a budget schedule in one scan of the
+canonical programs ``1^k 0 bin(i) p`` (k = |bin(i)|, i in the universe).
+That is exact: any other program never halts or repeats a shorter canonical
+one, and since a sound detector never calls a halting run divergent, one
+analysis at budget B gives the true halting step of every run within B.
 
 ``applicable_set`` collects the halting (machine, program) pairs producing
 ``x`` and applies a pruning rule; ``upper_bound_C`` takes the shortest
@@ -16,12 +21,13 @@ a certified minimum.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .enumeration import BoxCounter, MachineRange, str_to_nat
 from .halting import Simulator, SweepStats, layer_leaves, pool_imap
-from .tm_core import Halted, identity_scanner, immediate_halt, run
+from .tm_core import identity_scanner, immediate_halt, run
 
 DEFAULT_ENUM_CEILING = 1 << 22
 
@@ -72,6 +78,20 @@ def _programs_of_length(length: int):
         yield format(v, f"0{length}b")
 
 
+def _canonical_programs(universe: MachineRange, cap: int):
+    """(program, i, p) for each program ``1^k 0 bin(i) p`` of length <= cap
+    whose index i lies in the universe, in (length, numeric value) order:
+    within one length, more leading ones is larger, then i, then p."""
+    lo, hi = universe.index_bounds()
+    for length in range(cap + 1):
+        for k in range(1, (length - 1) // 2 + 1):
+            head = "1" * k + "0"
+            for i in range(max(lo, 1 << (k - 1)), min(hi, (1 << k) - 1) + 1):
+                prefix = head + format(i, "b")
+                for p in _programs_of_length(length - 2 * k - 1):
+                    yield prefix + p, i, p
+
+
 def phi(
     t: int,
     x: str,
@@ -79,16 +99,32 @@ def phi(
     *,
     cap: int | None = None,
     ceiling: int = DEFAULT_ENUM_CEILING,
-    sim: Simulator | None = None,
 ) -> PhiResult:
-    """Shortest program of length <= cap producing x within t steps.
+    """Shortest program of length <= cap producing x within t steps."""
+    return phi_profile(x, [t], universe, cap=cap, ceiling=ceiling)[0]
 
-    Programs are scanned in (length, numeric value) order, which realizes
-    the minimum and the numeric tie-break in one pass.  Refuses up front
-    when the full sweep could exceed ``ceiling`` programs.
+
+def phi_profile(
+    x: str,
+    schedule,
+    universe: MachineRange,
+    *,
+    cap: int | None = None,
+    ceiling: int = DEFAULT_ENUM_CEILING,
+    cache=None,
+) -> list[PhiResult]:
+    """phi along a strictly increasing budget schedule, in one program scan.
+
+    Each (index, program) pair is analysed once, at the largest budget still
+    without a witness (a ``cache`` given serves and records the verdicts); a
+    halt with output x at step s settles every open budget t >= s.  Refuses
+    up front when the scan could exceed ``ceiling`` programs.
     """
     _check_binary(x)
-    if t < 1:
+    schedule = list(schedule)
+    if any(b >= a for a, b in zip(schedule[1:], schedule)):
+        raise ValueError("schedule must be strictly increasing")
+    if schedule and schedule[0] < 1:
         raise ValueError("budget must be >= 1")
     if cap is None:
         cap = len(x) + cap_constant()
@@ -99,45 +135,21 @@ def phi(
             f"2^(cap+1) = 2^{cap + 1} programs exceeds ceiling {ceiling}; "
             "shrink the cap or the universe, or raise the ceiling"
         )
-    if sim is None:
-        sim = Simulator(universe)
-    for length in range(cap + 1):
-        for q in _programs_of_length(length):
-            out = sim.u_outcome(q, t)
-            if isinstance(out, Halted) and out.output == x:
-                return PhiResult(x=x, t=t, value=length, witness=q, cap=cap)
-    return PhiResult(x=x, t=t, value=cap, witness=None, cap=cap)
-
-
-def phi_profile(
-    x: str,
-    schedule,
-    universe: MachineRange,
-    *,
-    cap: int | None = None,
-    ceiling: int = DEFAULT_ENUM_CEILING,
-    sim: Simulator | None = None,
-) -> list[PhiResult]:
-    """phi along a strictly increasing budget schedule.
-
-    The values must come out nonincreasing; anything else is an internal
-    error, not a data point.
-    """
-    schedule = list(schedule)
-    if any(b >= a for a, b in zip(schedule[1:], schedule)):
-        raise ValueError("schedule must be strictly increasing")
-    if sim is None:
-        sim = Simulator(universe)
-    results = []
-    for t in schedule:
-        r = phi(t, x, universe, cap=cap, ceiling=ceiling, sim=sim)
-        if results and r.value > results[-1].value:
-            raise RuntimeError(
-                f"phi({t}, {x!r}) = {r.value} above phi({results[-1].t}) = "
-                f"{results[-1].value}: monotonicity broken"
-            )
-        results.append(r)
-    return results
+    verdict = Simulator(cache).raw_verdict
+    witnesses = [None] * len(schedule)
+    open_n = len(schedule)  # the budgets without a witness: schedule[:open_n]
+    for q, i, p in _canonical_programs(universe, cap):
+        if not open_n:
+            break
+        res = verdict(i, p, schedule[open_n - 1])
+        if res[0] == "h" and res[2] == x:
+            settled = bisect_left(schedule, res[1], 0, open_n)
+            witnesses[settled:open_n] = [q] * (open_n - settled)
+            open_n = settled
+    return [
+        PhiResult(x=x, t=t, value=cap if w is None else len(w), witness=w, cap=cap)
+        for t, w in zip(schedule, witnesses)
+    ]
 
 
 @dataclass(frozen=True)

@@ -36,12 +36,8 @@ from .enumeration import BoxCounter, MachineRange, index_to_table, layer_offset,
 from .tm_core import (
     MOVE_LEFT,
     MOVE_RIGHT,
-    Cutoff,
-    Halted,
-    InvalidOutput,
     Machine,
     Table,
-    decode_program,
     read_output,
     steps,
     str_to_syms,
@@ -709,64 +705,23 @@ def decide_layer(
 
 
 class Simulator:
-    """Memoized machine runs for the phi profile's program sweeps.
+    """Verdicts of (index, program) pairs through an optional verdict cache,
+    for the phi profile."""
 
-    One underlying analysis per (index, program) serves every queried
-    budget: halting is monotone in budget and certificate discovery steps
-    are fixed, so smaller-budget verdicts derive exactly.  An optional
-    verdict cache records per-(index, program, budget) summaries.
-    """
-
-    def __init__(self, universe: MachineRange, cache=None):
-        self.universe = universe
+    def __init__(self, cache=None):
         self.cache = cache
-        self._memo = {}
-        self._tables = {}
-
-    def _table(self, i: int):
-        t = self._tables.get(i)
-        if t is None:
-            _, t = index_to_table(i)
-            self._tables[i] = t
-        return t
 
     def raw_verdict(self, i: int, p: str, budget: int):
-        """analyze_table result for this budget, via the memo."""
-        if budget < 1:
-            raise ValueError("budget must be >= 1")
+        """analyze_table result for this budget: a cache hit, else a fresh
+        analysis, which the cache records."""
         if self.cache is not None:
             hit = self.cache.lookup(i, p, budget)
             if hit is not None:
                 return hit
-        key = (i, p)
-        ent = self._memo.get(key)
-        if ent is None or (ent[0] == "u" and budget > ent[1]):
-            ent = analyze_table(self._table(i), str_to_syms(p), budget)
-            if ent[0] != "u" or ent[1] >= self._memo.get(key, ("u", 0))[1]:
-                self._memo[key] = ent
-        res = self._derive(ent, budget)
+        res = analyze_table(index_to_table(i)[1], str_to_syms(p), budget)
         if self.cache is not None:
             self.cache.record(i, p, budget, res)
         return res
-
-    @staticmethod
-    def _derive(ent, budget: int):
-        if ent[0] == "h":
-            return ent if ent[1] <= budget else ("u", budget)
-        if ent[0] == "d":
-            return ent if ent[2] <= budget else ("u", budget)
-        return ("u", budget) if budget <= ent[1] else ent  # caller re-analyzes
-
-    def u_outcome(self, program: str, budget: int):
-        """Reference-machine run outcome (Halted/InvalidOutput/Cutoff) of a
-        raw program via the memo."""
-        dec = decode_program(program)
-        if dec is None or not self.universe.contains_index(dec[0]):
-            return Cutoff(budget)
-        res = self.raw_verdict(*dec, budget)
-        if res[0] != "h":
-            return Cutoff(budget)
-        return InvalidOutput(res[1]) if res[2] is None else Halted(res[2], res[1])
 
 
 def pool_imap(fn, jobs, threads: int):

@@ -10,14 +10,8 @@ settings.register_profile(
 settings.load_profile("workbench")
 
 from kolmobench.enumeration import MachineRange
-from kolmobench.halting import Simulator
 
 
 @pytest.fixture(scope="session")
 def small_universe():
     return MachineRange(1, 2)
-
-
-@pytest.fixture(scope="session")
-def shared_sim(small_universe):
-    return Simulator(small_universe)

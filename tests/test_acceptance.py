@@ -30,8 +30,8 @@ from kolmobench.enumeration import (
     str_to_nat,
     table_to_index,
 )
-from kolmobench.estimator import applicable_set, bound_from_pairs, cap_constant, phi
-from kolmobench.halting import Simulator, bb_table, decide_layer
+from kolmobench.estimator import applicable_set, bound_from_pairs, cap_constant, phi_profile
+from kolmobench.halting import bb_table, decide_layer
 from kolmobench.tm_core import Halted, Machine, run, u_run
 
 DATA = Path(__file__).parent / "data" / "regression.json"
@@ -59,13 +59,7 @@ def _artifact(name, payload):
 def phi_profiles():
     """phi over the doubling schedule for every x with l(x) <= 4, full
     two-state universe, default caps."""
-    sim = Simulator(FULL_2)
-    profiles = {}
-    for x in all_strings(4):
-        profiles[x] = [
-            phi(t, x, FULL_2, ceiling=CEILING, sim=sim) for t in SCHEDULE
-        ]
-    return profiles
+    return {x: phi_profile(x, SCHEDULE, FULL_2, ceiling=CEILING) for x in all_strings(4)}
 
 
 @pytest.mark.slow

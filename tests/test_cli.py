@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -81,6 +85,39 @@ def test_estimate_cap_too_large_is_resource_refusal(capsys):
     )
     assert code == EXIT_RESOURCE
     assert "refusal" in err
+
+
+def test_estimate_without_small_indices_scans_only_their_programs():
+    # No program shorter than 21 bits names an index in 990:1040; the phi
+    # profile must skip them rather than decode every program below the cap.
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]
+    proc = subprocess.run(
+        [sys.executable, "-m", "kolmobench.cli", "estimate", "10", "--budget", "64",
+         "--universe-interval", "990:1040", "--max-prog-len", "3", "--out", "json"],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    profile = json.loads(proc.stdout)["profile"]
+    assert [r["value"] for r in profile] == [23, 22, 22, 22, 22, 22, 22]
+    assert profile[0]["witness"] is None
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["enumerate", "9", "--limit", "1"], "n_states must be in 1..8"),
+        (["estimate", "1", "--ceiling", "0"], "argument --ceiling"),
+        (["estimate", "1", "--ceiling", "-5"], "argument --ceiling"),
+    ],
+)
+def test_out_of_range_arguments_exit_2(argv, message, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == EXIT_BAD_INPUT
+    assert message in err and not out
 
 
 def test_ctm_flawed_reports_crossing(capsys):

@@ -27,7 +27,6 @@ from kolmobench.ctm import (
 )
 from kolmobench.enumeration import MachineRange
 from kolmobench.estimator import identity_index, upper_bound_C
-from kolmobench.halting import Simulator
 
 N1 = MachineRange(1, 1)
 
@@ -142,22 +141,6 @@ def test_corrected_table_matches_plain_run_oracle(threads):
     u = MachineRange(1, 2, 1, 1500)
     table = corrected_table(u, 2, budget=64, threads=threads)
     assert table.entries == _plain_run_masses(1, 1500, 2, 64)
-
-
-def test_simulator_raw_verdict_across_budgets_matches_plain_run_oracle():
-    u = MachineRange(1, 2, 1, 1500)
-    programs = ["00", "01", "10", "11"]
-    sim = Simulator(u)
-    for i in u.indices():
-        for p in programs:
-            sim.raw_verdict(i, p, 16)
-    masses = {}  # memo entries of budget 16 re-derive at 64
-    for i in u.indices():
-        for p in programs:
-            res = sim.raw_verdict(i, p, 64)
-            if res[0] == "h" and res[2] is not None:
-                masses[res[2]] = masses.get(res[2], Fraction(0)) + default_alpha(i) / 4
-    assert masses == _plain_run_masses(1, 1500, 2, 64)
 
 
 @pytest.mark.parametrize("threads", [1, 2])

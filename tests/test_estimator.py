@@ -20,7 +20,7 @@ from kolmobench.estimator import (
     phi_profile,
     upper_bound_C,
 )
-from kolmobench.halting import Simulator, SweepStats, analyze_table
+from kolmobench.halting import SweepStats, analyze_table
 from kolmobench.tm_core import Halted, run, str_to_syms, u_run
 
 N1 = MachineRange(1, 1)
@@ -52,25 +52,25 @@ def test_constants():
     "x,expected",
     [("", 3), ("0", 5), ("1", 5), ("11", 6), ("00", 6), ("101", 7)],
 )
-def test_phi_matches_oracle_and_frozen_values(x, expected, small_universe, shared_sim):
+def test_phi_matches_oracle_and_frozen_values(x, expected, small_universe):
     for t in (1, 4, 64):
-        r = phi(t, x, small_universe, cap=9, ceiling=1 << 12, sim=shared_sim)
+        r = phi(t, x, small_universe, cap=9, ceiling=1 << 12)
         assert (r.value, r.witness) == oracle_phi(t, x, 9, small_universe)
         assert r.value == expected
 
 
-def test_phi_witness_replays(small_universe, shared_sim):
+def test_phi_witness_replays(small_universe):
     for x in ("", "0", "11"):
-        r = phi(8, x, small_universe, cap=8, ceiling=1 << 12, sim=shared_sim)
+        r = phi(8, x, small_universe, cap=8, ceiling=1 << 12)
         assert r.witness is not None
         out = u_run(r.witness, 8, small_universe)
         assert isinstance(out, Halted) and out.output == x
         assert len(r.witness) == r.value
 
 
-def test_phi_value_at_most_cap(small_universe, shared_sim):
+def test_phi_value_at_most_cap(small_universe):
     for x in ("", "1", "10"):
-        r = phi(2, x, small_universe, cap=4, ceiling=1 << 8, sim=shared_sim)
+        r = phi(2, x, small_universe, cap=4, ceiling=1 << 8)
         assert r.value <= r.cap == 4
 
 
@@ -91,13 +91,26 @@ def test_phi_rejects_bad_inputs(small_universe):
         phi(1, "21", small_universe, cap=4)
 
 
-def test_phi_profile_monotone_and_validates_schedule(small_universe, shared_sim):
-    prof = phi_profile("11", [1, 5, 50], small_universe, cap=8,
-                       ceiling=1 << 12, sim=shared_sim)
+def test_phi_profile_monotone_and_validates_schedule(small_universe):
+    prof = phi_profile("11", [1, 5, 50], small_universe, cap=8, ceiling=1 << 12)
     values = [r.value for r in prof]
     assert values == sorted(values, reverse=True)
     with pytest.raises(ValueError):
         phi_profile("11", [3, 3], small_universe, cap=8, ceiling=1 << 12)
+
+
+@pytest.mark.parametrize("cap,first", [(14, 12), (11, 11)])
+def test_phi_profile_matches_oracle_where_the_budget_matters(cap, first):
+    # phi(1) = 12 via (8, "010"); from t = 2 on, phi = 11 via (15, "00").  At
+    # cap 11, phi(1) has no witness.
+    u = MachineRange(1, 2, 8, 15)
+    schedule = [1, 2, 4, 8, 16, 64]
+    prof = phi_profile("10", schedule, u, cap=cap, ceiling=1 << 16)
+    assert [(r.value, r.witness) for r in prof] == [
+        oracle_phi(t, "10", cap, u) for t in schedule
+    ]
+    assert [r.value for r in prof] == [first, 11, 11, 11, 11, 11]
+    assert (prof[0].witness is None) == (cap == 11)
 
 
 def test_applicable_set_contains_immediate_halt_for_empty_string():
@@ -211,15 +224,14 @@ def test_upper_bound_empty_set_falls_back_to_scanner():
     assert witness.steps == 3
 
 
-def test_upper_bound_agrees_with_phi_at_stabilization(shared_sim, small_universe):
+def test_upper_bound_agrees_with_phi_at_stabilization():
     # matched spaces: programs for machines 1..1000 with p up to 6,
     # budget beyond every halting step in the set
     u = MachineRange(1, 2, 1, 1000)
-    sim = Simulator(u)
     for x in ("", "0", "11"):
         pairs = applicable_set(x, u, budget=64, max_prog_len=6)
         bound, _ = bound_from_pairs(x, pairs)
-        r = phi(64, x, u, cap=27, ceiling=1 << 28, sim=sim)
+        r = phi(64, x, u, cap=27, ceiling=1 << 28)
         assert r.value == bound
 
 
@@ -232,15 +244,14 @@ def test_no_operation_documents_a_lower_bound():
             assert not re.search(r"lower\s+bound", doc), (module.__name__, name)
 
 
-def test_phi_profile_empty_string_reaches_minimal_program(small_universe, shared_sim):
-    prof = phi_profile("", [1, 10, 100], small_universe, cap=6,
-                       ceiling=1 << 10, sim=shared_sim)
+def test_phi_profile_empty_string_reaches_minimal_program(small_universe):
+    prof = phi_profile("", [1, 10, 100], small_universe, cap=6, ceiling=1 << 10)
     values = [r.value for r in prof]
     assert values == sorted(values, reverse=True)
     # exhaustive sweep: the shortest program producing the empty string
     assert values[-1] == oracle_phi(100, "", 6, small_universe)[0] == 3
 
 
-def test_phi_cap_zero_degenerates(small_universe, shared_sim):
-    r = phi(5, "", small_universe, cap=0, ceiling=1 << 4, sim=shared_sim)
+def test_phi_cap_zero_degenerates(small_universe):
+    r = phi(5, "", small_universe, cap=0, ceiling=1 << 4)
     assert r.value == 0 and r.witness is None

@@ -31,6 +31,7 @@ from kolmobench.tm_core import (
     encode_index,
     immediate_halt,
     run,
+    u_run,
 )
 
 binary = st.text(alphabet="01", max_size=6)
@@ -199,17 +200,24 @@ def test_verify_rejects_tampered_certificates():
         assert not verify_certificate(left, "", ProvedDiverges(certificate=cert, found_at=5))
 
 
-def test_simulator_memoizes_across_budgets(small_universe):
-    sim = Simulator(small_universe)
+def test_simulator_memoizes_across_budgets():
+    # one analysis at the largest open budget settles budgets 3 and 100; budget
+    # 2 stays open, as u_run says
+    from kolmobench.enumeration import MachineRange
+    from kolmobench.estimator import phi_profile
+
+    u = MachineRange(1, 1, 991, 991)
     prog = encode_index(991) + "11"
-    assert sim.u_outcome(prog, 2) == Cutoff(2)
-    assert sim.u_outcome(prog, 3) == Halted("11", 3)
-    assert sim.u_outcome(prog, 100) == Halted("11", 3)
-    # derived verdicts equal fresh analyze at every budget
+    assert u_run(prog, 2, u) == Cutoff(2)
+    assert u_run(prog, 3, u) == Halted("11", 3) == u_run(prog, 100, u)
+    prof = phi_profile("11", [2, 3, 100], u, cap=len(prog), ceiling=1 << 24)
+    assert [(r.value, r.witness) for r in prof] == [
+        (len(prog), None), (len(prog), prog), (len(prog), prog)
+    ]
     m = index_to_machine(2)
     for b in (1, 2, 7):
         fresh = analyze(m, "", b)
-        raw = sim.raw_verdict(2, "", b)
+        raw = Simulator().raw_verdict(2, "", b)
         if isinstance(fresh, ProvedDiverges):
             assert raw[0] == "d"
         elif isinstance(fresh, ProvedHalts):
@@ -218,19 +226,24 @@ def test_simulator_memoizes_across_budgets(small_universe):
             assert raw[0] == "u"
 
 
-def test_simulator_warm_cache_serves_without_running(tmp_path):
+def test_simulator_warm_cache_serves_without_running(tmp_path, monkeypatch):
+    import kolmobench.halting
     from kolmobench.cache import VerdictCache
     from kolmobench.enumeration import MachineRange
 
     u, path = MachineRange(1, 1, 1, 300), str(tmp_path / "vc.jsonl")
     keys = [(i, p) for i in u.indices() for p in ("", "0", "1")]
-    cold = Simulator(u, cache=VerdictCache(path))
+    cold = Simulator(VerdictCache(path))
     verdicts = [cold.raw_verdict(i, p, 32) for i, p in keys]
-    assert len(cold.cache) == len(cold._memo) == 900
+    assert len(cold.cache) == 900
     cold.cache.close()
-    warm = Simulator(u, cache=VerdictCache(path))
+
+    def no_run(*args):
+        raise AssertionError("a warm cache ran a machine")
+
+    monkeypatch.setattr(kolmobench.halting, "analyze_table", no_run)
+    warm = Simulator(VerdictCache(path))
     assert [warm.raw_verdict(i, p, 32) for i, p in keys] == verdicts
-    assert not warm._memo  # every verdict came from the cache
 
 
 def test_bb_table_partial_interval_counts_unswept_as_undecided():

@@ -17,6 +17,7 @@ ROOT = Path(__file__).resolve().parents[1]
         ("gap_report.py",
          ["--max-len", "1", "--block-len", "2", "--budget", "16", "--interval", "1:200"]),
         ("bb_layers.py", ["--max-states", "1", "--start-budget", "4"]),
+        ("overshoot_search.py", ["--max-len", "1", "--max-budget-log2", "4"]),
     ],
 )
 def test_script_runs(script, args):
