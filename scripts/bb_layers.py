@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """Compute exact busy-beaver step tables for the 1- and 2-state layers by a
-lazy (tree-normal-form) sweep on empty input, doubling the budget until
-nothing is left undecided."""
+lazy (tree-normal-form) sweep on empty input: one sweep per layer reports
+the first budget of the doubling schedule from --start-budget to 2^16 that
+leaves nothing undecided."""
 
 import argparse
 import time
 
-from kolmobench.halting import decide_layer
+from kolmobench.halting import bb_table
 
 
 def main():
@@ -15,10 +16,13 @@ def main():
     ap.add_argument("--start-budget", type=int, default=16)
     args = ap.parse_args()
 
+    schedule = [args.start_budget]
+    while schedule[-1] * 2 <= 1 << 16:
+        schedule.append(schedule[-1] * 2)
     print("n_states  max_steps  decided_all  undecided  budget_used  seconds")
     for n in range(1, args.max_states + 1):
         t0 = time.time()
-        rec = decide_layer(n, start_budget=args.start_budget)
+        rec = bb_table(n, schedule)
         print(
             f"{rec.n_states:>8}  {rec.max_steps:>9}  {str(rec.decided_all):>11}  "
             f"{rec.undecided_count:>9}  {rec.budget_used:>11}  {time.time()-t0:7.1f}"

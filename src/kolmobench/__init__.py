@@ -15,7 +15,7 @@ from .enumeration import (
     strlen_of_nat,
 )
 from .estimator import PhiResult, ProgramPair, applicable_set, phi, phi_profile, upper_bound_C
-from .halting import BBRecord, analyze, bb_table, decide_layer, verify_certificate
+from .halting import BBRecord, analyze, bb_table, verify_certificate
 from .tm_core import Machine, encode_index, decode_program, run, u_run
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "bb_table",
     "cantor_pair",
     "cantor_unpair",
-    "decide_layer",
     "decode_program",
     "encode_index",
     "index_to_machine",

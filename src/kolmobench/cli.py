@@ -45,7 +45,6 @@ from .halting import (
     analyze,
     analyze_table,
     bb_table,
-    decide_layer,
     verify_certificate,
 )
 from .tm_core import str_to_syms
@@ -58,6 +57,7 @@ EXIT_VERIFY_FAILED = 5
 
 ENV_PREFIX = "KOLMOBENCH_"
 CLI_DEFAULT_CEILING = 1 << 26
+AUTO_BUDGET_CEILING = 1 << 16  # the last budget of the bb --auto-budget schedule
 ESTIMATE_DEFAULT_INTERVAL = "1:4096"
 
 
@@ -182,11 +182,12 @@ def cmd_enumerate(args, parser) -> int:
     return EXIT_OK
 
 
-def _doubling_schedule(limit: int):
-    t = 1
-    while t <= limit:
-        yield t
-        t *= 2
+def _doubling_schedule(start: int, limit: int) -> list:
+    """start, 2*start, ... while <= limit; just [start] when start > limit."""
+    schedule = [start]
+    while schedule[-1] * 2 <= limit:
+        schedule.append(schedule[-1] * 2)
+    return schedule
 
 
 def cmd_estimate(args, parser) -> int:
@@ -206,10 +207,8 @@ def cmd_estimate(args, parser) -> int:
         "seed": args.seed,
     }
     cache = VerdictCache(args.cache_path) if args.cache_path else None
-    schedule = list(_doubling_schedule(args.budget))
-    profile = phi_profile(
-        x, schedule, universe, cap=cap, ceiling=args.ceiling, cache=cache
-    )
+    schedule = _doubling_schedule(1, args.budget)
+    profile = phi_profile(x, schedule, universe, cap=cap, ceiling=args.ceiling, cache=cache)
     stats = SweepStats()
     pairs = applicable_set(
         x, universe, args.budget, args.max_prog_len, policy=args.policy,
@@ -329,8 +328,8 @@ def cmd_ctm(args, parser) -> int:
 
 
 def cmd_bb(args, parser) -> int:
-    if args.n_states < 1:
-        parser.error("n must be >= 1")
+    if not 1 <= args.n_states <= MAX_STATES_SUPPORTED:
+        parser.error(f"n_states must be in 1..{MAX_STATES_SUPPORTED}")
     _refuse_cache_path(args, parser)
     config = {
         "cmd": "bb",
@@ -342,18 +341,17 @@ def cmd_bb(args, parser) -> int:
         "out": args.out,
         "seed": args.seed,
     }
+    schedule, rng = [args.budget], None
     if args.auto_budget:
         if args.universe_interval:
             parser.error("--auto-budget sweeps whole layers; drop --universe-interval")
-        rec = decide_layer(args.n_states, start_budget=args.budget, verify=args.verify)
-    else:
-        rng = None
-        if args.universe_interval:
-            rng = _universe_from_args(args, parser, max(args.n_states, args.max_states))
-        try:
-            rec = bb_table(args.n_states, args.budget, machine_range=rng, verify=args.verify)
-        except ValueError as e:
-            parser.error(str(e))
+        schedule = _doubling_schedule(args.budget, AUTO_BUDGET_CEILING)
+    elif args.universe_interval:
+        rng = _universe_from_args(args, parser, max(args.n_states, args.max_states))
+    try:
+        rec = bb_table(args.n_states, schedule, machine_range=rng, verify=args.verify)
+    except ValueError as e:
+        parser.error(str(e))
     digest = _config_digest(config)
     if args.out == "json":
         doc = {
@@ -507,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verify", action="store_true",
                    help="re-check every divergence certificate by replay")
     p.add_argument("--auto-budget", action="store_true",
-                   help="double the budget until nothing stays undecided")
+                   help="report the first of --budget, 2x, 4x, ... 2^16 that decides all")
     p.add_argument("--universe-interval", default=None,
                    help="sweep only this index range; unswept machines count as undecided")
     p.set_defaults(func=cmd_bb)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .enumeration import BoxCounter, MachineRange, str_to_nat
-from .halting import Simulator, SweepStats, layer_leaves, pool_imap
+from .halting import Simulator, SweepStats, check_schedule, layer_leaves, pool_imap
 from .tm_core import identity_scanner, immediate_halt, run
 
 DEFAULT_ENUM_CEILING = 1 << 22
@@ -121,11 +121,7 @@ def phi_profile(
     up front when the scan could exceed ``ceiling`` programs.
     """
     _check_binary(x)
-    schedule = list(schedule)
-    if any(b >= a for a, b in zip(schedule[1:], schedule)):
-        raise ValueError("schedule must be strictly increasing")
-    if schedule and schedule[0] < 1:
-        raise ValueError("budget must be >= 1")
+    schedule = check_schedule(schedule)
     if cap is None:
         cap = len(x) + cap_constant()
     if cap < 0:

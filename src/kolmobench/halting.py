@@ -27,6 +27,7 @@ Certificate kinds, each with a mechanical checker:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import islice
 from multiprocessing import get_context
@@ -474,6 +475,7 @@ def _tape_matches_splice(ta, tb, d, cuts):
         spans.append((x, x + g, sym, acc))
         acc += g
         positions.update(range(x, x + g))
+        positions.update(y + d + acc for y in ta)  # ta cells right of this cut
     total = acc
 
     def expected(y):
@@ -650,14 +652,29 @@ def layer_leaves(
         yield table, count, res
 
 
+def check_schedule(schedule) -> list:
+    """A budget schedule as a list: non-empty, strictly increasing, budgets >= 1."""
+    schedule = list(schedule)
+    if not schedule or any(b >= a for a, b in zip(schedule[1:], schedule)):
+        raise ValueError("schedule must be non-empty and strictly increasing")
+    if schedule[0] < 1:
+        raise ValueError("budget must be >= 1")
+    return schedule
+
+
 def bb_table(
     n: int,
-    budget: int,
+    schedule,
     machine_range: MachineRange | None = None,
     verify: bool = False,
 ) -> BBRecord:
-    """Analyze every n-state machine on empty input; track the max halting
-    step count and how many machines stay undecided at this budget.
+    """Analyze every n-state machine on empty input in one sweep at the last
+    budget of a strictly increasing ``schedule``; track the max halting step
+    count and how many machines stay undecided.
+
+    A run reads its budget only in its loop bound, so if every leaf halts or
+    finds its certificate by step s, the sweep at the first budget >= s has
+    the same leaves and counts; the record reports that budget, else the last.
 
     A ``machine_range`` with an explicit index interval restricts the sweep;
     machines of the layer left unswept count as undecided, so a clipped
@@ -666,6 +683,7 @@ def bb_table(
     With ``verify`` every divergence certificate is re-checked by replay; a
     failure raises, since it would mean an unsound detector.
     """
+    schedule = check_schedule(schedule)
     layer_lo = layer_offset(n) + 1
     layer_hi = layer_lo + machine_count(n) - 1
     lo, hi = layer_lo, layer_hi
@@ -677,31 +695,18 @@ def bb_table(
         if lo > hi:
             raise ValueError("index interval excludes the whole layer")
     stats = SweepStats()
-    max_steps = 0
-    for _, count, res in layer_leaves(n, budget, lo, hi, verify):
+    max_steps = last_found = 0  # last_found: the latest certificate's discovery step
+    for _, count, res in layer_leaves(n, schedule[-1], lo, hi, verify):
         stats.add(res, count)
         if res[0] == "h":
             max_steps = max(max_steps, res[1])
-        elif res[0] == "d" and verify:
-            stats.leaves_verified += 1
+        elif res[0] == "d":
+            last_found = max(last_found, res[2])
+            if verify:
+                stats.leaves_verified += 1
     undecided = (lo - layer_lo) + (layer_hi - hi) + stats.verdicts.get("unknown", 0)
-    return BBRecord(n, max_steps, undecided == 0, undecided, budget, stats)
-
-
-def decide_layer(
-    n: int, start_budget: int = 16, max_budget: int = 1 << 16, verify: bool = False
-) -> BBRecord:
-    """Doubling search for a budget that fully decides the n-state layer.
-
-    Each budget sweeps the layer afresh (``verify`` as in ``bb_table``);
-    verdicts are monotone in the budget, so the last sweep's record is exact.
-    """
-    budget = start_budget
-    while True:
-        rec = bb_table(n, budget, verify=verify)
-        if rec.decided_all or budget * 2 > max_budget:
-            return rec
-        budget *= 2
+    first = -1 if undecided else bisect_left(schedule, max(max_steps, last_found))
+    return BBRecord(n, max_steps, undecided == 0, undecided, schedule[first], stats)
 
 
 class Simulator:

@@ -31,7 +31,7 @@ from kolmobench.enumeration import (
     table_to_index,
 )
 from kolmobench.estimator import applicable_set, bound_from_pairs, cap_constant, phi_profile
-from kolmobench.halting import bb_table, decide_layer
+from kolmobench.halting import bb_table
 from kolmobench.tm_core import Halted, Machine, run, u_run
 
 DATA = Path(__file__).parent / "data" / "regression.json"
@@ -196,10 +196,10 @@ def test_criterion_6_bijection_suites():
 
 
 def test_criterion_7_busy_beaver_layers_fully_decided():
-    rec1 = decide_layer(1, start_budget=16)
+    rec1 = bb_table(1, [16 << k for k in range(13)])  # doubling from 16 to 2^16
     assert rec1.decided_all and rec1.undecided_count == 0
     assert rec1.max_steps == REGRESSION["bb_max_steps"]["1"]
-    rec2 = bb_table(2, budget=256, verify=True)  # verify replays every certificate
+    rec2 = bb_table(2, [256], verify=True)  # verify replays every certificate
     assert rec2.decided_all and rec2.undecided_count == 0
     assert rec2.max_steps == REGRESSION["bb_max_steps"]["2"]
     assert rec2.max_steps >= rec1.max_steps

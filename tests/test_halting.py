@@ -15,7 +15,6 @@ from kolmobench.halting import (
     Unknown,
     analyze,
     bb_table,
-    decide_layer,
     verify_certificate,
 )
 from kolmobench.tm_core import (
@@ -166,14 +165,14 @@ def test_bb_table_one_state_matches_brute_force():
         if not isinstance(out, Cutoff):
             halting.add(idx)
             oracle_max = max(oracle_max, out.steps)
-    rec = bb_table(1, budget=64, verify=True)
+    rec = bb_table(1, [64], verify=True)
     assert rec.decided_all and rec.undecided_count == 0
     assert rec.max_steps == oracle_max == 3
     assert len(halting) == 610
 
 
-def test_decide_layer_one_state():
-    rec = decide_layer(1, start_budget=4)
+def test_bb_schedule_one_state():
+    rec = bb_table(1, [4 << k for k in range(15)])  # doubling from 4 to 2^16
     assert rec.decided_all and rec.max_steps == 3
 
 
@@ -198,6 +197,11 @@ def test_verify_rejects_tampered_certificates():
         BlankEscape(state=1, step=-1, direction="L"),
     ):
         assert not verify_certificate(left, "", ProvedDiverges(certificate=cert, found_at=5))
+    # Index 11 halts at step 2 on "0".  This splice leaves the tape cell that
+    # lands right of its cut unchecked; replay must still reject it.
+    halts = index_to_machine(11)
+    splice = SpliceCycle(step_a=0, step_b=1, shift=-2, cuts=((-2, 2, 0),))
+    assert not verify_certificate(halts, "0", ProvedDiverges(certificate=splice, found_at=1))
 
 
 def test_simulator_memoizes_across_budgets():
@@ -250,10 +254,10 @@ def test_bb_table_partial_interval_counts_unswept_as_undecided():
     from kolmobench.enumeration import MachineRange, machine_count
 
     rng = MachineRange(1, 1, 1, 100)
-    rec = bb_table(1, budget=64, machine_range=rng)
+    rec = bb_table(1, [64], machine_range=rng)
     assert not rec.decided_all
     assert rec.undecided_count == machine_count(1) - 100
-    full = bb_table(1, budget=64)
+    full = bb_table(1, [64])
     assert full.max_steps >= rec.max_steps
 
 
@@ -261,15 +265,15 @@ def test_bb_table_rejects_disjoint_interval():
     from kolmobench.enumeration import MachineRange
 
     with pytest.raises(ValueError):
-        bb_table(1, budget=16, machine_range=MachineRange(1, 2, 5000, 9000))
+        bb_table(1, [16], machine_range=MachineRange(1, 2, 5000, 9000))
     with pytest.raises(ValueError):
-        bb_table(2, budget=16, machine_range=MachineRange(1, 1))
+        bb_table(2, [16], machine_range=MachineRange(1, 1))
 
 
 def test_bb_table_single_machine_restriction():
     from kolmobench.enumeration import MachineRange
 
-    rec = bb_table(1, budget=16, machine_range=MachineRange(1, 1, 1, 1))
+    rec = bb_table(1, [16], machine_range=MachineRange(1, 1, 1, 1))
     assert rec.max_steps == 1  # the all-(write-blank, halt) machine
     assert not rec.decided_all and rec.undecided_count == 999
 

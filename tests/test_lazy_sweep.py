@@ -7,6 +7,7 @@ exactly.
 """
 
 import random
+from dataclasses import asdict
 from fractions import Fraction
 
 import pytest
@@ -32,7 +33,6 @@ from kolmobench.halting import (
     _walk_check,
     analyze_table,
     bb_table,
-    decide_layer,
     verify_certificate,
 )
 from kolmobench.tm_core import MOVE_RIGHT, WRITE_ONE, str_to_syms
@@ -58,7 +58,7 @@ def assert_matches_oracle(n, budget, lo, hi, tables):
     want_max, want_undecided, want_counts = oracle(tables, budget)
     swept = hi - lo + 1
     rng = MachineRange(n, n, lo, hi)
-    rec = bb_table(n, budget, machine_range=rng, verify=True)
+    rec = bb_table(n, [budget], machine_range=rng, verify=True)
     assert rec.max_steps == want_max
     assert rec.undecided_count - (machine_count(n) - swept) == want_undecided
     assert rec.stats.machines == sum(rec.stats.verdicts.values()) == swept
@@ -70,7 +70,7 @@ def assert_matches_oracle(n, budget, lo, hi, tables):
 def test_full_one_state_layer_matches_oracle(budget):
     hi = machine_count(1)
     assert_matches_oracle(1, budget, 1, hi, list(iter_tables(1)))
-    rec = bb_table(1, budget)
+    rec = bb_table(1, [budget])
     assert rec.stats.leaves < machine_count(1)
 
 
@@ -88,7 +88,7 @@ def test_two_state_slices_match_oracle(seed, budget):
 def test_verified_two_state_layer_stats_are_pinned():
     # A replay or detector that read an entry its run never took would
     # split leaves, and move these counts.
-    rec = bb_table(2, 256, verify=True)
+    rec = bb_table(2, [256], verify=True)
     assert (rec.max_steps, rec.undecided_count) == (10, 0)
     assert (rec.stats.leaves, rec.stats.leaves_verified) == (16_353, 10_513)
     assert rec.stats.verdicts == {
@@ -101,11 +101,50 @@ def test_verified_two_state_layer_stats_are_pinned():
     }
 
 
-def test_decide_layer_counts_every_machine_once():
-    rec = decide_layer(1, start_budget=1)
+def doubling(start):
+    """start, 2*start, ... up to 2^16: the bb --auto-budget schedule."""
+    return [start << k for k in range(17) if start << k <= 1 << 16]
+
+
+def doubling_loop(n, start, verify):
+    """Reference: one fresh one-budget sweep per budget, doubling until the
+    layer is decided or the next budget passes 2^16."""
+    budget = start
+    while True:
+        rec = bb_table(n, [budget], verify=verify)
+        if rec.decided_all or budget * 2 > 1 << 16:
+            return rec
+        budget *= 2
+
+
+@pytest.mark.parametrize("verify", [False, True])
+@pytest.mark.parametrize("start", [1, 16, 256])
+@pytest.mark.parametrize("n", [1, 2])
+def test_schedule_matches_doubling_loop(n, start, verify):
+    rec = bb_table(n, doubling(start), verify=verify)
+    want = doubling_loop(n, start, verify)
+    assert rec == want and rec.decided_all
+    assert asdict(rec.stats) == asdict(want.stats)
+
+
+def test_schedule_left_undecided_reports_its_last_budget():
+    rec = bb_table(2, [1, 2, 4, 8])
+    want = bb_table(2, [8])
+    assert rec == want and rec.undecided_count > 0 and rec.budget_used == 8
+    assert asdict(rec.stats) == asdict(want.stats)
+
+
+def test_schedule_counts_every_machine_once():
+    rec = bb_table(1, doubling(1))
     assert rec.decided_all and rec.max_steps == 3
     assert rec.stats.machines == sum(rec.stats.verdicts.values()) == machine_count(1)
     assert "unknown" not in rec.stats.verdicts
+
+
+@pytest.mark.parametrize("schedule", [[], [4, 4], [8, 4], [0, 4]])
+def test_bb_table_refuses_bad_schedules(schedule):
+    with pytest.raises(ValueError):
+        bb_table(1, schedule)
 
 
 @st.composite
