@@ -6,6 +6,7 @@ reproduce its max step count, undecided count and per-output counts
 exactly.
 """
 
+import hashlib
 import random
 from dataclasses import asdict
 from fractions import Fraction
@@ -33,11 +34,19 @@ from kolmobench.halting import (
     _walk_check,
     analyze_table,
     bb_table,
+    layer_leaves,
     verify_certificate,
 )
 from kolmobench.tm_core import MOVE_RIGHT, WRITE_ONE, str_to_syms
 
 LAYER2_LO = layer_offset(2) + 1
+
+
+def leaf_stream_digest(leaves):
+    """sha256 of the sorted leaf stream: one (table items, count, result)
+    line per leaf, so any change to a leaf's box or result moves it."""
+    lines = sorted(repr((sorted(t.items()), c, res)) for t, c, res in leaves)
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
 def oracle(tables, budget):
@@ -99,6 +108,49 @@ def test_verified_two_state_layer_stats_are_pinned():
         "dir": 1_187_106,
         "splice": 11_792,
     }
+    hi = LAYER2_LO + machine_count(2) - 1
+    assert leaf_stream_digest(layer_leaves(2, 256, LAYER2_LO, hi, verify=True)) == (
+        "50b4affae8baecd8dd8c3bc5913e3182eb476632a4342faf08ef5ea1116e4de1"
+    )
+
+
+# Detector oracle: every leaf's result (kind, certificate, discovery step)
+# is pinned, so a detector change that alters any verdict, splice candidate
+# or candidate order moves a digest.  Each stream holds two-cut splice
+# leaves.  3-state slices of 1e8 indices stand in for the layer, which has
+# no exhaustive oracle.
+@pytest.mark.parametrize(
+    "n, input_str, seed, sha",
+    [
+        pytest.param(
+            2, "0", None, "cfe8678fe882e7132542b277a65733f74a96e1fb17328ad081405aaae8a9e1e1",
+            id="layer2-0",
+        ),
+        pytest.param(
+            2, "1", None, "5326526256aec47f3d0ee73ec073004b898199669c2d7260cc8558685cca6da9",
+            id="layer2-1",
+        ),
+        pytest.param(
+            2, "010110", None, "a0f7f80d9f6fea35d83b288e939306de5c0b7ffdae1637742a2c436fc72c528c",
+            id="layer2-010110", marks=pytest.mark.slow,
+        ),
+        pytest.param(
+            3, "", 0, "754311e3dfaeb449cdeda94d1b09d2c21e537ebe47ad1cce6503bf15cc733c2d",
+            id="slice3-seed0", marks=pytest.mark.slow,
+        ),
+        pytest.param(
+            3, "", 1, "db542c9d108b68d8e04b2b57af5f55a74efbf642dfffaf925a48512a1fef5ebc",
+            id="slice3-seed1", marks=pytest.mark.slow,
+        ),
+    ],
+)
+def test_leaf_stream_digest_is_pinned(n, input_str, seed, sha):
+    lo, width = layer_offset(n) + 1, machine_count(n)
+    if seed is not None:  # a seeded slice of 1e8 indices, every certificate replayed
+        lo += random.Random(seed).randrange(width - 10**8)
+        width = 10**8
+    leaves = layer_leaves(n, 256, lo, lo + width - 1, seed is not None, input_str)
+    assert leaf_stream_digest(leaves) == sha
 
 
 def doubling(start):
