@@ -7,7 +7,7 @@ leaves nothing undecided."""
 import argparse
 import time
 
-from kolmobench.halting import bb_table
+from kolmobench.halting import bb_table, doubling_schedule
 
 
 def main():
@@ -16,9 +16,7 @@ def main():
     ap.add_argument("--start-budget", type=int, default=16)
     args = ap.parse_args()
 
-    schedule = [args.start_budget]
-    while schedule[-1] * 2 <= 1 << 16:
-        schedule.append(schedule[-1] * 2)
+    schedule = doubling_schedule(args.start_budget, 1 << 16)
     print("n_states  max_steps  decided_all  undecided  budget_used  seconds")
     for n in range(1, args.max_states + 1):
         t0 = time.time()

@@ -45,6 +45,7 @@ from .halting import (
     analyze,
     analyze_table,
     bb_table,
+    doubling_schedule,
     verify_certificate,
 )
 from .tm_core import str_to_syms
@@ -67,23 +68,25 @@ def _env_default(name: str, fallback):
     return os.environ.get(ENV_PREFIX + name, fallback)
 
 
-def _int_at_least(low: int):
-    """An argparse type for integers >= ``low``; a bad value exits 2."""
+def _int_between(low: int, high: int | None = None):
+    """An argparse type for integers in [low, high] (no upper bound when
+    ``high`` is None); a bad value exits 2."""
 
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if value < low or (high is not None and value > high):
+            bound = f">= {low}" if high is None else f"in {low}..{high}"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
         return value
 
     return parse
 
 
-_positive_int = _int_at_least(1)  # --budget, --threads (and their KOLMOBENCH_* variables), --ceiling
-_non_negative_int = _int_at_least(0)  # counts and lengths: --limit, --cap, --max-prog-len, --sample
+_positive_int = _int_between(1)  # --budget, --threads (and their KOLMOBENCH_* variables), --ceiling
+_non_negative_int = _int_between(0)  # counts and lengths: --limit, --cap, --max-prog-len, --sample
 
 
 def _config_digest(config: dict) -> str:
@@ -182,14 +185,6 @@ def cmd_enumerate(args, parser) -> int:
     return EXIT_OK
 
 
-def _doubling_schedule(start: int, limit: int) -> list:
-    """start, 2*start, ... while <= limit; just [start] when start > limit."""
-    schedule = [start]
-    while schedule[-1] * 2 <= limit:
-        schedule.append(schedule[-1] * 2)
-    return schedule
-
-
 def cmd_estimate(args, parser) -> int:
     x = _check_binary_arg(parser, args.x)
     universe = _universe_from_args(args, parser)
@@ -207,7 +202,7 @@ def cmd_estimate(args, parser) -> int:
         "seed": args.seed,
     }
     cache = VerdictCache(args.cache_path) if args.cache_path else None
-    schedule = _doubling_schedule(1, args.budget)
+    schedule = doubling_schedule(1, args.budget)
     profile = phi_profile(x, schedule, universe, cap=cap, ceiling=args.ceiling, cache=cache)
     stats = SweepStats()
     pairs = applicable_set(
@@ -345,7 +340,7 @@ def cmd_bb(args, parser) -> int:
     if args.auto_budget:
         if args.universe_interval:
             parser.error("--auto-budget sweeps whole layers; drop --universe-interval")
-        schedule = _doubling_schedule(args.budget, AUTO_BUDGET_CEILING)
+        schedule = doubling_schedule(args.budget, AUTO_BUDGET_CEILING)
     elif args.universe_interval:
         rng = _universe_from_args(args, parser, max(args.n_states, args.max_states))
     try:
@@ -435,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--max-states",
-        type=int,
+        type=_int_between(1, MAX_STATES_SUPPORTED),
         default=_env_default("MAX_STATES", 2),
         help="largest machine size in the universe (env KOLMOBENCH_MAX_STATES)",
     )

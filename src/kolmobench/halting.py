@@ -128,16 +128,41 @@ def _walk_check(table, q, sym, dir_right, cache):
     return res
 
 
+def _first_mismatch(ta, tb, d, ys):
+    """The first y of the range ``ys`` where tb[y] != ta[y - d], else ys.stop."""
+    for y in ys:
+        if tb.get(y, 0) != ta.get(y - d, 0):
+            return y
+    return ys.stop
+
+
+def _is_spliced_copy(ta, ha, tb, hb, d, cuts, lo, hi):
+    """Whether tb on [lo, hi] is ta shifted by d with the uniform blocks
+    ``cuts`` ((x, width, symbol), ... left to right) spliced in, and the head
+    at ha maps to hb."""
+    h = ha + d
+    for x, g, sym in cuts:
+        if h >= x:
+            h += g
+        if any(tb.get(y, 0) != sym for y in range(max(lo, x), min(x + g, hi + 1))):
+            return False
+    if h != hb:
+        return False
+    for x, g, _ in cuts:
+        stop = min(x, hi + 1)
+        if _first_mismatch(ta, tb, d, range(lo, stop)) < stop:
+            return False
+        lo, d = max(lo, x + g), d + g
+    return _first_mismatch(ta, tb, d, range(lo, hi + 1)) > hi
+
+
 def _splice_candidates(ta, ha, tb, hb):
-    """Single-cut candidates (shift d, cuts) making tb a spliced copy of ta."""
-    out = []
-    if not ta and not tb:
-        d = hb - ha
-        if d != 0:
-            out.append((d, ()))
-        return out
+    """Candidates (shift d, cuts) making tb a spliced copy of ta: the pure
+    shifts and one-cut splices, else two-cut splices for tapes growing at
+    both ends with distinct runs."""
     if not ta or not tb:
-        return out
+        return [(hb - ha, ())] if not ta and not tb and hb != ha else []
+    out = []
     alo, ahi, blo, bhi = min(ta), max(ta), min(tb), max(tb)
     shift_pairs = {
         (blo - alo, bhi - ahi),
@@ -149,115 +174,37 @@ def _splice_candidates(ta, ha, tb, hb):
         g = d2 - d
         if g < 0:
             continue
+        lo, hi = min(blo, alo + d), max(bhi, ahi + d + g)
         if g == 0:
-            if d == 0 or hb != ha + d or len(ta) != len(tb):
-                continue
-            if all(tb.get(y + d, 0) == ta.get(y, 0) for y in ta):
-                cand = (d, ())
-                if cand not in out:
-                    out.append(cand)
+            shifted = d and hb == ha + d and len(ta) == len(tb)
+            if shifted and _is_spliced_copy(ta, ha, tb, hb, d, (), lo, hi):
+                out.append((d, ()))
             continue
         if hb != ha + d and hb != ha + d + g:
             continue
-        lo = min(blo, alo + d)
-        hi = max(bhi, ahi + d + g)
-        x_hi = hi + 1
-        for y in range(lo, hi + 1):
-            if tb.get(y, 0) != ta.get(y - d, 0):
-                x_hi = y
-                break
-        x_lo = lo - g
-        for y in range(hi, lo - 1, -1):
-            if tb.get(y, 0) != ta.get(y - d - g, 0):
-                x_lo = y + 1 - g
-                break
+        x_hi = _first_mismatch(ta, tb, d, range(lo, hi + 1))
+        x_lo = _first_mismatch(ta, tb, d + g, range(hi, lo - 1, -1)) + 1 - g
         if x_lo > x_hi:
             continue
         for x in {x_lo, x_hi}:
-            sym = tb.get(x, 0)
-            if any(tb.get(x + i, 0) != sym for i in range(1, g)):
-                continue
-            ok = True
-            for y in range(min(lo, x), max(hi, x + g) + 1):
-                if x <= y < x + g:
-                    want = sym
-                elif y < x:
-                    want = ta.get(y - d, 0)
-                else:
-                    want = ta.get(y - d - g, 0)
-                if tb.get(y, 0) != want:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            hx = ha + d if ha + d < x else ha + d + g
-            if hx != hb:
-                continue
-            cand = (d, ((x, g, sym),))
-            if cand not in out:
-                out.append(cand)
-    return out
-
-
-def _double_splice_candidates(ta, ha, tb, hb):
-    """Two-cut candidates, for tapes growing at both ends with distinct runs."""
-    out = []
-    if not ta or not tb:
-        return out
-    alo, ahi, blo, bhi = min(ta), max(ta), min(tb), max(tb)
+            cuts = ((x, g, tb.get(x, 0)),)
+            if _is_spliced_copy(ta, ha, tb, hb, d, cuts, min(lo, x), max(hi, x + g)):
+                out.append((d, cuts))
+    # Two cuts: the tape ends fix the shift and the total width g, and the
+    # first block starts at the first mismatch from the left (there is one
+    # from each end, as tapes hold no blank cells and g > 0).
     d = blo - alo
-    gtot = (bhi - ahi) - d
-    if gtot < 2:
+    g = bhi - ahi - d
+    if out or g < 2:
         return out
-    lo = min(blo, alo + d)
-    hi = max(bhi, ahi + d + gtot)
-    x1 = None
-    for y in range(lo, hi + 1):
-        if tb.get(y, 0) != ta.get(y - d, 0):
-            x1 = y
-            break
-    if x1 is None:
-        return out
-    xe = None
-    for y in range(hi, lo - 1, -1):
-        if tb.get(y, 0) != ta.get(y - d - gtot, 0):
-            xe = y
-            break
-    for g1 in range(1, gtot):
-        g2 = gtot - g1
-        for x2 in {x1 + g1, xe + 1 - g2}:
-            if x2 < x1 + g1:
-                continue
-            s1 = tb.get(x1, 0)
-            s2 = tb.get(x2, 0)
-            ok = True
-            for y in range(lo, hi + 1):
-                if x1 <= y < x1 + g1:
-                    want = s1
-                elif x2 <= y < x2 + g2:
-                    want = s2
-                elif y < x1:
-                    want = ta.get(y - d, 0)
-                elif y < x2:
-                    want = ta.get(y - d - g1, 0)
-                else:
-                    want = ta.get(y - d - g1 - g2, 0)
-                if tb.get(y, 0) != want:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            if ha + d < x1:
-                hx = ha + d
-            elif ha + d + g1 < x2:
-                hx = ha + d + g1
-            else:
-                hx = ha + d + g1 + g2
-            if hx != hb:
-                continue
-            cand = (d, ((x1, g1, s1), (x2, g2, s2)))
-            if cand not in out:
-                out.append(cand)
+    x1 = _first_mismatch(ta, tb, d, range(blo, bhi + 1))
+    xe = _first_mismatch(ta, tb, d + g, range(bhi, blo - 1, -1))
+    for g1 in range(1, g):
+        for x2 in {x1 + g1, xe + 1 - (g - g1)}:
+            if x2 >= x1 + g1:
+                cuts = ((x1, g1, tb.get(x1, 0)), (x2, g - g1, tb.get(x2, 0)))
+                if _is_spliced_copy(ta, ha, tb, hb, d, cuts, blo, bhi):
+                    out.append((d, cuts))
     return out
 
 
@@ -319,7 +266,6 @@ def analyze_table(table: Table, input_syms: tuple, budget: int):
     seen = {(1, 0, frozenset(tape.items())): 0}
     srec = {}  # (state, right?) -> [step, head, extreme head since]
     snaps = {}
-    last_snap_step = {}
     maxh = minh = 0
 
     def forward_view_ok(hj, hk, right):
@@ -355,13 +301,9 @@ def analyze_table(table: Table, input_syms: tuple, budget: int):
             lst = snaps.get(key)
             if lst is None:
                 snaps[key] = [(steps, head, dict(tape))]
-                last_snap_step[key] = steps
-            elif steps * SNAPSHOT_GROWTH[1] >= last_snap_step[key] * SNAPSHOT_GROWTH[0]:
+            elif steps * SNAPSHOT_GROWTH[1] >= lst[-1][0] * SNAPSHOT_GROWTH[0]:
                 for j, hj, tj in reversed(lst):
-                    cands = _splice_candidates(tj, hj, tape, head)
-                    if not cands:
-                        cands = _double_splice_candidates(tj, hj, tape, head)
-                    for d, cuts in cands:
+                    for d, cuts in _splice_candidates(tj, hj, tape, head):
                         if not cuts:
                             return ("splice", j, steps, d, ())
                         acuts = _cuts_in_a_coords(d, cuts)
@@ -370,7 +312,6 @@ def analyze_table(table: Table, input_syms: tuple, budget: int):
                 if len(lst) >= MAX_SNAPSHOTS_PER_KEY:
                     lst.pop(1 if len(lst) > 1 else 0)
                 lst.append((steps, head, dict(tape)))
-                last_snap_step[key] = steps
         return None
 
     cert = record_event(True)
@@ -659,6 +600,14 @@ def check_schedule(schedule) -> list:
         raise ValueError("schedule must be non-empty and strictly increasing")
     if schedule[0] < 1:
         raise ValueError("budget must be >= 1")
+    return schedule
+
+
+def doubling_schedule(start: int, limit: int) -> list:
+    """start, 2*start, ... while <= limit; just [start] when start > limit."""
+    schedule = [start]
+    while schedule[-1] * 2 <= limit:
+        schedule.append(schedule[-1] * 2)
     return schedule
 
 

@@ -113,6 +113,7 @@ def test_estimate_without_small_indices_scans_only_their_programs():
         (["estimate", "1", "--ceiling", "0"], "argument --ceiling"),
         (["estimate", "1", "--ceiling", "-5"], "argument --ceiling"),
         (["bb", "9", "--budget", "4"], "n_states must be in 1..8"),
+        (["ctm", "--scheme", "frequency", "--max-states", "9", "--budget", "4"], "--max-states"),
     ],
 )
 def test_out_of_range_arguments_exit_2(argv, message, capsys):
