@@ -62,12 +62,6 @@ AUTO_BUDGET_CEILING = 1 << 16  # the last budget of the bb --auto-budget schedul
 ESTIMATE_DEFAULT_INTERVAL = "1:4096"
 
 
-def _env_default(name: str, fallback):
-    """The raw KOLMOBENCH_<name> string, else ``fallback``; argparse converts
-    a string default with the flag's own ``type`` and exits 2 on a bad one."""
-    return os.environ.get(ENV_PREFIX + name, fallback)
-
-
 def _int_between(low: int, high: int | None = None):
     """An argparse type for integers in [low, high] (no upper bound when
     ``high`` is None); a bad value exits 2."""
@@ -85,8 +79,35 @@ def _int_between(low: int, high: int | None = None):
     return parse
 
 
-_positive_int = _int_between(1)  # --budget, --threads (and their KOLMOBENCH_* variables), --ceiling
-_non_negative_int = _int_between(0)  # counts and lengths: --limit, --cap, --max-prog-len, --sample
+_positive_int = _int_between(1)  # --budget, --threads, --ceiling, --N
+_non_negative_int = _int_between(0)  # --limit, --cap, --max-prog-len, --sample, --L
+_state_count = _int_between(1, MAX_STATES_SUPPORTED)  # n_states, --max-states
+
+# The flags several subcommands share.  Each subcommand takes only those it
+# reads, so argparse refuses the rest with exit 2.  Where a subcommand takes
+# --<name>, a set KOLMOBENCH_<NAME> is its default; argparse converts a string
+# default with the flag's own type and exits 2 on a bad one.
+SHARED_FLAGS = {
+    "--budget": dict(type=_positive_int, default="256", help="simulation step budget"),
+    "--max-states": dict(type=_state_count, default=2,
+                         help="largest machine size in the universe"),
+    "--out": dict(choices=("csv", "json"), default="csv", help="export format"),
+    "--output": dict(default=None, help="export file path; stdout when unset"),
+    "--cache-path": dict(default=None, help="verdict cache file"),
+    "--threads": dict(type=_positive_int, default=1,
+                      help="worker processes for sweeps; never changes results"),
+    "--seed": dict(type=int, default=0,
+                   help="recorded in the export config; seeds only cache verify's sample"),
+}
+
+
+def _add_shared(parser, *names) -> None:
+    for name in names:
+        spec = dict(SHARED_FLAGS[name])
+        env = ENV_PREFIX + name[2:].upper().replace("-", "_")
+        spec["default"] = os.environ.get(env, spec["default"])
+        spec["help"] += f" (env {env})"
+        parser.add_argument(name, **spec)
 
 
 def _config_digest(config: dict) -> str:
@@ -102,7 +123,7 @@ def _write_export(text: str, args, config: dict, stats=None) -> None:
             "tool_version": __version__,
             "created": datetime.datetime.now(datetime.timezone.utc).isoformat(),
             "threads": args.threads,
-            "cache_path": args.cache_path,
+            "cache_path": vars(args).get("cache_path"),
             "export_sha256": hashlib.sha256(text.encode()).hexdigest(),
         },
     }
@@ -131,16 +152,16 @@ def _replace_files(texts: dict) -> None:
                 os.remove(path + ".tmp")
 
 
-def _universe_from_args(args, parser, max_states=None) -> MachineRange:
+def _universe_from_args(args, parser, max_states: int) -> MachineRange:
     lo = hi = None
-    if getattr(args, "universe_interval", None):
+    if args.universe_interval:
         try:
             a, _, b = args.universe_interval.partition(":")
             lo, hi = int(a), int(b)
         except ValueError:
             parser.error(f"bad --universe-interval {args.universe_interval!r}")
     try:
-        return MachineRange(1, max_states or args.max_states, lo, hi)
+        return MachineRange(1, max_states, lo, hi)
     except ValueError as e:
         parser.error(str(e))
 
@@ -155,19 +176,7 @@ def _check_binary_arg(parser, x: str) -> str:
 # subcommands
 
 
-def _refuse_cache_path(args, parser) -> None:
-    """Exit 2 on ``--cache-path`` (or ``KOLMOBENCH_CACHE_PATH``) for a
-    command that keeps no verdicts."""
-    if args.cache_path:
-        parser.error(
-            f"--cache-path applies to estimate and cache only; {args.command} keeps no verdicts"
-        )
-
-
 def cmd_enumerate(args, parser) -> int:
-    if not 1 <= args.n_states <= MAX_STATES_SUPPORTED:
-        parser.error(f"n_states must be in 1..{MAX_STATES_SUPPORTED}")
-    _refuse_cache_path(args, parser)
     from .enumeration import layer_offset, machine_count
 
     total = machine_count(args.n_states)
@@ -187,7 +196,7 @@ def cmd_enumerate(args, parser) -> int:
 
 def cmd_estimate(args, parser) -> int:
     x = _check_binary_arg(parser, args.x)
-    universe = _universe_from_args(args, parser)
+    universe = _universe_from_args(args, parser, args.max_states)
     cap = args.cap if args.cap is not None else len(x) + cap_constant()
     config = {
         "cmd": "estimate",
@@ -224,14 +233,7 @@ def cmd_estimate(args, parser) -> int:
             "profile": [
                 {"t": r.t, "value": r.value, "witness": r.witness} for r in profile
             ],
-            "upper_bound": {
-                "bound": bound,
-                "i": witness.i,
-                "p": witness.p,
-                "cost": witness.cost,
-                "encoded_len": witness.encoded_len,
-                "steps": witness.steps,
-            },
+            "upper_bound": {"bound": bound, **asdict(witness)},
             "applicable_count": n_pairs,
         }
         text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
@@ -260,10 +262,11 @@ def cmd_ctm(args, parser) -> int:
         parser.error("--L applies to the corrected scheme only")
     if args.scheme != FLAWED and args.n_ceiling is not None:
         parser.error("--N applies to the flawed scheme only")
-    _refuse_cache_path(args, parser)
+    if args.scheme == FLAWED and args.universe_interval is not None:
+        parser.error("--universe-interval applies to the corrected and frequency schemes only")
     if args.scheme == FLAWED:
         n_max = args.n_ceiling
-        if n_max is None or n_max < 1:
+        if n_max is None:
             parser.error("flawed scheme needs --N >= 1")
         config = {
             "cmd": "ctm",
@@ -293,7 +296,7 @@ def cmd_ctm(args, parser) -> int:
         return EXIT_OK
 
     # corrected / frequency
-    universe = _universe_from_args(args, parser)
+    universe = _universe_from_args(args, parser, args.max_states)
     if universe.count == 0:
         parser.error("empty universe")
     config = {
@@ -306,8 +309,6 @@ def cmd_ctm(args, parser) -> int:
     }
     if args.scheme == CORRECTED:
         block_len = args.block_len if args.block_len is not None else 0
-        if block_len < 0:
-            parser.error("--L must be >= 0")
         config["L"] = block_len
         table = corrected_table(universe, block_len, args.budget, threads=args.threads)
     else:
@@ -323,9 +324,6 @@ def cmd_ctm(args, parser) -> int:
 
 
 def cmd_bb(args, parser) -> int:
-    if not 1 <= args.n_states <= MAX_STATES_SUPPORTED:
-        parser.error(f"n_states must be in 1..{MAX_STATES_SUPPORTED}")
-    _refuse_cache_path(args, parser)
     config = {
         "cmd": "bb",
         "n": args.n_states,
@@ -342,29 +340,19 @@ def cmd_bb(args, parser) -> int:
             parser.error("--auto-budget sweeps whole layers; drop --universe-interval")
         schedule = doubling_schedule(args.budget, AUTO_BUDGET_CEILING)
     elif args.universe_interval:
-        rng = _universe_from_args(args, parser, max(args.n_states, args.max_states))
+        rng = _universe_from_args(args, parser, args.n_states)
     try:
         rec = bb_table(args.n_states, schedule, machine_range=rng, verify=args.verify)
     except ValueError as e:
         parser.error(str(e))
     digest = _config_digest(config)
+    fields = {k: v for k, v in asdict(rec).items() if k != "stats"}
     if args.out == "json":
-        doc = {
-            "manifest_config": digest,
-            "n_states": rec.n_states,
-            "max_steps": rec.max_steps,
-            "decided_all": rec.decided_all,
-            "undecided_count": rec.undecided_count,
-            "budget_used": rec.budget_used,
-        }
+        doc = {"manifest_config": digest, **fields}
         text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
     else:
-        text = (
-            f"# manifest_config={digest}\n"
-            "n_states,max_steps,decided_all,undecided_count,budget_used\n"
-            f"{rec.n_states},{rec.max_steps},{rec.decided_all},"
-            f"{rec.undecided_count},{rec.budget_used}\n"
-        )
+        row = ",".join(str(v) for v in fields.values())
+        text = f"# manifest_config={digest}\n{','.join(fields)}\n{row}\n"
     _write_export(text, args, config, rec.stats)
     print(
         f"n={rec.n_states}: max_steps={rec.max_steps} decided_all={rec.decided_all} "
@@ -421,61 +409,21 @@ def cmd_cache(args, parser) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--budget",
-        type=_positive_int,
-        default=_env_default("BUDGET", "256"),
-        help="simulation step budget (env KOLMOBENCH_BUDGET)",
-    )
-    common.add_argument(
-        "--max-states",
-        type=_int_between(1, MAX_STATES_SUPPORTED),
-        default=_env_default("MAX_STATES", 2),
-        help="largest machine size in the universe (env KOLMOBENCH_MAX_STATES)",
-    )
-    common.add_argument(
-        "--out",
-        choices=("csv", "json"),
-        default=_env_default("OUT", "csv"),
-        help="export format (env KOLMOBENCH_OUT)",
-    )
-    common.add_argument(
-        "--output",
-        default=_env_default("OUTPUT", None),
-        help="export file path (default: stdout)",
-    )
-    common.add_argument(
-        "--cache-path",
-        default=_env_default("CACHE_PATH", None),
-        help="verdict cache file (env KOLMOBENCH_CACHE_PATH)",
-    )
-    common.add_argument(
-        "--threads",
-        type=_positive_int,
-        default=_env_default("THREADS", 1),
-        help="worker processes for sweeps; never changes results "
-        "(env KOLMOBENCH_THREADS)",
-    )
-    common.add_argument(
-        "--seed",
-        type=int,
-        default=_env_default("SEED", 0),
-        help="seed for all sampling (env KOLMOBENCH_SEED)",
-    )
     parser = argparse.ArgumentParser(
         prog="kolmobench",
         description="desk-scale workbench for complexity upper bounds from small machines",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("enumerate", parents=[common], help="list machines of one state count")
-    p.add_argument("n_states", type=int)
+    p = sub.add_parser("enumerate", help="list machines of one state count")
+    _add_shared(p, "--budget")
+    p.add_argument("n_states", type=_state_count)
     p.add_argument("--limit", type=_non_negative_int, default=20)
     p.add_argument("--verdicts", action="store_true", help="add empty-input verdicts")
     p.set_defaults(func=cmd_enumerate)
 
-    p = sub.add_parser("estimate", parents=[common], help="anytime upper bounds for one string")
+    p = sub.add_parser("estimate", help="anytime upper bounds for one string")
+    _add_shared(p, *SHARED_FLAGS)
     p.add_argument("x", help="binary target string")
     p.add_argument("--cap", type=_non_negative_int, default=None, help="program-length cap")
     p.add_argument("--max-prog-len", type=_non_negative_int, default=4)
@@ -486,17 +434,20 @@ def build_parser() -> argparse.ArgumentParser:
                    help="explicit index range lo:hi (default keeps sweeps small)")
     p.set_defaults(func=cmd_estimate)
 
-    p = sub.add_parser("ctm", parents=[common], help="output-frequency and mixture tables")
+    p = sub.add_parser("ctm", help="output-frequency and mixture tables")
+    _add_shared(p, "--budget", "--max-states", "--out", "--output", "--threads", "--seed")
     p.add_argument("--scheme", choices=(FLAWED, CORRECTED, "frequency"), required=True)
-    p.add_argument("--N", dest="n_ceiling", type=int, default=None,
+    p.add_argument("--N", dest="n_ceiling", type=_positive_int, default=None,
                    help="index ceiling for the flawed scheme")
-    p.add_argument("--L", dest="block_len", type=int, default=None,
+    p.add_argument("--L", dest="block_len", type=_non_negative_int, default=None,
                    help="program block length for the corrected scheme")
-    p.add_argument("--universe-interval", default=None, help="explicit index range lo:hi")
+    p.add_argument("--universe-interval", default=None,
+                   help="explicit index range lo:hi (corrected and frequency schemes)")
     p.set_defaults(func=cmd_ctm)
 
-    p = sub.add_parser("bb", parents=[common], help="busy-beaver step table for one layer")
-    p.add_argument("n_states", type=int)
+    p = sub.add_parser("bb", help="busy-beaver step table for one layer")
+    _add_shared(p, "--budget", "--out", "--output", "--threads", "--seed")
+    p.add_argument("n_states", type=_state_count)
     p.add_argument("--verify", action="store_true",
                    help="re-check every divergence certificate by replay")
     p.add_argument("--auto-budget", action="store_true",
@@ -505,7 +456,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sweep only this index range; unswept machines count as undecided")
     p.set_defaults(func=cmd_bb)
 
-    p = sub.add_parser("cache", parents=[common], help="inspect, verify, or compact the verdict cache")
+    p = sub.add_parser("cache", help="inspect, verify, or compact the verdict cache")
+    _add_shared(p, "--cache-path", "--seed")
     p.add_argument("action", choices=("inspect", "verify", "compact"))
     p.add_argument("--sample", type=_non_negative_int, default=64)
     p.set_defaults(func=cmd_cache)

@@ -109,10 +109,10 @@ def test_estimate_without_small_indices_scans_only_their_programs():
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["enumerate", "9", "--limit", "1"], "n_states must be in 1..8"),
+        (["enumerate", "9", "--limit", "1"], "argument n_states: must be in 1..8"),
         (["estimate", "1", "--ceiling", "0"], "argument --ceiling"),
         (["estimate", "1", "--ceiling", "-5"], "argument --ceiling"),
-        (["bb", "9", "--budget", "4"], "n_states must be in 1..8"),
+        (["bb", "9", "--budget", "4"], "argument n_states: must be in 1..8"),
         (["ctm", "--scheme", "frequency", "--max-states", "9", "--budget", "4"], "--max-states"),
     ],
 )
@@ -359,10 +359,49 @@ def test_refuses_cache_path(argv, tmp_path, capsys, monkeypatch):
     cache, out = tmp_path / "vc.jsonl", tmp_path / "out.csv"
     code, stdout, err = run_cli(argv + ["--cache-path", str(cache), "--output", str(out)], capsys)
     assert code == EXIT_BAD_INPUT and "--cache-path" in err and not stdout
-    monkeypatch.setenv("KOLMOBENCH_CACHE_PATH", str(cache))
-    code, stdout, err = run_cli(argv + ["--output", str(out)], capsys)
-    assert code == EXIT_BAD_INPUT and "--cache-path" in err and not stdout
     assert not cache.exists() and not out.exists()
+    # The variable is the default of a flag neither command takes: ignored.
+    to_file = argv[0] == "bb"  # enumerate writes no export, only stdout
+    exports = []
+    for env in (None, str(cache)):
+        if env:
+            monkeypatch.setenv("KOLMOBENCH_CACHE_PATH", env)
+        code, stdout, _ = run_cli(argv + (["--output", str(out)] if to_file else []), capsys)
+        assert code == EXIT_OK
+        exports.append(out.read_bytes() if to_file else stdout)
+    assert exports[0] == exports[1] and not cache.exists()
+
+
+# The shared flags a command does not read; argparse refuses each one.
+NOT_TAKEN = {
+    "enumerate": ["--max-states", "--out", "--output", "--cache-path", "--threads", "--seed"],
+    "ctm": ["--cache-path"],
+    "bb": ["--max-states", "--cache-path"],
+    "cache": ["--budget", "--max-states", "--out", "--output", "--threads"],
+}
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [(c, f) for c, flags in NOT_TAKEN.items() for f in flags],
+    ids=lambda v: v,
+)
+def test_flags_a_command_does_not_read_exit_2(command, flag, tmp_path, capsys):
+    base = {
+        "enumerate": ["enumerate", "1", "--limit", "1"],
+        "ctm": ["ctm", "--scheme", "frequency", "--max-states", "1", "--budget", "8",
+                "--output", str(tmp_path / "export")],
+        "bb": ["bb", "1", "--budget", "8", "--output", str(tmp_path / "export")],
+        "cache": ["cache", "inspect", "--cache-path", str(tmp_path / "vc.jsonl")],
+    }[command]
+    value = {
+        "--budget": "8", "--max-states": "1", "--out": "json", "--threads": "1", "--seed": "3",
+        "--output": str(tmp_path / "flagged"), "--cache-path": str(tmp_path / "flagged.jsonl"),
+    }[flag]
+    code, out, err = run_cli(base + [flag, value], capsys)
+    assert code == EXIT_BAD_INPUT
+    assert f"unrecognized arguments: {flag}" in err and not out
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize(
@@ -439,7 +478,12 @@ def test_every_command_refuses_budget_below_one(argv, budget, tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "flags",
-    [("frequency", "--L", "2"), ("corrected", "--N", "10"), ("frequency", "--N", "10")],
+    [
+        ("frequency", "--L", "2"),
+        ("corrected", "--N", "10"),
+        ("frequency", "--N", "10"),
+        ("flawed", "--universe-interval", "900:950"),
+    ],
 )
 def test_ctm_rejects_flags_of_other_schemes(flags, capsys):
     scheme, *rest = flags
@@ -522,7 +566,11 @@ def test_env_variable_overrides_defaults(tmp_path, monkeypatch, capsys):
 )
 @pytest.mark.parametrize(
     "argv",
-    [["bb", "1"], ["ctm", "--scheme", "corrected", "--L", "1", "--universe-interval", "1:20"]],
+    [
+        ["bb", "1"],
+        ["ctm", "--scheme", "corrected", "--L", "1", "--universe-interval", "1:20"],
+        ["estimate", "1", "--universe-interval", "1:20"],
+    ],
 )
 def test_malformed_env_values_and_threads_below_one_exit_2(
     env, flags, flag, argv, tmp_path, monkeypatch, capsys
@@ -531,6 +579,10 @@ def test_malformed_env_values_and_threads_below_one_exit_2(
         monkeypatch.setenv(name, value)
     out = tmp_path / "export"
     code, _, err = run_cli(argv + flags + ["--budget", "8", "--output", str(out)], capsys)
+    if argv[0] == "bb" and flag == "--max-states":
+        # bb takes no --max-states, so it ignores KOLMOBENCH_MAX_STATES.
+        assert code == EXIT_OK and out.exists()
+        return
     assert code == EXIT_BAD_INPUT
     assert f"argument {flag}" in err
     assert not out.exists()
@@ -542,3 +594,44 @@ def test_env_threads_reaches_the_manifest(tmp_path, monkeypatch, capsys):
     assert run_cli(["bb", "1", "--budget", "8", "--output", str(out)], capsys)[0] == EXIT_OK
     manifest = json.loads((tmp_path / "bb.csv.manifest.json").read_text())
     assert manifest["runtime"]["threads"] == 2
+
+
+def _perfbench_run_module(monkeypatch):
+    """perfbench/run.py, imported read-only; it imports its siblings by name."""
+    import importlib.util
+
+    here = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(here))
+    spec = importlib.util.spec_from_file_location("perfbench_run", here / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_perfbench_op_argv_parses(monkeypatch):
+    import random
+    from dataclasses import replace
+
+    from kolmobench.cli import build_parser
+
+    for name in [k for k in os.environ if k.startswith("KOLMOBENCH_")]:
+        monkeypatch.delenv(name)  # the benchmark starts its ops without them
+    run = _perfbench_run_module(monkeypatch)
+    seconds = json.loads((Path(run.ROOT) / "BENCHMARK.json").read_text())["run_seconds"]
+    argvs = []
+    for workload, build in run.WORKLOADS.items():
+        units = max(1, round(seconds / run.UNIT_SECONDS[workload]))
+        for seed in range(10):
+            for op in build(random.Random(f"{workload}:{seed}"), units):
+                argv = [*op.argv, "--output", f"op.{op.out}"]
+                if op.kind == "estimate":
+                    argv += ["--cache-path", f"cache-{op.x}.jsonl"]
+                argvs.append(argv)
+    window = run.mixture(random.Random("mixture:0"), 1)[0]  # the trace-mode pool op
+    argvs.append([*replace(window, argv=window.argv[:-1] + ("2",)).argv, "--output", "pool"])
+    assert argvs[-1][-4:-2] == ["--threads", "2"]
+    parser = build_parser()
+    for argv in argvs:
+        args = parser.parse_args(argv)
+        assert args.output and args.command == argv[0]

@@ -24,6 +24,7 @@ from kolmobench.enumeration import (
     iter_tables,
     layer_offset,
     machine_count,
+    table_to_index,
 )
 from kolmobench.halting import (
     BlankEscape,
@@ -145,12 +146,45 @@ def test_verified_two_state_layer_stats_are_pinned():
     ],
 )
 def test_leaf_stream_digest_is_pinned(n, input_str, seed, sha):
-    lo, width = layer_offset(n) + 1, machine_count(n)
-    if seed is not None:  # a seeded slice of 1e8 indices, every certificate replayed
-        lo += random.Random(seed).randrange(width - 10**8)
-        width = 10**8
-    leaves = layer_leaves(n, 256, lo, lo + width - 1, seed is not None, input_str)
+    if seed is None:
+        lo, hi = layer_offset(n) + 1, layer_offset(n) + machine_count(n)
+    else:  # every certificate replayed
+        lo, hi = seeded_slice(n, seed)
+    leaves = layer_leaves(n, 256, lo, hi, seed is not None, input_str)
     assert leaf_stream_digest(leaves) == sha
+
+
+def seeded_slice(n, seed):
+    """A seeded interval of 1e8 indices of the n-state layer."""
+    lo = layer_offset(n) + 1 + random.Random(seed).randrange(machine_count(n) - 10**8)
+    return lo, lo + 10**8 - 1
+
+
+def sample_member(boxes, table, rng):
+    """One index of the leaf's box, drawn by a walk down its open entries
+    that picks each value with probability proportional to its box count."""
+    fixed = dict(table)
+    for pos in reversed(range(boxes.width)):
+        if pos not in fixed:
+            counts = boxes.children(fixed, pos)
+            fixed[pos] = divmod(rng.choices(range(boxes.base), weights=counts)[0], boxes.n1)
+    return table_to_index(boxes.n1 - 1, tuple(fixed[pos] for pos in range(boxes.width)))
+
+
+# The 3-state layer has no exhaustive oracle: instead, one seeded member of
+# every leaf of the digest test's slices, decoded and analysed plainly, must
+# get the leaf's result.
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", [0, 1])
+def test_sampled_members_get_their_leaf_result(seed):
+    lo, hi = seeded_slice(3, seed)
+    boxes, rng = BoxCounter(3, lo, hi), random.Random(seed)
+    for table, _, res in layer_leaves(3, 256, lo, hi, verify=True):
+        i = sample_member(boxes, table, rng)
+        n, full = index_to_table(i)
+        assert n == 3 and lo <= i <= hi
+        assert all(full[pos] == entry for pos, entry in table.items())
+        assert analyze_table(full, (), 256) == res
 
 
 def doubling(start):
