@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -347,6 +348,87 @@ def test_estimate_stats_go_to_manifest_only(tmp_path, capsys):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "07a24bb2b0861b4744d54a6dafee9b50ef72de836f823d43914e8cb265668a54"
     )
+
+
+def _manifest_digest(manifest: dict) -> str:
+    """sha256 prefix of a manifest as the export writer formats it, less its timestamp."""
+    del manifest["runtime"]["created"]
+    blob = json.dumps(manifest, indent=2, sort_keys=True).encode()
+    return hashlib.sha256(blob).hexdigest()[:16]
+
+
+# The exports that perfbench's pinned digests leave out: (argv, sha256 of the
+# export, manifest digest, stderr).
+PINNED_EXPORTS = {
+    "flawed-csv": (
+        ["ctm", "--scheme", "flawed", "--N", "300", "--budget", "64"],
+        "1345ecee2abe309ac0e0b7de0db7e78ab5d8fba132d8e9d455132da03eb3d126", "718421e6cbec71ae",
+        "total_mass=4/3 (1.333333)\nflawed mass exceeds 1 first at N=3 (exact comparison)\n",
+    ),
+    "flawed-json": (
+        ["ctm", "--scheme", "flawed", "--N", "300", "--budget", "64", "--out", "json"],
+        "550b13481b3f1d0ebdab60a9f97baa822962bad28a465bd0c5ac48ef640ca8fc", "387091222011268a",
+        "total_mass=4/3 (1.333333)\nflawed mass exceeds 1 first at N=3 (exact comparison)\n",
+    ),
+    "flawed-no-crossing": (
+        ["ctm", "--scheme", "flawed", "--N", "2", "--budget", "64"],
+        "07004fb0895e98255ed2155a4ac2b66edd22187a01bef0988622d23634cff013", "fec0ce23e8faf282",
+        "total_mass=1 (1.000000)\nflawed mass stayed <= 1 up to N=2\n",
+    ),
+    "frequency-json": (
+        ["ctm", "--scheme", "frequency", "--max-states", "1", "--budget", "64", "--out", "json"],
+        "e5c7d36b0f484aa97c8ccee4792b795f92475468c77cf6a3a8c6c9d63839e93f", "a220cf679488a889",
+        "total_mass=61/100 (0.610000) <= 1\n",
+    ),
+    "corrected-L0-json": (
+        ["ctm", "--scheme", "corrected", "--max-states", "1", "--L", "0", "--budget", "16",
+         "--out", "json"],
+        "2e9f85805fa6b3ea9853f302cc6f153664d8fa44cbb55bfe85a13de9220084e3", "0c7b1fdad3c73261",
+        "total_mass=215477/1048576 (0.205495) <= 1\n",
+    ),
+    "bb-verify-json": (
+        ["bb", "1", "--budget", "16", "--verify", "--out", "json"],
+        "ee56baa9de1f1ed5878125d774e3f78924fdd46e440373699b0c27d5f7474eb9", "2eb170392a800daa",
+        "n=1: max_steps=3 decided_all=True undecided=0 budget=16\n",
+    ),
+    "bb-auto-budget": (
+        ["bb", "1", "--auto-budget"],
+        "2b1e62a8cf16aed5c77467ff67ca6653364d78c3017163a37d85b07e448c6ed2", "f1d3bc11a87ba601",
+        "n=1: max_steps=3 decided_all=True undecided=0 budget=256\n",
+    ),
+    "estimate-csv": (
+        ["estimate", "101", "--budget", "256", "--universe-interval", "1:1000"],
+        "3aa584a1380dcbc06daf0c841b71dd13e04e78b969c0d3bb5f4ad56330f6377c", "aff94d15e70c159e",
+        "phi stabilized at 7 (cap 24); upper bound 7 via (i=1, p='0101'); 841 applicable pairs\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_EXPORTS)
+def test_export_bytes_are_pinned(name, tmp_path, capsys, monkeypatch):
+    for env in [k for k in os.environ if k.startswith("KOLMOBENCH_")]:
+        monkeypatch.delenv(env)
+    argv, export_sha, manifest_digest, stderr = PINNED_EXPORTS[name]
+    out = tmp_path / "export"
+    code, stdout, err = run_cli(argv + ["--output", str(out)], capsys)
+    assert (code, stdout, err) == (EXIT_OK, "", stderr)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == export_sha
+    manifest = json.loads((tmp_path / "export.manifest.json").read_text())
+    assert _manifest_digest(manifest) == manifest_digest
+
+
+def test_stdout_export_is_pinned(capsys, monkeypatch):
+    # Without --output the export goes to stdout and its manifest to stderr, on one line.
+    for env in [k for k in os.environ if k.startswith("KOLMOBENCH_")]:
+        monkeypatch.delenv(env)
+    code, stdout, err = run_cli(["bb", "1", "--budget", "16"], capsys)
+    assert code == EXIT_OK
+    assert hashlib.sha256(stdout.encode()).hexdigest() == (
+        "b27c8969e56f4ee326f0d11a0f51168ede915aaed77158fa6bfc6a51e4827307"
+    )
+    manifest, summary = err.splitlines()
+    assert _manifest_digest(json.loads(manifest)) == "30d96e8de2e30a9b"
+    assert summary == "n=1: max_steps=3 decided_all=True undecided=0 budget=16"
 
 
 @pytest.mark.parametrize(
