@@ -25,13 +25,21 @@ from .ctm import (
     CORRECTED,
     FLAWED,
     corrected_table,
+    export_text,
     flawed_crossing,
     flawed_table,
     output_frequency,
     table_to_csv,
     table_to_json,
 )
-from .enumeration import MAX_STATES_SUPPORTED, MachineRange, index_to_machine, index_to_table
+from .enumeration import (
+    MAX_STATES_SUPPORTED,
+    MachineRange,
+    index_to_machine,
+    index_to_table,
+    layer_offset,
+    machine_count,
+)
 from .estimator import (
     EnumerationLimitError,
     PRUNING_POLICIES,
@@ -41,7 +49,9 @@ from .estimator import (
     phi_profile,
 )
 from .halting import (
+    ProvedDiverges,
     SweepStats,
+    _to_certificate,
     analyze,
     analyze_table,
     bb_table,
@@ -108,6 +118,13 @@ def _add_shared(parser, *names) -> None:
         spec["default"] = os.environ.get(env, spec["default"])
         spec["help"] += f" (env {env})"
         parser.add_argument(name, **spec)
+
+
+def _config(args, **fields) -> dict:
+    """The run config an export is a pure function of: the fields every
+    exporting command records, then its own."""
+    common = {"cmd": args.command, "budget": args.budget, "out": args.out, "seed": args.seed}
+    return {**common, **fields}
 
 
 def _config_digest(config: dict) -> str:
@@ -177,8 +194,6 @@ def _check_binary_arg(parser, x: str) -> str:
 
 
 def cmd_enumerate(args, parser) -> int:
-    from .enumeration import layer_offset, machine_count
-
     total = machine_count(args.n_states)
     limit = min(args.limit, total)
     start = layer_offset(args.n_states) + 1
@@ -198,18 +213,8 @@ def cmd_estimate(args, parser) -> int:
     x = _check_binary_arg(parser, args.x)
     universe = _universe_from_args(args, parser, args.max_states)
     cap = args.cap if args.cap is not None else len(x) + cap_constant()
-    config = {
-        "cmd": "estimate",
-        "x": x,
-        "budget": args.budget,
-        "universe": universe.describe(),
-        "cap": cap,
-        "max_prog_len": args.max_prog_len,
-        "policy": args.policy,
-        "ceiling": args.ceiling,
-        "out": args.out,
-        "seed": args.seed,
-    }
+    config = _config(args, x=x, universe=universe.describe(), cap=cap,
+                     max_prog_len=args.max_prog_len, policy=args.policy, ceiling=args.ceiling)
     cache = VerdictCache(args.cache_path) if args.cache_path else None
     schedule = doubling_schedule(1, args.budget)
     profile = phi_profile(x, schedule, universe, cap=cap, ceiling=args.ceiling, cache=cache)
@@ -223,10 +228,8 @@ def cmd_estimate(args, parser) -> int:
     if cache is not None:
         cache.flush()
         cache.close()
-    digest = _config_digest(config)
     if args.out == "json":
-        doc = {
-            "manifest_config": digest,
+        body = {
             "x": x,
             "cap": cap,
             "universe": universe.describe(),
@@ -236,17 +239,14 @@ def cmd_estimate(args, parser) -> int:
             "upper_bound": {"bound": bound, **asdict(witness)},
             "applicable_count": n_pairs,
         }
-        text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
     else:
-        lines = [f"# manifest_config={digest}", "kind,x,t,value,cap,witness,i,p,steps"]
+        body = ["kind,x,t,value,cap,witness,i,p,steps"]
         for r in profile:
-            lines.append(
-                f"phi,{x},{r.t},{r.value},{r.cap},{r.witness or ''},,,"
-            )
-        lines.append(
+            body.append(f"phi,{x},{r.t},{r.value},{r.cap},{r.witness or ''},,,")
+        body.append(
             f"bound,{x},{args.budget},{bound},{cap},,{witness.i},{witness.p},{witness.steps}"
         )
-        text = "\n".join(lines) + "\n"
+    text = export_text(body, _config_digest(config))
     _write_export(text, args, config, stats)
     print(
         f"phi stabilized at {profile[-1].value} (cap {cap}); "
@@ -258,82 +258,48 @@ def cmd_estimate(args, parser) -> int:
 
 
 def cmd_ctm(args, parser) -> int:
+    flawed = args.scheme == FLAWED
     if args.scheme != CORRECTED and args.block_len is not None:
         parser.error("--L applies to the corrected scheme only")
-    if args.scheme != FLAWED and args.n_ceiling is not None:
+    if not flawed and args.n_ceiling is not None:
         parser.error("--N applies to the flawed scheme only")
-    if args.scheme == FLAWED and args.universe_interval is not None:
+    if flawed and args.universe_interval is not None:
         parser.error("--universe-interval applies to the corrected and frequency schemes only")
-    if args.scheme == FLAWED:
-        n_max = args.n_ceiling
-        if n_max is None:
-            parser.error("flawed scheme needs --N >= 1")
-        config = {
-            "cmd": "ctm",
-            "scheme": FLAWED,
-            "N": n_max,
-            "budget": args.budget,
-            "out": args.out,
-            "seed": args.seed,
-        }
-        table = flawed_table(n_max, args.budget)
-        crossing, total = flawed_crossing(n_max, args.budget)
-        digest = _config_digest(config)
-        text = (
-            table_to_csv(table, digest)
-            if args.out == "csv"
-            else table_to_json(table, digest)
-        )
-        _write_export(text, args, config)
-        print(f"total_mass={total} ({float(total):.6f})", file=sys.stderr)
-        if crossing is not None:
-            print(
-                f"flawed mass exceeds 1 first at N={crossing} (exact comparison)",
-                file=sys.stderr,
-            )
-        else:
-            print(f"flawed mass stayed <= 1 up to N={n_max}", file=sys.stderr)
-        return EXIT_OK
-
-    # corrected / frequency
-    universe = _universe_from_args(args, parser, args.max_states)
-    if universe.count == 0:
-        parser.error("empty universe")
-    config = {
-        "cmd": "ctm",
-        "scheme": args.scheme,
-        "universe": universe.describe(),
-        "budget": args.budget,
-        "out": args.out,
-        "seed": args.seed,
-    }
-    if args.scheme == CORRECTED:
-        block_len = args.block_len if args.block_len is not None else 0
-        config["L"] = block_len
-        table = corrected_table(universe, block_len, args.budget, threads=args.threads)
+    if flawed and args.n_ceiling is None:
+        parser.error("flawed scheme needs --N >= 1")
+    config = _config(args, scheme=args.scheme)
+    if flawed:
+        config["N"] = args.n_ceiling
+        table = flawed_table(args.n_ceiling, args.budget)
     else:
-        table = output_frequency(universe, args.budget)
-    total = table.total_mass()
+        universe = _universe_from_args(args, parser, args.max_states)
+        if universe.count == 0:
+            parser.error("empty universe")
+        config["universe"] = universe.describe()
+        if args.scheme == CORRECTED:
+            config["L"] = args.block_len or 0
+            table = corrected_table(universe, config["L"], args.budget, threads=args.threads)
+        else:
+            table = output_frequency(universe, args.budget)
     digest = _config_digest(config)
-    text = (
-        table_to_csv(table, digest) if args.out == "csv" else table_to_json(table, digest)
-    )
+    text = table_to_csv(table, digest) if args.out == "csv" else table_to_json(table, digest)
     _write_export(text, args, config, table.stats)
-    print(f"total_mass={total} ({float(total):.6f}) <= 1", file=sys.stderr)
+    if flawed:  # the stderr mass is the one at the crossing, when there is one
+        crossing, total = flawed_crossing(args.n_ceiling, args.budget)
+        note = (
+            f"\nflawed mass exceeds 1 first at N={crossing} (exact comparison)"
+            if crossing is not None
+            else f"\nflawed mass stayed <= 1 up to N={args.n_ceiling}"
+        )
+    else:
+        total, note = table.total_mass(), " <= 1"
+    print(f"total_mass={total} ({float(total):.6f}){note}", file=sys.stderr)
     return EXIT_OK
 
 
 def cmd_bb(args, parser) -> int:
-    config = {
-        "cmd": "bb",
-        "n": args.n_states,
-        "budget": args.budget,
-        "verify": args.verify,
-        "auto_budget": args.auto_budget,
-        "interval": args.universe_interval,
-        "out": args.out,
-        "seed": args.seed,
-    }
+    config = _config(args, n=args.n_states, verify=args.verify, auto_budget=args.auto_budget,
+                     interval=args.universe_interval)
     schedule, rng = [args.budget], None
     if args.auto_budget:
         if args.universe_interval:
@@ -345,15 +311,10 @@ def cmd_bb(args, parser) -> int:
         rec = bb_table(args.n_states, schedule, machine_range=rng, verify=args.verify)
     except ValueError as e:
         parser.error(str(e))
-    digest = _config_digest(config)
     fields = {k: v for k, v in asdict(rec).items() if k != "stats"}
-    if args.out == "json":
-        doc = {"manifest_config": digest, **fields}
-        text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-    else:
-        row = ",".join(str(v) for v in fields.values())
-        text = f"# manifest_config={digest}\n{','.join(fields)}\n{row}\n"
-    _write_export(text, args, config, rec.stats)
+    rows = [",".join(fields), ",".join(map(str, fields.values()))]
+    body = fields if args.out == "json" else rows
+    _write_export(export_text(body, _config_digest(config)), args, config, rec.stats)
     print(
         f"n={rec.n_states}: max_steps={rec.max_steps} decided_all={rec.decided_all} "
         f"undecided={rec.undecided_count} budget={rec.budget_used}",
@@ -391,8 +352,6 @@ def cmd_cache(args, parser) -> int:
             print(f"MISMATCH at (i={i}, p={p!r}, budget={budget})", file=sys.stderr)
             continue
         if fresh[0] == "d":
-            from .halting import ProvedDiverges, _to_certificate
-
             ok = verify_certificate(
                 index_to_machine(i),
                 p,

@@ -284,22 +284,29 @@ def _exact_int_text():
             sys.set_int_max_str_digits(old)
 
 
+def export_text(body: list | dict, config_digest: str | None = None) -> str:
+    """The one export format of every command: CSV ``body`` lines under a
+    ``# manifest_config=`` line, or a JSON ``body`` document with a
+    ``manifest_config`` key, compact and key-sorted; newline-terminated."""
+    if isinstance(body, dict):
+        doc = body if config_digest is None else {**body, "manifest_config": config_digest}
+        return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    head = [] if config_digest is None else [f"# manifest_config={config_digest}"]
+    return "\n".join(head + body) + "\n"
+
+
 CSV_HEADER = "output_string,mass_numerator,mass_denominator,scheme,universe,budget,L"
 
 
 @_exact_int_text()
 def table_to_csv(table: DistributionTable, config_digest: str | None = None) -> str:
-    lines = []
-    if config_digest is not None:
-        lines.append(f"# manifest_config={config_digest}")
-    lines.append(CSV_HEADER)
     m = table.meta
     block = "" if m.block_len is None else str(m.block_len)
-    for x, mass in table.sorted_items():
-        lines.append(
-            f"{x},{mass.numerator},{mass.denominator},{m.scheme},{m.universe},{m.budget},{block}"
-        )
-    return "\n".join(lines) + "\n"
+    rows = [
+        f"{x},{mass.numerator},{mass.denominator},{m.scheme},{m.universe},{m.budget},{block}"
+        for x, mass in table.sorted_items()
+    ]
+    return export_text([CSV_HEADER, *rows], config_digest)
 
 
 @_exact_int_text()
@@ -342,9 +349,7 @@ def table_to_json(table: DistributionTable, config_digest: str | None = None) ->
         ],
         "total": {"num": total.numerator, "den": total.denominator},
     }
-    if config_digest is not None:
-        doc["manifest_config"] = config_digest
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    return export_text(doc, config_digest)
 
 
 @_exact_int_text()

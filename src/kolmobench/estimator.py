@@ -25,7 +25,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .enumeration import BoxCounter, MachineRange, str_to_nat
+from .enumeration import BoxCounter, MachineRange, machine_to_index, str_to_nat
 from .halting import Simulator, SweepStats, check_schedule, layer_leaves, pool_imap
 from .tm_core import identity_scanner, immediate_halt, run
 
@@ -38,15 +38,11 @@ class EnumerationLimitError(RuntimeError):
 
 @lru_cache(maxsize=1)
 def identity_index() -> int:
-    from .enumeration import machine_to_index
-
     return machine_to_index(identity_scanner())
 
 
 @lru_cache(maxsize=1)
 def immediate_halt_index() -> int:
-    from .enumeration import machine_to_index
-
     return machine_to_index(immediate_halt())
 
 

@@ -33,7 +33,7 @@ from itertools import islice
 from multiprocessing import get_context
 from typing import NamedTuple
 
-from .enumeration import BoxCounter, MachineRange, index_to_table, layer_offset, machine_count
+from .enumeration import BoxCounter, MachineRange, index_to_table, machine_count
 from .tm_core import (
     MOVE_LEFT,
     MOVE_RIGHT,
@@ -262,7 +262,6 @@ def analyze_table(table: Table, input_syms: tuple, budget: int):
     state, head, steps = 1, 0, 0
     tape = dict(enumerate(input_syms))
     ilen = len(input_syms)
-    out_lo, out_hi = 0, max(0, ilen - 1)
     seen = {(1, 0, frozenset(tape.items())): 0}
     srec = {}  # (state, right?) -> [step, head, extreme head since]
     snaps = {}
@@ -330,15 +329,11 @@ def analyze_table(table: Table, input_syms: tuple, budget: int):
                 tape[head] = action
         elif action == MOVE_LEFT:
             head -= 1
-            if head < out_lo:
-                out_lo = head
         else:
             head += 1
-            if head > out_hi:
-                out_hi = head
         steps += 1
         if nxt == 0:
-            return ("h", steps, read_output(tape, out_lo, out_hi))
+            return ("h", steps, read_output(tape))
         state = nxt
         if len(tape) <= CYCLE_TAPE_CAP:
             ckey = (state, head, frozenset(tape.items()))
@@ -627,22 +622,18 @@ def bb_table(
 
     A ``machine_range`` with an explicit index interval restricts the sweep;
     machines of the layer left unswept count as undecided, so a clipped
-    sweep can never claim the layer is fully decided.
+    sweep can never claim the layer is fully decided.  A range without an
+    n-state machine raises ``ValueError``.
 
     With ``verify`` every divergence certificate is re-checked by replay; a
     failure raises, since it would mean an unsound detector.
     """
     schedule = check_schedule(schedule)
-    layer_lo = layer_offset(n) + 1
-    layer_hi = layer_lo + machine_count(n) - 1
-    lo, hi = layer_lo, layer_hi
-    if machine_range is not None:
-        if not machine_range.min_states <= n <= machine_range.max_states:
-            raise ValueError(f"n={n} outside {machine_range.describe()}")
-        rlo, rhi = machine_range.index_bounds()
-        lo, hi = max(lo, rlo), min(hi, rhi)
-        if lo > hi:
-            raise ValueError("index interval excludes the whole layer")
+    universe = machine_range or MachineRange(n, n)
+    spans = [(lo, hi) for k, lo, hi in universe.layers() if k == n]
+    if not spans:
+        raise ValueError(f"no {n}-state machine in {universe.describe()}")
+    lo, hi = spans[0]
     stats = SweepStats()
     max_steps = last_found = 0  # last_found: the latest certificate's discovery step
     for _, count, res in layer_leaves(n, schedule[-1], lo, hi, verify):
@@ -653,7 +644,7 @@ def bb_table(
             last_found = max(last_found, res[2])
             if verify:
                 stats.leaves_verified += 1
-    undecided = (lo - layer_lo) + (layer_hi - hi) + stats.verdicts.get("unknown", 0)
+    undecided = machine_count(n) - stats.machines + stats.verdicts.get("unknown", 0)
     first = -1 if undecided else bisect_left(schedule, max(max_steps, last_found))
     return BBRecord(n, max_steps, undecided == 0, undecided, schedule[first], stats)
 

@@ -14,7 +14,9 @@ Conventions fixed here (everything downstream depends on them):
   counts as a step;
 * on halt, the output is the single contiguous block of non-blank cells
   inside the visited interval, read left to right (the empty string when
-  there is none); two or more blocks make the run's output invalid.
+  there is none); two or more blocks make the run's output invalid.  A
+  non-blank cell is an input cell or one the head wrote, so every one lies
+  in the visited interval, and reading them all reads that interval.
 """
 
 from __future__ import annotations
@@ -121,12 +123,12 @@ class Cutoff:
 RunOutcome = Halted | InvalidOutput | Cutoff
 
 
-def read_output(tape: dict[int, int], lo: int, hi: int):
-    """Contiguous non-blank block inside [lo, hi] -> string, else None.
+def read_output(tape: dict[int, int]):
+    """The tape's non-blank cells as one contiguous block -> string, else None.
 
     The empty tape reads as the empty string.
     """
-    cells = sorted(p for p in tape if lo <= p <= hi)
+    cells = sorted(tape)
     if not cells:
         return ""
     if cells[-1] - cells[0] + 1 != len(cells):
@@ -139,15 +141,11 @@ def run(m: Machine, input_str: str, budget: int) -> RunOutcome:
     if budget < 1:
         raise ValueError("budget must be >= 1")
     tape = dict(enumerate(str_to_syms(input_str)))
-    lo, hi = 0, max(0, len(input_str) - 1)  # the visited interval
-    for n, (head, state) in enumerate(islice(steps(m.table, 1, 0, tape), budget), 1):
-        if head < lo:
-            lo = head
-        elif head > hi:
-            hi = head
+    for n, (_, state) in enumerate(islice(steps(m.table, 1, 0, tape), budget), 1):
+        pass
     if state != 0:
         return Cutoff(budget)
-    out = read_output(tape, lo, hi)
+    out = read_output(tape)
     if out is None:
         return InvalidOutput(n)
     return Halted(out, n)
