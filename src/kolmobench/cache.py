@@ -1,15 +1,17 @@
 """Append-only verdict cache: one JSON record per line.
 
-Records are keyed by (machine index, program, budget) and carry the full
-verdict summary, including the divergence certificate when there is one.
-Text lines keep the store diffable and make corruption local: a bad line
-is reported by number, everything else stays readable.
+Records are keyed by (machine index, program, budget) and hold only what the
+plain run did within that budget: halted at a step count, with an output
+(``halted``) or without (``invalid``), or not halted (``unknown``).  With no
+certificate or discovery step, no detector change makes a record stale, and
+``tm_core.run`` re-derives each one.  A bad line is reported by its number.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from collections import Counter
 
 
 class CacheCorruptionError(RuntimeError):
@@ -20,49 +22,27 @@ class CacheCorruptionError(RuntimeError):
         self.reason = reason
 
 
-_FIELDS = ("i", "p", "budget", "status", "steps", "output", "cert")
-_STATUSES = {"halted", "invalid", "diverges", "unknown"}
+_FIELDS = ("i", "p", "budget", "status", "steps", "output")
+# Older files also hold "diverges" records (with a "cert"): did not halt.
+_STATUSES = {"halted", "invalid", "unknown", "diverges"}
 
 
 def raw_to_record(i: int, p: str, budget: int, raw) -> dict:
-    """Internal analyze result -> JSON-able record."""
-    rec = {"i": i, "p": p, "budget": budget, "steps": None, "output": None, "cert": None}
-    if raw[0] == "h":
-        rec["status"] = "invalid" if raw[2] is None else "halted"
-        rec["steps"] = raw[1]
-        rec["output"] = raw[2]
-    elif raw[0] == "d":
-        rec["status"] = "diverges"
-        rec["steps"] = raw[2]  # certificate discovery step
-        rec["cert"] = _cert_to_json(raw[1])
-    else:
-        rec["status"] = "unknown"
-    return rec
+    """Analysis result -> JSON-able record; all but a halt record as did-not-halt."""
+    steps, output = raw[1:] if raw[0] == "h" else (None, None)
+    status = "unknown" if steps is None else "invalid" if output is None else "halted"
+    return {"i": i, "p": p, "budget": budget, "status": status, "steps": steps, "output": output}
 
 
 def record_to_raw(rec: dict):
-    status = rec["status"]
-    if status == "halted":
+    """Record -> ``("h", steps, output or None)``, else ``("u", budget)``."""
+    if rec["status"] in ("halted", "invalid"):
         return ("h", rec["steps"], rec["output"])
-    if status == "invalid":
-        return ("h", rec["steps"], None)
-    if status == "diverges":
-        return ("d", _cert_from_json(rec["cert"]), rec["steps"])
     return ("u", rec["budget"])
 
 
-def _cert_to_json(ct):
-    return list(ct[:-1]) + [list(map(list, ct[-1]))] if ct[0] == "splice" else list(ct)
-
-
-def _cert_from_json(doc):
-    if doc[0] == "splice":
-        return ("splice", doc[1], doc[2], doc[3], tuple(tuple(c) for c in doc[4]))
-    return tuple(doc)
-
-
 def _validate(rec, path, line_no):
-    for f in _FIELDS[:4]:
+    for f in _FIELDS:
         if f not in rec:
             raise CacheCorruptionError(path, line_no, f"missing field {f!r}")
     if rec["status"] not in _STATUSES:
@@ -91,6 +71,7 @@ class VerdictCache:
                     raise CacheCorruptionError(self.path, line_no, f"bad JSON ({e.msg})")
                 _validate(rec, self.path, line_no)
                 key = (rec["i"], rec["p"], rec["budget"])
+                rec = raw_to_record(*key, record_to_raw(rec))  # older formats read as today's
                 prev = self.records.get(key)
                 if prev is not None and prev != rec:
                     raise CacheCorruptionError(
@@ -124,11 +105,8 @@ class VerdictCache:
     def __len__(self) -> int:
         return len(self.records)
 
-    def status_counts(self) -> dict:
-        counts = {}
-        for rec in self.records.values():
-            counts[rec["status"]] = counts.get(rec["status"], 0) + 1
-        return counts
+    def status_counts(self) -> Counter:
+        return Counter(rec["status"] for rec in self.records.values())
 
     def compact(self) -> int:
         """Rewrite the file without duplicate lines; returns records kept."""

@@ -27,7 +27,7 @@ from functools import lru_cache
 
 from .enumeration import BoxCounter, MachineRange, machine_to_index, str_to_nat
 from .halting import Simulator, SweepStats, check_schedule, layer_leaves, pool_imap
-from .tm_core import identity_scanner, immediate_halt, run
+from .tm_core import identity_scanner, run
 
 DEFAULT_ENUM_CEILING = 1 << 22
 
@@ -39,11 +39,6 @@ class EnumerationLimitError(RuntimeError):
 @lru_cache(maxsize=1)
 def identity_index() -> int:
     return machine_to_index(identity_scanner())
-
-
-@lru_cache(maxsize=1)
-def immediate_halt_index() -> int:
-    return machine_to_index(immediate_halt())
 
 
 def cap_constant() -> int:

@@ -650,20 +650,21 @@ def bb_table(
 
 
 class Simulator:
-    """Verdicts of (index, program) pairs through an optional verdict cache,
-    for the phi profile."""
+    """What the plain runs of (index, program) pairs did within a budget,
+    through an optional verdict cache, for the phi profile."""
 
     def __init__(self, cache=None):
         self.cache = cache
 
     def raw_verdict(self, i: int, p: str, budget: int):
-        """analyze_table result for this budget: a cache hit, else a fresh
-        analysis, which the cache records."""
+        """``("h", steps, output or None)`` if the run halts within the budget,
+        else ``("u", budget)``: a cache hit, else a fresh analysis, recorded."""
         if self.cache is not None:
             hit = self.cache.lookup(i, p, budget)
             if hit is not None:
                 return hit
         res = analyze_table(index_to_table(i)[1], str_to_syms(p), budget)
+        res = res if res[0] == "h" else ("u", budget)
         if self.cache is not None:
             self.cache.record(i, p, budget, res)
         return res

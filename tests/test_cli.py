@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from kolmobench.cache import VerdictCache
 from kolmobench.cli import (
     EXIT_BAD_INPUT,
     EXIT_CACHE_CORRUPT,
@@ -243,6 +244,36 @@ def test_cache_tampered_record_fails_verify(tmp_path, capsys):
     assert code == EXIT_VERIFY_FAILED
 
 
+def test_cache_verify_runs_neither_detector_nor_replay(tmp_path, capsys, monkeypatch):
+    import kolmobench.cli
+    import kolmobench.halting
+
+    cache = tmp_path / "vc.jsonl"
+    code, _, _ = run_cli(
+        ["estimate", "1011", "--budget", "16", "--universe-interval", "1:1000",
+         "--cache-path", str(cache), "--output", str(tmp_path / "e.csv")],
+        capsys,
+    )
+    assert code == EXIT_OK
+    assert {"halted", "unknown"} <= set(VerdictCache(str(cache)).status_counts())
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("cache verify ran the detector or the certificate replay")
+
+    for module in (kolmobench.halting, kolmobench.cli):
+        for name in ("analyze_table", "verify_certificate"):
+            monkeypatch.setattr(module, name, forbidden, raising=False)
+    verify = ["cache", "verify", "--cache-path", str(cache), "--sample", "1000000"]
+    code, out, _ = run_cli(verify, capsys)
+    assert code == EXIT_OK and "mismatches: 0" in out
+    # A did-not-halt record for a run that halts: machine 1 halts at step 1.
+    rec = {"i": 1, "p": "", "budget": 8, "status": "unknown", "steps": None, "output": None}
+    cache.write_text(json.dumps(rec) + "\n", encoding="utf-8")
+    code, out, err = run_cli(verify, capsys)
+    assert code == EXIT_VERIFY_FAILED
+    assert "MISMATCH at (i=1, p='', budget=8)" in err and "mismatches: 1" in out
+
+
 def test_exports_identical_across_threads_and_cache_warmth(tmp_path, capsys):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
@@ -357,18 +388,28 @@ def _manifest_digest(manifest: dict) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
+# The total of the flawed N=300 export (the JSON export's "total"), then the crossing.
+FLAWED_300_STDERR = (
+    "total_mass=390708120688949499825344333736651003917192387817689220141841808365"
+    "76416851280463017812280003088393361505420218961396539557706180937"
+    "/901471683679958662332957357394537784515902987798050533916732065278"
+    "5333649613624539473353602148614605570705738411136004478202144000 (4.334114)\n"
+    "flawed mass exceeds 1 first at N=3 (mass 4/3, exact comparison)\n"
+)
+
+
 # The exports that perfbench's pinned digests leave out: (argv, sha256 of the
 # export, manifest digest, stderr).
 PINNED_EXPORTS = {
     "flawed-csv": (
         ["ctm", "--scheme", "flawed", "--N", "300", "--budget", "64"],
         "1345ecee2abe309ac0e0b7de0db7e78ab5d8fba132d8e9d455132da03eb3d126", "718421e6cbec71ae",
-        "total_mass=4/3 (1.333333)\nflawed mass exceeds 1 first at N=3 (exact comparison)\n",
+        FLAWED_300_STDERR,
     ),
     "flawed-json": (
         ["ctm", "--scheme", "flawed", "--N", "300", "--budget", "64", "--out", "json"],
         "550b13481b3f1d0ebdab60a9f97baa822962bad28a465bd0c5ac48ef640ca8fc", "387091222011268a",
-        "total_mass=4/3 (1.333333)\nflawed mass exceeds 1 first at N=3 (exact comparison)\n",
+        FLAWED_300_STDERR,
     ),
     "flawed-no-crossing": (
         ["ctm", "--scheme", "flawed", "--N", "2", "--budget", "64"],
@@ -565,14 +606,55 @@ def test_every_command_refuses_budget_below_one(argv, budget, tmp_path, capsys):
         ("corrected", "--N", "10"),
         ("frequency", "--N", "10"),
         ("flawed", "--universe-interval", "900:950"),
+        ("flawed", "--N", "5", "--max-states", "8"),
+        ("flawed", "--N", "5", "--max-states", "2"),
+        ("flawed", "--N", "5", "--threads", "2"),
+        ("flawed", "--N", "5", "--threads", "1"),
     ],
 )
-def test_ctm_rejects_flags_of_other_schemes(flags, capsys):
+def test_ctm_rejects_flags_of_other_schemes(flags, tmp_path, capsys):
     scheme, *rest = flags
+    out = tmp_path / "export"
     code, _, err = run_cli(
-        ["ctm", "--scheme", scheme, *rest, "--max-states", "1", "--budget", "8"], capsys
+        ["ctm", "--scheme", scheme, *rest, "--budget", "8", "--output", str(out)], capsys
     )
-    assert code == EXIT_BAD_INPUT and "applies to the" in err
+    assert code == EXIT_BAD_INPUT and f"{rest[-2]} applies to the" in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "env",
+    [{"KOLMOBENCH_MAX_STATES": "8", "KOLMOBENCH_THREADS": "2"},
+     {"KOLMOBENCH_MAX_STATES": "z", "KOLMOBENCH_THREADS": "x"}],
+    ids=["set", "malformed"],
+)
+def test_flawed_scheme_ignores_max_states_and_threads_variables(env, tmp_path, monkeypatch,
+                                                                capsys):
+    # The flawed scheme reads neither flag, so it reads neither variable either.
+    for name in [k for k in os.environ if k.startswith("KOLMOBENCH_")]:
+        monkeypatch.delenv(name)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    argv, export_sha, manifest_digest, stderr = PINNED_EXPORTS["flawed-csv"]
+    out = tmp_path / "export"
+    assert run_cli(argv + ["--output", str(out)], capsys) == (EXIT_OK, "", stderr)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == export_sha
+    manifest = json.loads((tmp_path / "export.manifest.json").read_text())
+    assert manifest["runtime"]["threads"] == 1
+    assert _manifest_digest(manifest) == manifest_digest
+
+
+def test_max_states_and_threads_variables_reach_the_other_schemes(tmp_path, monkeypatch,
+                                                                  capsys):
+    monkeypatch.setenv("KOLMOBENCH_MAX_STATES", "1")
+    monkeypatch.setenv("KOLMOBENCH_THREADS", "2")
+    argv, export_sha = PINNED_EXPORTS["frequency-json"][:2]
+    out = tmp_path / "export"
+    flagless = [a for a in argv if a not in ("--max-states", "1")]
+    assert run_cli(flagless + ["--output", str(out)], capsys)[0] == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == export_sha
+    manifest = json.loads((tmp_path / "export.manifest.json").read_text())
+    assert manifest["runtime"]["threads"] == 2
 
 
 def test_failed_export_write_keeps_previous_files(tmp_path, monkeypatch, capsys):

@@ -6,7 +6,7 @@ import pytest
 
 import kolmobench.ctm
 import kolmobench.estimator
-from kolmobench.enumeration import MachineRange, index_to_table, str_to_nat
+from kolmobench.enumeration import MachineRange, index_to_table, machine_to_index, str_to_nat
 from kolmobench.estimator import (
     EnumerationLimitError,
     PRUNING_POLICIES,
@@ -14,14 +14,13 @@ from kolmobench.estimator import (
     bound_from_pairs,
     cap_constant,
     identity_index,
-    immediate_halt_index,
     make_pair,
     phi,
     phi_profile,
     upper_bound_C,
 )
 from kolmobench.halting import SweepStats, analyze_table
-from kolmobench.tm_core import Halted, run, str_to_syms, u_run
+from kolmobench.tm_core import Halted, immediate_halt, run, str_to_syms, u_run
 
 N1 = MachineRange(1, 1)
 
@@ -43,7 +42,7 @@ def oracle_phi(t, x, cap, universe):
 
 
 def test_constants():
-    assert immediate_halt_index() == 1
+    assert machine_to_index(immediate_halt()) == 1
     assert identity_index() == 991
     assert cap_constant() == 2 * (991).bit_length() + 1 == 21
 
