@@ -325,6 +325,8 @@ def cmd_bb(args, parser) -> int:
 def cmd_cache(args, parser) -> int:
     if not args.cache_path:
         parser.error("cache commands need --cache-path")
+    if not os.path.isfile(args.cache_path):  # a mistyped path must not pass as an empty cache
+        parser.error(f"no cache file at {args.cache_path}")
     cache = VerdictCache(args.cache_path)
     if args.action == "inspect":
         print(f"path: {args.cache_path}")

@@ -137,8 +137,7 @@ class BoxCounter:
                 below = [count] * base
             else:  # the child at d walked on to the end
                 below[at] = count
-            for k in range(base):
-                out[k] += sign * below[k]
+            out = [o + sign * b for o, b in zip(out, below)]
         return out
 
     def members(self, fixed) -> list:

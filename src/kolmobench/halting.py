@@ -246,6 +246,27 @@ def _check_crossings(table, state0, head0, tape0, nsteps, acuts):
     return all(c[1] == f for c, f in zip(cur, first))
 
 
+def _splice_record(snaps, key, table, state, head, tape, steps):
+    """The splice search at a record step: a certificate against an earlier
+    snapshot of record ``key``, else None.  Snapshots are rate-limited by
+    SNAPSHOT_GROWTH and capped per key; the first one is kept longest."""
+    lst = snaps.get(key)
+    if lst is None:
+        snaps[key] = [(steps, head, dict(tape))]
+    elif steps * SNAPSHOT_GROWTH[1] >= lst[-1][0] * SNAPSHOT_GROWTH[0]:
+        for j, hj, tj in reversed(lst):
+            for d, cuts in _splice_candidates(tj, hj, tape, head):
+                if not cuts:
+                    return ("splice", j, steps, d, ())
+                acuts = _cuts_in_a_coords(d, cuts)
+                if _check_crossings(table, state, hj, tj, steps - j, acuts):
+                    return ("splice", j, steps, d, cuts)
+        if len(lst) >= MAX_SNAPSHOTS_PER_KEY:
+            lst.pop(1 if len(lst) > 1 else 0)
+        lst.append((steps, head, dict(tape)))
+    return None
+
+
 def analyze_table(table: Table, input_syms: tuple, budget: int):
     """Core detector loop on a raw table.
 
@@ -255,6 +276,8 @@ def analyze_table(table: Table, input_syms: tuple, budget: int):
       ('u', budget)
     Certificate tuples: ('cycle', a, b), ('escape', state, step, dir),
     ('dir', a, b, dir), ('splice', a, b, shift, cuts).
+    At a record step, where the head reaches a new extreme, it checks for a
+    blank escape, a directional escape, then (late enough) a splice.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -262,103 +285,84 @@ def analyze_table(table: Table, input_syms: tuple, budget: int):
     state, head, steps = 1, 0, 0
     tape = dict(enumerate(input_syms))
     ilen = len(input_syms)
-    seen = {(1, 0, frozenset(tape.items())): 0}
-    srec = {}  # (state, right?) -> [step, head, extreme head since]
-    snaps = {}
+    frozen = frozenset(tape.items())  # the tape in the cycle key; None once stale
+    seen = {(1, 0, frozen): 0}
+    # Right and left records by state: [step, head, extreme head since]; the
+    # extreme is the least head since a right record, the greatest since a
+    # left one.  A directional escape from record hj to hk needs equal views
+    # of the tape from the head outward; those cells are unvisited, so the
+    # views are slices of the input.  A record head is a strict new extreme
+    # and the head starts at 0, so a later right record has hk > hj, and a
+    # left record after step 0 has hk < min(hj, 0).  Right: input[hj:] ==
+    # input[hk:] iff both are empty, iff hj >= ilen.  Left: input[:hj + 1]
+    # (empty if hj < 0) equals the empty view at hk iff hj < 0 or ilen == 0.
+    # A record failing this is only ever replaced, so it is not kept.
+    rrec, lrec, snaps = {}, {}, {}
     maxh = minh = 0
-
-    def forward_view_ok(hj, hk, right):
-        # Views from the head outward at record steps: cells on the far side
-        # are unvisited, so they hold exactly the initial input contents.
-        if right:
-            if hj >= ilen and hk >= ilen:
-                return True
-            return input_syms[hj:] == input_syms[hk:]
-        va = input_syms[: hj + 1] if hj >= 0 else ()
-        vb = input_syms[: hk + 1] if hk >= 0 else ()
-        return va == vb
-
-    def record_event(right):
-        if (head >= ilen) if right else (head < 0 or ilen == 0):
-            action, nxt = table[3 * (state - 1)]
-            if right:
-                if action == MOVE_RIGHT and nxt == state:
-                    return ("escape", state, steps, "R")
-            elif action == MOVE_LEFT and nxt == state:
-                return ("escape", state, steps, "L")
-        key = (state, right)
-        rec = srec.get(key)
-        if rec is not None:
-            j, hj, extreme = rec
-            alive = (extreme >= hj) if right else (extreme <= hj)
-            if alive and forward_view_ok(hj, head, right):
-                return ("dir", j, steps, "R" if right else "L")
-            rec[0], rec[1], rec[2] = steps, head, head
-        else:
-            srec[key] = [steps, head, head]
-        if steps >= SPLICE_FROM_STEP and len(tape) <= SNAPSHOT_TAPE_CAP:
-            lst = snaps.get(key)
-            if lst is None:
-                snaps[key] = [(steps, head, dict(tape))]
-            elif steps * SNAPSHOT_GROWTH[1] >= lst[-1][0] * SNAPSHOT_GROWTH[0]:
-                for j, hj, tj in reversed(lst):
-                    for d, cuts in _splice_candidates(tj, hj, tape, head):
-                        if not cuts:
-                            return ("splice", j, steps, d, ())
-                        acuts = _cuts_in_a_coords(d, cuts)
-                        if _check_crossings(table, state, hj, tj, steps - j, acuts):
-                            return ("splice", j, steps, d, cuts)
-                if len(lst) >= MAX_SNAPSHOTS_PER_KEY:
-                    lst.pop(1 if len(lst) > 1 else 0)
-                lst.append((steps, head, dict(tape)))
-        return None
-
-    cert = record_event(True)
-    if cert is None:
-        cert = record_event(False)
-    if cert is not None:
-        return ("d", cert, steps)
+    if not ilen:  # step 0: a record both ways (before SPLICE_FROM_STEP), on blank tape
+        a, q = table[0]
+        if q == 1 and a >= MOVE_LEFT:
+            return ("d", ("escape", 1, 0, "R" if a == MOVE_RIGHT else "L"), 0)
+        rrec[1], lrec[1] = [0, 0, 0], [0, 0, 0]
     while steps < budget:
         sym = tape.get(head, 0)
         action, nxt = table[3 * (state - 1) + sym]
         if action < MOVE_LEFT:
-            if action == 0:
-                if sym:
+            if action != sym:
+                if action:
+                    tape[head] = action
+                else:
                     del tape[head]
-            else:
-                tape[head] = action
+                frozen = None
         elif action == MOVE_LEFT:
             head -= 1
+            for rec in rrec.values():
+                if head < rec[2]:
+                    rec[2] = head
         else:
             head += 1
+            for rec in lrec.values():
+                if head > rec[2]:
+                    rec[2] = head
         steps += 1
         if nxt == 0:
             return ("h", steps, read_output(tape))
         state = nxt
         if len(tape) <= CYCLE_TAPE_CAP:
-            ckey = (state, head, frozenset(tape.items()))
+            if frozen is None:
+                frozen = frozenset(tape.items())
+            ckey = (state, head, frozen)
             prev = seen.get(ckey)
             if prev is not None:
                 return ("d", ("cycle", prev, steps), steps)
             seen[ckey] = steps
         if head > maxh:
             maxh = head
-            cert = record_event(True)
-            if cert is not None:
-                return ("d", cert, steps)
+            right = True
+            if head >= ilen:
+                a, q = table[3 * (state - 1)]
+                if a == MOVE_RIGHT and q == state:
+                    return ("d", ("escape", state, steps, "R"), steps)
+                rec = rrec.get(state)
+                if rec is not None and rec[2] >= rec[1]:
+                    return ("d", ("dir", rec[0], steps, "R"), steps)
+                rrec[state] = [steps, head, head]
         elif head < minh:
-            minh = head
-            cert = record_event(False)
+            minh = head  # head < 0: a blank cell, and a left record worth keeping
+            right = False
+            a, q = table[3 * (state - 1)]
+            if a == MOVE_LEFT and q == state:
+                return ("d", ("escape", state, steps, "L"), steps)
+            rec = lrec.get(state)
+            if rec is not None and rec[2] <= rec[1]:
+                return ("d", ("dir", rec[0], steps, "L"), steps)
+            lrec[state] = [steps, head, head]
+        else:
+            continue
+        if steps >= SPLICE_FROM_STEP and len(tape) <= SNAPSHOT_TAPE_CAP:
+            cert = _splice_record(snaps, (state, right), table, state, head, tape, steps)
             if cert is not None:
                 return ("d", cert, steps)
-        if action == MOVE_LEFT:
-            for (s_, right_), rec in srec.items():
-                if right_ and head < rec[2]:
-                    rec[2] = head
-        elif action == MOVE_RIGHT:
-            for (s_, right_), rec in srec.items():
-                if not right_ and head > rec[2]:
-                    rec[2] = head
     return ("u", budget)
 
 
@@ -548,6 +552,26 @@ class PartialTable(dict):
         raise Undefined(k)
 
 
+class _BoxTable(PartialTable):
+    """A leaf's partial table in a lazy sweep, with the sweep's ``BoxCounter``
+    and entry list.  A read of an open entry that the box forces (one value
+    with a nonzero count) pins it in place, and the run goes on; any other
+    open read raises ``Undefined(pos, counts)`` with the child counts."""
+
+    __slots__ = ("boxes", "entries")
+
+    def __init__(self, boxes, entries, fixed=()):
+        super().__init__(fixed)
+        self.boxes, self.entries = boxes, entries
+
+    def __missing__(self, pos):
+        counts = self.boxes.children(self, pos)
+        if counts.count(0) != len(counts) - 1:
+            raise Undefined(pos, counts)
+        entry = self[pos] = self.entries[counts.index(max(counts))]
+        return entry
+
+
 class _LeafMachine(NamedTuple):  # what verify_certificate reads of a Machine
     n_states: int
     table: PartialTable
@@ -560,17 +584,19 @@ def layer_leaves(
 
     Yields ``(table, count, result)`` per leaf (a partial table): how many
     indices in [lo, hi] complete the leaf, and the ``analyze_table`` result
-    they all share on ``input_str``.  A run that reads an open entry is
-    re-run once per value of that entry that some index in [lo, hi] takes;
-    a run that finishes read no entry outside its leaf, so every completion
-    gets its verdict.  With ``verify`` a divergent leaf's certificate is
-    replayed on the same partial table, branching likewise; a failed replay
-    raises.
+    they all share on ``input_str``.  A run that reads an open entry which
+    the box forces pins it and goes on (``_BoxTable``): every index of the
+    box has that value there, so the box and its count are unchanged.  A
+    run that reads any other open entry is re-run once per value of that
+    entry with a nonzero count.  A run that finishes read no entry outside
+    its leaf, so every completion gets its verdict.  With ``verify`` a
+    divergent leaf's certificate is replayed on the same partial table,
+    pinning and branching likewise; a failed replay raises.
     """
     entries = [divmod(d, n + 1) for d in range(5 * (n + 1))]
     boxes = BoxCounter(n, lo, hi)
     input_syms = str_to_syms(input_str)
-    stack = [(PartialTable(), boxes.size)] if boxes.size else []
+    stack = [(_BoxTable(boxes, entries), boxes.size)] if boxes.size else []
     while stack:
         table, count = stack.pop()
         try:
@@ -580,10 +606,10 @@ def layer_leaves(
                 if not verify_certificate(_LeafMachine(n, table), input_str, verdict):
                     raise AssertionError(f"certificate failed replay on leaf {dict(table)}")
         except Undefined as e:
-            pos = e.args[0]
-            for entry, c in zip(entries, boxes.children(table, pos)):
+            pos, counts = e.args
+            for entry, c in zip(entries, counts):
                 if c:
-                    stack.append((PartialTable({**table, pos: entry}), c))
+                    stack.append((_BoxTable(boxes, entries, {**table, pos: entry}), c))
             continue
         yield table, count, res
 

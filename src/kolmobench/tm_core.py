@@ -42,10 +42,6 @@ def str_to_syms(s: str) -> tuple[int, ...]:
     return tuple(ZERO if ch == "0" else ONE for ch in s)
 
 
-def syms_to_str(syms) -> str:
-    return "".join("0" if s == ZERO else "1" for s in syms)
-
-
 @dataclass(frozen=True)
 class Machine:
     """An n-state machine with a total transition table.
@@ -133,7 +129,7 @@ def read_output(tape: dict[int, int]):
         return ""
     if cells[-1] - cells[0] + 1 != len(cells):
         return None
-    return syms_to_str(tape[p] for p in cells)
+    return "".join([SYMBOL_NAMES[tape[p]] for p in cells])  # no blank is stored
 
 
 def run(m: Machine, input_str: str, budget: int) -> RunOutcome:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -107,7 +108,7 @@ def test_duplicate_records_are_idempotent(tmp_path):
     c.record(1, "", 8, ("h", 1, ""))
     c.record(1, "", 8, ("h", 1, ""))  # second write is a no-op
     c.close()
-    assert len(open(path).readlines()) == 1
+    assert len(Path(path).read_text().splitlines()) == 1
 
 
 def test_conflicting_duplicate_is_corruption(tmp_path):

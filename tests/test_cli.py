@@ -211,6 +211,15 @@ def test_cache_verify_fresh_cache_passes(tmp_path, capsys):
     assert "mismatches: 0" in out
 
 
+@pytest.mark.parametrize("action", ["inspect", "verify", "compact"])
+def test_cache_on_missing_path_exits_2(tmp_path, capsys, action):
+    cache = tmp_path / "missing.jsonl"
+    code, out, err = run_cli(["cache", action, "--cache-path", str(cache)], capsys)
+    assert code == EXIT_BAD_INPUT and out == ""
+    assert "no cache file" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cache_corrupt_file_exit_code(tmp_path, capsys):
     cache = tmp_path / "vc.jsonl"
     cache.write_text("{not json}\n", encoding="utf-8")
@@ -229,13 +238,13 @@ def test_cache_tampered_record_fails_verify(tmp_path, capsys):
         capsys,
     )
     assert code == EXIT_OK
-    lines = open(cache).read().splitlines()
+    lines = Path(cache).read_text().splitlines()
     rec = json.loads(lines[0])
     rec["steps"] = (rec["steps"] or 0) + 7
     rec["status"] = "halted"
     rec["output"] = "0"
     lines[0] = json.dumps(rec)
-    open(cache, "w").write("\n".join(lines) + "\n")
+    Path(cache).write_text("\n".join(lines) + "\n")
     code, out, _ = run_cli(
         ["cache", "verify", "--cache-path", cache,
          "--sample", str(len(lines)), "--seed", "3"],

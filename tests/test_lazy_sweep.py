@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kolmobench import ctm
+from kolmobench import ctm, halting
 from kolmobench.ctm import output_frequency
 from kolmobench.enumeration import (
     BoxCounter,
@@ -41,6 +41,7 @@ from kolmobench.halting import (
 from kolmobench.tm_core import MOVE_RIGHT, WRITE_ONE, str_to_syms
 
 LAYER2_LO = layer_offset(2) + 1
+WINDOW = (8_676_204, 8_680_203)  # a 4000-index window of the mixture benchmark
 
 
 def leaf_stream_digest(leaves):
@@ -121,37 +122,68 @@ def test_verified_two_state_layer_stats_are_pinned():
 # leaves.  3-state slices of 1e8 indices stand in for the layer, which has
 # no exhaustive oracle.
 @pytest.mark.parametrize(
-    "n, input_str, seed, sha",
+    "n, input_str, span, verify, sha",
     [
         pytest.param(
-            2, "0", None, "cfe8678fe882e7132542b277a65733f74a96e1fb17328ad081405aaae8a9e1e1",
+            2, "0", None, False, "cfe8678fe882e7132542b277a65733f74a96e1fb17328ad081405aaae8a9e1e1",
             id="layer2-0",
         ),
         pytest.param(
-            2, "1", None, "5326526256aec47f3d0ee73ec073004b898199669c2d7260cc8558685cca6da9",
+            2, "1", None, False, "5326526256aec47f3d0ee73ec073004b898199669c2d7260cc8558685cca6da9",
             id="layer2-1",
         ),
         pytest.param(
-            2, "010110", None, "a0f7f80d9f6fea35d83b288e939306de5c0b7ffdae1637742a2c436fc72c528c",
+            2, "010110", None, False, "a0f7f80d9f6fea35d83b288e939306de5c0b7ffdae1637742a2c436fc72c528c",
             id="layer2-010110", marks=pytest.mark.slow,
         ),
         pytest.param(
-            3, "", 0, "754311e3dfaeb449cdeda94d1b09d2c21e537ebe47ad1cce6503bf15cc733c2d",
+            3, "", 0, True, "754311e3dfaeb449cdeda94d1b09d2c21e537ebe47ad1cce6503bf15cc733c2d",
             id="slice3-seed0", marks=pytest.mark.slow,
         ),
         pytest.param(
-            3, "", 1, "db542c9d108b68d8e04b2b57af5f55a74efbf642dfffaf925a48512a1fef5ebc",
+            3, "", 1, True, "db542c9d108b68d8e04b2b57af5f55a74efbf642dfffaf925a48512a1fef5ebc",
             id="slice3-seed1", marks=pytest.mark.slow,
+        ),
+        pytest.param(
+            2, "010110", WINDOW, False, "64e41177f1b8bb2a83941f04d73eb9607127bd56cc406c7c8e1a8f7e3fa12a54",
+            id="window2-010110",
+        ),
+        pytest.param(
+            2, "010110", WINDOW, True, "64e41177f1b8bb2a83941f04d73eb9607127bd56cc406c7c8e1a8f7e3fa12a54",
+            id="window2-010110-verify",
         ),
     ],
 )
-def test_leaf_stream_digest_is_pinned(n, input_str, seed, sha):
-    if seed is None:
+def test_leaf_stream_digest_is_pinned(n, input_str, span, verify, sha):
+    # span: None for the whole layer, a seed for a seeded slice, else (lo, hi).
+    if span is None:
         lo, hi = layer_offset(n) + 1, layer_offset(n) + machine_count(n)
-    else:  # every certificate replayed
-        lo, hi = seeded_slice(n, seed)
-    leaves = layer_leaves(n, 256, lo, hi, seed is not None, input_str)
+    elif isinstance(span, int):
+        lo, hi = seeded_slice(n, span)
+    else:
+        lo, hi = span
+    leaves = layer_leaves(n, 256, lo, hi, verify, input_str)
     assert leaf_stream_digest(leaves) == sha
+
+
+def test_runs_end_only_at_leaves_and_branching_reads(monkeypatch):
+    # A read of an entry that the window's box forces (one value with a
+    # nonzero count) continues the run, so every analyze_table call ends at
+    # a leaf or at a read that branches the tree.
+    boxes, calls, branching = BoxCounter(2, *WINDOW), [0], [0]
+
+    def counting(table, input_syms, budget):
+        calls[0] += 1
+        try:
+            return analyze_table(table, input_syms, budget)
+        except Undefined as e:
+            assert sum(c > 0 for c in boxes.children(table, e.args[0])) >= 2
+            branching[0] += 1
+            raise
+
+    monkeypatch.setattr(halting, "analyze_table", counting)
+    stats = ctm.corrected_table(MachineRange(2, 2, *WINDOW), 6, 1024).stats
+    assert calls[0] == stats.leaves + branching[0] == 14_344
 
 
 def seeded_slice(n, seed):
