@@ -279,7 +279,7 @@ def cmd_ctm(args, parser) -> int:
             config["L"] = args.block_len or 0
             table = corrected_table(universe, config["L"], args.budget, threads=args.threads)
         else:
-            table = output_frequency(universe, args.budget)
+            table = output_frequency(universe, args.budget, threads=args.threads)
     digest = _config_digest(config)
     text = table_to_csv(table, digest) if args.out == "csv" else table_to_json(table, digest)
     _write_export(text, args, config, table.stats)
@@ -416,6 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if vars(args).get("output") and not os.path.isdir(os.path.dirname(args.output) or "."):
+        parser.error(f"no directory for --output {args.output}")  # before the sweep, not after
     try:
         return args.func(args, parser)
     except EnumerationLimitError as e:

@@ -23,12 +23,13 @@ from __future__ import annotations
 import json
 import math
 import sys
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .enumeration import BoxCounter, MachineRange, index_to_table
-from .halting import SweepStats, analyze_table, layer_leaves, pool_imap
+from .halting import SweepStats, analyze_table, sweep
 
 FLAWED, CORRECTED, FREQUENCY = "flawed", "corrected", "frequency"
 
@@ -86,27 +87,22 @@ def alpha_sum_upto(max_i: int) -> Fraction:
     return total
 
 
-def output_frequency(universe: MachineRange, budget: int) -> DistributionTable:
+def output_frequency(universe: MachineRange, budget: int, threads: int = 1) -> DistributionTable:
     """Empty-input halting frequencies over every machine in the universe.
 
     Machines with invalid output or without a halting proof only count in
-    the denominator.  Each layer is swept lazily (``halting.layer_leaves``).
+    the denominator.  Each layer is one lazy leaf tree (``halting.sweep``);
+    ``threads > 1`` spreads the layers over a fork pool.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
     total = universe.count
     if total == 0:
         raise ValueError("empty universe")
-    counts = {}
-    stats = SweepStats()
-    for n, lo, hi in universe.layers():
-        for _, count, res in layer_leaves(n, budget, lo, hi):
-            stats.add(res, count)
-            if res[0] == "h" and res[2] is not None:
-                counts[res[2]] = counts.get(res[2], 0) + count
-    entries = {x: Fraction(c, total) for x, c in counts.items()}
+    jobs = [(n, lo, hi, "", [(0, None)]) for n, lo, hi in universe.layers()]
+    counts, stats = sweep(_leaf_numerators, jobs, budget, threads)
     return DistributionTable(
-        entries=entries,
+        entries={x: Fraction(c, total) for x, c in counts.items()},
         meta=TableMeta(scheme=FREQUENCY, universe=universe.describe(), budget=budget),
         stats=stats,
     )
@@ -169,8 +165,8 @@ def corrected_table(
     Each halting (i, program) pair adds 2^-(2|bin(i)|+1+L), summed as the
     integer 2^(2(K-|bin(i)|)) over 2^(2K+1+L), K the bit length of the
     largest index; each output's sum becomes one ``Fraction`` at the end.
-    The sweep walks one lazy leaf tree (``halting.layer_leaves``) per layer
-    and program; ``threads > 1`` spreads the trees over a fork pool.
+    The sweep walks one lazy leaf tree (``halting.sweep``) per layer and
+    program; ``threads > 1`` spreads the trees over a fork pool.
     """
     if block_len < 0:
         raise ValueError("block length must be >= 0")
@@ -180,16 +176,13 @@ def corrected_table(
         raise ValueError("empty universe")
     programs = [format(v, f"0{block_len}b") for v in range(1 << block_len)] if block_len else [""]
     kraft_max = _kraft_exponent(universe.index_bounds()[1].bit_length())
-    jobs = [
-        (n, n_lo, n_hi, budget, p, kraft_max)
-        for n, n_lo, n_hi in universe.layers()
-        for p in programs
-    ]
-    numerators, stats = {}, SweepStats()
-    for part, part_stats in pool_imap(_leaf_numerators, jobs, threads):
-        for x, v in part.items():
-            numerators[x] = numerators.get(x, 0) + v
-        stats.merge(part_stats)
+    jobs = []
+    for n, lo, hi in universe.layers():
+        pieces = [(kraft_max - _kraft_exponent(k),  # (shift, boxes) per bit length k
+                   BoxCounter(n, max(lo, 1 << (k - 1)), min(hi, (1 << k) - 1)))
+                  for k in range(lo.bit_length(), hi.bit_length() + 1)]
+        jobs += [(n, lo, hi, p, pieces) for p in programs]
+    numerators, stats = sweep(_leaf_numerators, jobs, budget, threads)
     denom = 1 << (kraft_max + block_len)
     total = sum(numerators.values())
     if total > denom:
@@ -206,31 +199,19 @@ def corrected_table(
     )
 
 
-def _leaf_numerators(job):
-    """One layer's leaf tree on one program, over indices lo..hi of that
-    layer: (output -> numerator over 2^(kraft_max + L), the tree's stats).
-
-    A halting leaf adds its count in each bit-length sub-interval of
-    [lo, hi], shifted by that bit length's weight; in an interval of one bit
-    length that count is the leaf's own."""
-    n, lo, hi, budget, program, kraft_max = job
-    pieces = [
-        (
-            kraft_max - _kraft_exponent(bits),
-            BoxCounter(n, max(lo, 1 << (bits - 1)), min(hi, (1 << bits) - 1)),
-        )
-        for bits in range(lo.bit_length(), hi.bit_length() + 1)
-    ]
-    numerators, stats = {}, SweepStats()
-    for table, count, res in layer_leaves(n, budget, lo, hi, input_str=program):
-        stats.add(res, count)
+def _leaf_numerators(leaves, pieces) -> Counter:
+    """Output -> numerator: a halting leaf with valid output adds its count
+    in each (shift, boxes) piece of the swept interval, shifted; with one
+    piece that count is the leaf's own, and the boxes go unread."""
+    numerators = Counter()
+    for table, count, res in leaves:
         if res[0] == "h" and res[2] is not None:
             if len(pieces) == 1:
                 share = count << pieces[0][0]
             else:
                 share = sum(boxes(table) << shift for shift, boxes in pieces)
-            numerators[res[2]] = numerators.get(res[2], 0) + share
-    return numerators, stats
+            numerators[res[2]] += share
+    return numerators
 
 
 def corrected_mass(

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .enumeration import BoxCounter, MachineRange, machine_to_index, str_to_nat
-from .halting import Simulator, SweepStats, check_schedule, layer_leaves, pool_imap
+from .halting import Simulator, SweepStats, check_schedule, sweep
 from .tm_core import identity_scanner, run
 
 DEFAULT_ENUM_CEILING = 1 << 22
@@ -210,8 +210,8 @@ def applicable_set(
 ) -> list[ProgramPair]:
     """All proved-halting pairs with output x, pruned, in canonical order.
 
-    The sweep walks one lazy leaf tree (``halting.layer_leaves``) per layer
-    and program; ``threads > 1`` spreads the trees over a fork pool.  A
+    The sweep walks one lazy leaf tree (``halting.sweep``) per layer and
+    program; ``threads > 1`` spreads the trees over a fork pool.  A
     ``stats`` given is updated with the trees' counts, (index, program)
     pairs weighted.
     """
@@ -229,33 +229,27 @@ def applicable_set(
             "universe or max_prog_len, or raise the ceiling"
         )
     jobs = [
-        (n, lo, hi, budget, p, x)
+        (n, lo, hi, p, BoxCounter(n, lo, hi), p, x)
         for n, lo, hi in universe.layers()
         for length in range(max_prog_len + 1)
         for p in _programs_of_length(length)
     ]
-    pairs = []
-    for part, part_stats in pool_imap(_leaf_pairs, jobs, threads):
-        pairs += part
-        if stats is not None:
-            stats.merge(part_stats)
-    pruned = PRUNING_POLICIES[policy](pairs)
+    pairs, sweep_stats = sweep(_leaf_pairs, jobs, budget, threads)
+    if stats is not None:
+        stats.merge(sweep_stats)
+    pruned = PRUNING_POLICIES[policy](pairs or [])
     pruned.sort(key=lambda pr: (pr.i, len(pr.p), str_to_nat(pr.p)))
     return pruned
 
 
-def _leaf_pairs(job):
-    """One layer's leaf tree on one program, over indices lo..hi of that
-    layer: (the pairs with output x, the tree's stats).  A halting leaf with
-    output x gives one pair per index of its box, at the leaf's step count."""
-    n, lo, hi, budget, program, x = job
-    boxes = BoxCounter(n, lo, hi)
-    pairs, stats = [], SweepStats()
-    for table, count, res in layer_leaves(n, budget, lo, hi, input_str=program):
-        stats.add(res, count)
+def _leaf_pairs(leaves, boxes, program, x) -> list:
+    """The pairs with output x of one leaf tree on ``program``: one per index
+    of a halting leaf's box in ``boxes``, at the leaf's step count."""
+    pairs = []
+    for table, _, res in leaves:
         if res[0] == "h" and res[2] == x:
             pairs += [make_pair(i, program, res[1]) for i in boxes.members(table)]
-    return pairs, stats
+    return pairs
 
 
 def bound_from_pairs(x: str, pairs) -> tuple[int, ProgramPair]:

@@ -28,7 +28,9 @@ Certificate kinds, each with a mechanical checker:
 from __future__ import annotations
 
 from bisect import bisect_left
+from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import islice
 from multiprocessing import get_context
 from typing import NamedTuple
@@ -577,9 +579,8 @@ class _LeafMachine(NamedTuple):  # what verify_certificate reads of a Machine
     table: PartialTable
 
 
-def layer_leaves(
-    n: int, budget: int, lo: int, hi: int, verify: bool = False, input_str: str = ""
-):
+def layer_leaves(n: int, budget: int, lo: int, hi: int, verify: bool = False,
+                 input_str: str = "", stats: SweepStats | None = None):
     """Lazy (tree-normal-form) sweep of the n-state layer on one input.
 
     Yields ``(table, count, result)`` per leaf (a partial table): how many
@@ -591,11 +592,13 @@ def layer_leaves(
     entry with a nonzero count.  A run that finishes read no entry outside
     its leaf, so every completion gets its verdict.  With ``verify`` a
     divergent leaf's certificate is replayed on the same partial table,
-    pinning and branching likewise; a failed replay raises.
+    pinning and branching likewise; a failed replay raises.  A ``stats``
+    given counts each leaf yielded and each certificate replayed.
     """
     entries = [divmod(d, n + 1) for d in range(5 * (n + 1))]
     boxes = BoxCounter(n, lo, hi)
     input_syms = str_to_syms(input_str)
+    stats = SweepStats() if stats is None else stats
     stack = [(_BoxTable(boxes, entries), boxes.size)] if boxes.size else []
     while stack:
         table, count = stack.pop()
@@ -605,13 +608,38 @@ def layer_leaves(
                 verdict = ProvedDiverges(_to_certificate(res[1]), res[2])
                 if not verify_certificate(_LeafMachine(n, table), input_str, verdict):
                     raise AssertionError(f"certificate failed replay on leaf {dict(table)}")
+                stats.leaves_verified += 1
         except Undefined as e:
             pos, counts = e.args
             for entry, c in zip(entries, counts):
                 if c:
                     stack.append((_BoxTable(boxes, entries, {**table, pos: entry}), c))
             continue
+        stats.add(res, count)
         yield table, count, res
+
+
+def _sweep_job(fold, budget, job):
+    n, lo, hi, input_str, *extra = job
+    stats = SweepStats()
+    return fold(layer_leaves(n, budget, lo, hi, input_str=input_str, stats=stats), *extra), stats
+
+
+def sweep(fold, jobs, budget: int, threads: int = 1):
+    """``fold(leaves, *extra)`` over the ``layer_leaves`` tree of each job
+    ``(n, lo, hi, input_str, *extra)``: the folds (each a ``Counter`` or a
+    list) added in job order, None without jobs, and the merged ``SweepStats``.
+    With ``threads > 1`` and more than one job, a fork pool of
+    ``min(threads, len(jobs))`` workers runs the trees; fold and jobs must pickle."""
+    run = partial(_sweep_job, fold, budget)
+    workers = min(threads, len(jobs))
+    with get_context("fork").Pool(workers) if workers > 1 else nullcontext() as pool:
+        results = pool.imap(run, jobs) if pool else map(run, jobs)
+        total, stats = next(results, (None, SweepStats()))
+        for part, part_stats in results:
+            total += part  # in place: a repeated Counter + rebuilds the whole sum
+            stats.merge(part_stats)
+    return total, stats
 
 
 def check_schedule(schedule) -> list:
@@ -662,14 +690,11 @@ def bb_table(
     lo, hi = spans[0]
     stats = SweepStats()
     max_steps = last_found = 0  # last_found: the latest certificate's discovery step
-    for _, count, res in layer_leaves(n, schedule[-1], lo, hi, verify):
-        stats.add(res, count)
+    for _, _, res in layer_leaves(n, schedule[-1], lo, hi, verify, stats=stats):
         if res[0] == "h":
             max_steps = max(max_steps, res[1])
         elif res[0] == "d":
             last_found = max(last_found, res[2])
-            if verify:
-                stats.leaves_verified += 1
     undecided = machine_count(n) - stats.machines + stats.verdicts.get("unknown", 0)
     first = -1 if undecided else bisect_left(schedule, max(max_steps, last_found))
     return BBRecord(n, max_steps, undecided == 0, undecided, schedule[first], stats)
@@ -694,14 +719,3 @@ class Simulator:
         if self.cache is not None:
             self.cache.record(i, p, budget, res)
         return res
-
-
-def pool_imap(fn, jobs, threads: int):
-    """``fn`` over ``jobs``, results in job order: in this process at one
-    thread, else over a fork pool of ``threads`` workers (``fn`` and its
-    jobs must then pickle)."""
-    if threads <= 1:
-        yield from map(fn, jobs)
-        return
-    with get_context("fork").Pool(processes=threads) as pool:
-        yield from pool.imap(fn, jobs)

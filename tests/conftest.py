@@ -9,9 +9,27 @@ settings.register_profile(
 )
 settings.load_profile("workbench")
 
+from kolmobench import halting
 from kolmobench.enumeration import MachineRange
 
 
 @pytest.fixture(scope="session")
 def small_universe():
     return MachineRange(1, 2)
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The worker count of each fork pool ``halting.sweep`` starts."""
+    sizes, real = [], halting.get_context
+
+    class Context:
+        def __init__(self, method):
+            self.context = real(method)
+
+        def Pool(self, processes):
+            sizes.append(processes)
+            return self.context.Pool(processes)
+
+    monkeypatch.setattr(halting, "get_context", Context)
+    return sizes

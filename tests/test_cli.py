@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from kolmobench import cli
 from kolmobench.cache import VerdictCache
 from kolmobench.cli import (
     EXIT_BAD_INPUT,
@@ -283,7 +284,7 @@ def test_cache_verify_runs_neither_detector_nor_replay(tmp_path, capsys, monkeyp
     assert "MISMATCH at (i=1, p='', budget=8)" in err and "mismatches: 1" in out
 
 
-def test_exports_identical_across_threads_and_cache_warmth(tmp_path, capsys):
+def test_exports_identical_across_threads_and_cache_warmth(tmp_path, capsys, pool_sizes):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
     base = ["ctm", "--scheme", "corrected", "--L", "2",
@@ -292,6 +293,14 @@ def test_exports_identical_across_threads_and_cache_warmth(tmp_path, capsys):
     assert run_cli(base + ["--threads", "2", "--output", str(out2)], capsys)[0] == EXIT_OK
     assert out1.read_bytes() == out2.read_bytes()
 
+    # Indices 990..1040 span two layers: two frequency trees over two workers.
+    freq = ["ctm", "--scheme", "frequency", "--universe-interval", "990:1040", "--budget", "64"]
+    f1, f2 = tmp_path / "f1.csv", tmp_path / "f2.csv"
+    del pool_sizes[:]
+    assert run_cli(freq + ["--threads", "1", "--output", str(f1)], capsys)[0] == EXIT_OK
+    assert run_cli(freq + ["--threads", "2", "--output", str(f2)], capsys)[0] == EXIT_OK
+    assert f1.read_bytes() == f2.read_bytes() and pool_sizes == [2]
+
     est = ["estimate", "10", "--budget", "32", "--universe-interval", "1:1100"]
     cache = str(tmp_path / "vc.jsonl")
     e1, e2, e3 = tmp_path / "e1.csv", tmp_path / "e2.csv", tmp_path / "e3.csv"
@@ -299,6 +308,23 @@ def test_exports_identical_across_threads_and_cache_warmth(tmp_path, capsys):
     assert run_cli(est + ["--output", str(e2), "--cache-path", cache], capsys)[0] == EXIT_OK
     assert run_cli(est + ["--output", str(e3), "--threads", "2"], capsys)[0] == EXIT_OK
     assert e1.read_bytes() == e2.read_bytes() == e3.read_bytes()
+
+
+@pytest.mark.parametrize("argv, sweep", [
+    (["bb", "1"], "bb_table"),
+    (["ctm", "--scheme", "frequency", "--max-states", "1"], "output_frequency"),
+    (["estimate", "10"], "phi_profile"),
+])
+def test_missing_output_directory_exits_2_before_the_sweep(argv, sweep, tmp_path, capsys,
+                                                           monkeypatch):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError(f"{sweep} ran")
+
+    monkeypatch.setattr(cli, sweep, must_not_run)
+    target = tmp_path / "missing" / "x.csv"
+    code, out, err = run_cli(argv + ["--output", str(target)], capsys)
+    assert code == EXIT_BAD_INPUT and f"no directory for --output {target}" in err
+    assert out == "" and list(tmp_path.iterdir()) == []
 
 
 def test_manifest_written_alongside_export(tmp_path, capsys):

@@ -30,6 +30,7 @@ from kolmobench.halting import (
     BlankEscape,
     PartialTable,
     ProvedDiverges,
+    SweepStats,
     Undefined,
     _LeafMachine,
     _walk_check,
@@ -184,6 +185,43 @@ def test_runs_end_only_at_leaves_and_branching_reads(monkeypatch):
     monkeypatch.setattr(halting, "analyze_table", counting)
     stats = ctm.corrected_table(MachineRange(2, 2, *WINDOW), 6, 1024).stats
     assert calls[0] == stats.leaves + branching[0] == 14_344
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_frequency_over_two_layers_matches_plain_loop(threads, pool_sizes):
+    # Indices 990..1040 span the 1- and 2-state layers: one tree, one job, each.
+    rng, want, counts = MachineRange(1, 2, 990, 1040), SweepStats(), {}
+    for i in rng.indices():
+        res = analyze_table(index_to_table(i)[1], (), 64)
+        want.add(res, 1)
+        if res[0] == "h" and res[2] is not None:
+            counts[res[2]] = counts.get(res[2], 0) + 1
+    freq = output_frequency(rng, 64, threads=threads)
+    assert freq.entries == {x: Fraction(c, rng.count) for x, c in counts.items()}
+    assert (freq.stats.machines, freq.stats.verdicts) == (want.machines, want.verdicts)
+    leaves = sum(1 for n, lo, hi in rng.layers() for _ in layer_leaves(n, 64, lo, hi))
+    assert freq.stats.leaves == leaves
+    assert pool_sizes == ([2] if threads == 2 else [])
+
+
+ONE_LAYER_JOB = (1, 1, 1000, "", [(0, None)])  # the 1-state layer's frequency tree
+
+
+def test_sweep_runs_one_job_in_process(monkeypatch):
+    def no_pool(method):
+        raise AssertionError("a single job must run in this process")
+
+    monkeypatch.setattr(halting, "get_context", no_pool)
+    counts, stats = halting.sweep(ctm._leaf_numerators, [ONE_LAYER_JOB], 64, threads=4)
+    assert stats.machines == 1000 and sum(counts.values()) > 0
+
+
+def test_sweep_starts_no_more_workers_than_jobs(pool_sizes):
+    jobs = [ONE_LAYER_JOB, ONE_LAYER_JOB]
+    counts, stats = halting.sweep(ctm._leaf_numerators, jobs, 64, threads=8)
+    one, one_stats = halting.sweep(ctm._leaf_numerators, jobs[:1], 64)
+    assert pool_sizes == [2]
+    assert counts == one + one and stats.machines == 2 * one_stats.machines == 2000
 
 
 def seeded_slice(n, seed):
@@ -364,6 +402,9 @@ def test_full_two_state_layer_on_input_one_matches_plain_loop():
         if res[0] == "h" and res[2] is not None:
             share = 1 << (kraft_max - ctm._kraft_exponent(i.bit_length()))
             want[res[2]] = want.get(res[2], 0) + share
-    got, stats = ctm._leaf_numerators((2, lo, hi, 256, "1", kraft_max))
+    pieces = [(kraft_max - ctm._kraft_exponent(k),
+               BoxCounter(2, max(lo, 1 << (k - 1)), min(hi, (1 << k) - 1)))
+              for k in range(lo.bit_length(), hi.bit_length() + 1)]
+    got, stats = halting.sweep(ctm._leaf_numerators, [(2, lo, hi, "1", pieces)], 256)
     assert got == want
     assert stats.machines == machine_count(2)
