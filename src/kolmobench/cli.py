@@ -279,7 +279,7 @@ def cmd_ctm(args, parser) -> int:
             config["L"] = args.block_len or 0
             table = corrected_table(universe, config["L"], args.budget, threads=args.threads)
         else:
-            table = output_frequency(universe, args.budget, threads=args.threads)
+            table = output_frequency(universe, args.budget)
     digest = _config_digest(config)
     text = table_to_csv(table, digest) if args.out == "csv" else table_to_json(table, digest)
     _write_export(text, args, config, table.stats)

@@ -87,12 +87,12 @@ def alpha_sum_upto(max_i: int) -> Fraction:
     return total
 
 
-def output_frequency(universe: MachineRange, budget: int, threads: int = 1) -> DistributionTable:
+def output_frequency(universe: MachineRange, budget: int) -> DistributionTable:
     """Empty-input halting frequencies over every machine in the universe.
 
     Machines with invalid output or without a halting proof only count in
-    the denominator.  Each layer is one lazy leaf tree (``halting.sweep``);
-    ``threads > 1`` spreads the layers over a fork pool.
+    the denominator.  Each layer is one lazy leaf tree (``halting.sweep``),
+    all run in this process: the top layer's tree is nearly all the work.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -100,7 +100,7 @@ def output_frequency(universe: MachineRange, budget: int, threads: int = 1) -> D
     if total == 0:
         raise ValueError("empty universe")
     jobs = [(n, lo, hi, "", [(0, None)]) for n, lo, hi in universe.layers()]
-    counts, stats = sweep(_leaf_numerators, jobs, budget, threads)
+    counts, stats = sweep(_leaf_numerators, jobs, budget)
     return DistributionTable(
         entries={x: Fraction(c, total) for x, c in counts.items()},
         meta=TableMeta(scheme=FREQUENCY, universe=universe.describe(), budget=budget),

@@ -228,16 +228,17 @@ def applicable_set(
             f"{work} simulations exceed ceiling {ceiling}; shrink the "
             "universe or max_prog_len, or raise the ceiling"
         )
-    jobs = [
-        (n, lo, hi, p, BoxCounter(n, lo, hi), p, x)
-        for n, lo, hi in universe.layers()
-        for length in range(max_prog_len + 1)
-        for p in _programs_of_length(length)
-    ]
+    programs = [p for length in range(max_prog_len + 1) for p in _programs_of_length(length)]
+    jobs = []
+    for n, lo, hi in universe.layers():
+        boxes = BoxCounter(n, lo, hi)
+        jobs += [(n, lo, hi, p, boxes, p, x) for p in programs]
+    if not jobs:  # an empty universe: no tree to sweep
+        return []
     pairs, sweep_stats = sweep(_leaf_pairs, jobs, budget, threads)
     if stats is not None:
         stats.merge(sweep_stats)
-    pruned = PRUNING_POLICIES[policy](pairs or [])
+    pruned = PRUNING_POLICIES[policy](pairs)
     pruned.sort(key=lambda pr: (pr.i, len(pr.p), str_to_nat(pr.p)))
     return pruned
 

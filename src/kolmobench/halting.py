@@ -627,17 +627,17 @@ def _sweep_job(fold, budget, job):
 
 def sweep(fold, jobs, budget: int, threads: int = 1):
     """``fold(leaves, *extra)`` over the ``layer_leaves`` tree of each job
-    ``(n, lo, hi, input_str, *extra)``: the folds (each a ``Counter`` or a
-    list) added in job order, None without jobs, and the merged ``SweepStats``.
+    ``(n, lo, hi, input_str, *extra)`` (at least one): the folds (each a
+    ``Counter`` or a list) added in job order, and the merged ``SweepStats``.
     With ``threads > 1`` and more than one job, a fork pool of
     ``min(threads, len(jobs))`` workers runs the trees; fold and jobs must pickle."""
     run = partial(_sweep_job, fold, budget)
     workers = min(threads, len(jobs))
     with get_context("fork").Pool(workers) if workers > 1 else nullcontext() as pool:
         results = pool.imap(run, jobs) if pool else map(run, jobs)
-        total, stats = next(results, (None, SweepStats()))
+        total, stats = next(results)
         for part, part_stats in results:
-            total += part  # in place: a repeated Counter + rebuilds the whole sum
+            total += part  # a Counter's += scans the whole sum, drops entries <= 0 (none here)
             stats.merge(part_stats)
     return total, stats
 

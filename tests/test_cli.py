@@ -284,7 +284,7 @@ def test_cache_verify_runs_neither_detector_nor_replay(tmp_path, capsys, monkeyp
     assert "MISMATCH at (i=1, p='', budget=8)" in err and "mismatches: 1" in out
 
 
-def test_exports_identical_across_threads_and_cache_warmth(tmp_path, capsys, pool_sizes):
+def test_exports_identical_across_threads_and_cache_warmth(tmp_path, capsys):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
     base = ["ctm", "--scheme", "corrected", "--L", "2",
@@ -292,14 +292,6 @@ def test_exports_identical_across_threads_and_cache_warmth(tmp_path, capsys, poo
     assert run_cli(base + ["--threads", "1", "--output", str(out1)], capsys)[0] == EXIT_OK
     assert run_cli(base + ["--threads", "2", "--output", str(out2)], capsys)[0] == EXIT_OK
     assert out1.read_bytes() == out2.read_bytes()
-
-    # Indices 990..1040 span two layers: two frequency trees over two workers.
-    freq = ["ctm", "--scheme", "frequency", "--universe-interval", "990:1040", "--budget", "64"]
-    f1, f2 = tmp_path / "f1.csv", tmp_path / "f2.csv"
-    del pool_sizes[:]
-    assert run_cli(freq + ["--threads", "1", "--output", str(f1)], capsys)[0] == EXIT_OK
-    assert run_cli(freq + ["--threads", "2", "--output", str(f2)], capsys)[0] == EXIT_OK
-    assert f1.read_bytes() == f2.read_bytes() and pool_sizes == [2]
 
     est = ["estimate", "10", "--budget", "32", "--universe-interval", "1:1100"]
     cache = str(tmp_path / "vc.jsonl")

@@ -187,8 +187,7 @@ def test_runs_end_only_at_leaves_and_branching_reads(monkeypatch):
     assert calls[0] == stats.leaves + branching[0] == 14_344
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_frequency_over_two_layers_matches_plain_loop(threads, pool_sizes):
+def test_frequency_over_two_layers_matches_plain_loop(pool_sizes):
     # Indices 990..1040 span the 1- and 2-state layers: one tree, one job, each.
     rng, want, counts = MachineRange(1, 2, 990, 1040), SweepStats(), {}
     for i in rng.indices():
@@ -196,12 +195,12 @@ def test_frequency_over_two_layers_matches_plain_loop(threads, pool_sizes):
         want.add(res, 1)
         if res[0] == "h" and res[2] is not None:
             counts[res[2]] = counts.get(res[2], 0) + 1
-    freq = output_frequency(rng, 64, threads=threads)
+    freq = output_frequency(rng, 64)
     assert freq.entries == {x: Fraction(c, rng.count) for x, c in counts.items()}
     assert (freq.stats.machines, freq.stats.verdicts) == (want.machines, want.verdicts)
     leaves = sum(1 for n, lo, hi in rng.layers() for _ in layer_leaves(n, 64, lo, hi))
     assert freq.stats.leaves == leaves
-    assert pool_sizes == ([2] if threads == 2 else [])
+    assert pool_sizes == []  # both trees run in this process
 
 
 ONE_LAYER_JOB = (1, 1, 1000, "", [(0, None)])  # the 1-state layer's frequency tree
