@@ -207,17 +207,16 @@ def cmd_estimate(args, parser) -> int:
     config = _config(args, x=x, universe=universe.describe(), cap=cap,
                      max_prog_len=args.max_prog_len, policy=args.policy, ceiling=args.ceiling)
     cache = VerdictCache(args.cache_path) if args.cache_path else None
-    schedule = doubling_schedule(1, args.budget)
-    profile = phi_profile(x, schedule, universe, cap=cap, ceiling=args.ceiling, cache=cache)
     stats = SweepStats()
-    pairs = applicable_set(
-        x, universe, args.budget, args.max_prog_len, policy=args.policy,
-        ceiling=args.ceiling, threads=args.threads, stats=stats,
-    )
+    try:  # a refusal or error still closes the cache, with its records written
+        profile = phi_profile(x, doubling_schedule(1, args.budget), universe, cap=cap,
+                              ceiling=args.ceiling, cache=cache)
+        pairs = applicable_set(x, universe, args.budget, args.max_prog_len, policy=args.policy,
+                               ceiling=args.ceiling, threads=args.threads, stats=stats)
+    finally:
+        if cache is not None:
+            cache.close()
     bound, witness = bound_from_pairs(x, pairs)
-    n_pairs = len(pairs)
-    if cache is not None:
-        cache.close()
     if args.out == "json":
         body = {
             "x": x,
@@ -227,7 +226,7 @@ def cmd_estimate(args, parser) -> int:
                 {"t": r.t, "value": r.value, "witness": r.witness} for r in profile
             ],
             "upper_bound": {"bound": bound, **asdict(witness)},
-            "applicable_count": n_pairs,
+            "applicable_count": len(pairs),
         }
     else:
         body = ["kind,x,t,value,cap,witness,i,p,steps"]
@@ -241,7 +240,7 @@ def cmd_estimate(args, parser) -> int:
     print(
         f"phi stabilized at {profile[-1].value} (cap {cap}); "
         f"upper bound {bound} via (i={witness.i}, p={witness.p!r}); "
-        f"{n_pairs} applicable pairs",
+        f"{len(pairs)} applicable pairs",
         file=sys.stderr,
     )
     return EXIT_OK

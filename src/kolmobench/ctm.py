@@ -28,7 +28,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .enumeration import BoxCounter, MachineRange, index_to_table
+from .enumeration import MachineRange, index_to_table
 from .halting import SweepStats, analyze_table, sweep
 
 FLAWED, CORRECTED, FREQUENCY = "flawed", "corrected", "frequency"
@@ -99,7 +99,7 @@ def output_frequency(universe: MachineRange, budget: int) -> DistributionTable:
     total = universe.count
     if total == 0:
         raise ValueError("empty universe")
-    jobs = [(n, lo, hi, "", [(0, None)]) for n, lo, hi in universe.layers()]
+    jobs = [(n, lo, hi, "", 0) for n, lo, hi in universe.layers()]
     counts, stats = sweep(_leaf_numerators, jobs, budget)
     return DistributionTable(
         entries={x: Fraction(c, total) for x, c in counts.items()},
@@ -165,8 +165,9 @@ def corrected_table(
     Each halting (i, program) pair adds 2^-(2|bin(i)|+1+L), summed as the
     integer 2^(2(K-|bin(i)|)) over 2^(2K+1+L), K the bit length of the
     largest index; each output's sum becomes one ``Fraction`` at the end.
-    The sweep walks one lazy leaf tree (``halting.sweep``) per layer and
-    program; ``threads > 1`` spreads the trees over a fork pool.
+    The sweep walks one lazy leaf tree (``halting.sweep``) per layer, bit
+    length and program, so each tree has one weight; ``threads > 1``
+    spreads the trees over a fork pool.
     """
     if block_len < 0:
         raise ValueError("block length must be >= 0")
@@ -176,12 +177,10 @@ def corrected_table(
         raise ValueError("empty universe")
     programs = [format(v, f"0{block_len}b") for v in range(1 << block_len)] if block_len else [""]
     kraft_max = _kraft_exponent(universe.index_bounds()[1].bit_length())
-    jobs = []
-    for n, lo, hi in universe.layers():
-        pieces = [(kraft_max - _kraft_exponent(k),  # (shift, boxes) per bit length k
-                   BoxCounter(n, max(lo, 1 << (k - 1)), min(hi, (1 << k) - 1)))
-                  for k in range(lo.bit_length(), hi.bit_length() + 1)]
-        jobs += [(n, lo, hi, p, pieces) for p in programs]
+    jobs = [(n, max(lo, 1 << (k - 1)), min(hi, (1 << k) - 1), p, kraft_max - _kraft_exponent(k))
+            for n, lo, hi in universe.layers()
+            for k in range(lo.bit_length(), hi.bit_length() + 1)
+            for p in programs]
     numerators, stats = sweep(_leaf_numerators, jobs, budget, threads)
     denom = 1 << (kraft_max + block_len)
     total = sum(numerators.values())
@@ -199,18 +198,13 @@ def corrected_table(
     )
 
 
-def _leaf_numerators(leaves, pieces) -> Counter:
-    """Output -> numerator: a halting leaf with valid output adds its count
-    in each (shift, boxes) piece of the swept interval, shifted; with one
-    piece that count is the leaf's own, and the boxes go unread."""
+def _leaf_numerators(leaves, shift: int) -> Counter:
+    """Output -> numerator: a halting leaf with valid output adds its count,
+    shifted left by the tree's one weight exponent ``shift``."""
     numerators = Counter()
-    for table, count, res in leaves:
+    for _, count, res in leaves:
         if res[0] == "h" and res[2] is not None:
-            if len(pieces) == 1:
-                share = count << pieces[0][0]
-            else:
-                share = sum(boxes(table) << shift for shift, boxes in pieces)
-            numerators[res[2]] += share
+            numerators[res[2]] += count << shift
     return numerators
 
 

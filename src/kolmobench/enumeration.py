@@ -83,36 +83,30 @@ class BoxCounter:
     other entries are free.
 
     A digit DP over the mixed-radix offset, from the top digit down.  The
-    digits and powers of the interval's bounds are computed once, here.
+    digits and powers of the interval's bounds, and the entry of each digit
+    value (``entries[d] == divmod(d, n + 1)``), are computed once, here.
     """
 
     def __init__(self, n: int, lo: int, hi: int):
         base, width, first = 5 * (n + 1), 3 * n, layer_offset(n) + 1
         self.n1, self.base, self.width, self.first = n + 1, base, width, first
         self.powers = [base**k for k in range(width + 1)]
-        lo, hi = max(lo, first) - first, min(hi, first + machine_count(n) - 1) - first
-        self.size = max(0, hi - lo + 1)
+        self.entries = [divmod(d, n + 1) for d in range(base)]
+        self.lo, self.hi = max(lo, first), min(hi, first + machine_count(n) - 1)
+        self.size = max(0, self.hi - self.lo + 1)
         # A box counts its members below offset hi + 1 minus those below lo.
         # A bound past the layer is None (every member is below it); a bound
         # at 0 is dropped (none is).
         self.bounds = [
             (sign, None if x >= self.powers[width] else
              [(pos, x // self.powers[pos] % base) for pos in reversed(range(width))])
-            for sign, x in ((1, hi + 1), (-1, lo))
+            for sign, x in ((1, self.hi + 1 - first), (-1, self.lo - first))
             if x > 0 and self.size
         ]
 
-    def __call__(self, fixed) -> int:
-        if not fixed:
-            return self.size
-        pos = next(iter(fixed))
-        rest = {k: v for k, v in fixed.items() if k != pos}
-        a, s = fixed[pos]
-        return self.children(rest, pos)[a * self.n1 + s]
-
     def children(self, fixed, pos: int) -> list:
         """Counts of the boxes that pin the open entry ``pos`` of ``fixed``
-        to each value, in digit order (entry ``divmod(d, n + 1)`` at ``d``)."""
+        to each value, in digit order (entry ``entries[d]`` at ``d``)."""
         base, powers, n1 = self.base, self.powers, self.n1
         out = [0] * base
         for sign, digits in self.bounds:
@@ -141,7 +135,8 @@ class BoxCounter:
         return out
 
     def members(self, fixed) -> list:
-        """The indices counted by ``self(fixed)``, in increasing order.
+        """The indices in [lo, hi] whose table agrees with ``fixed``, in
+        increasing order.
 
         A walk down the open entries, top digit first, that follows only
         children with a nonzero count, so its cost scales with the members.
@@ -150,7 +145,7 @@ class BoxCounter:
         start = self.first + sum((a * n1 + s) * powers[pos] for pos, (a, s) in fixed.items())
         free = [pos for pos in reversed(range(self.width)) if pos not in fixed]
         if not free:
-            return [start] if self(fixed) else []
+            return [start] if self.lo <= start <= self.hi else []
         out = []
 
         def walk(fixed, depth, index):
@@ -160,7 +155,7 @@ class BoxCounter:
             pos = free[depth]
             for d, c in enumerate(self.children(fixed, pos)):
                 if c:
-                    walk({**fixed, pos: divmod(d, n1)}, depth + 1, index + d * powers[pos])
+                    walk({**fixed, pos: self.entries[d]}, depth + 1, index + d * powers[pos])
 
         walk(dict(fixed), 0, start)
         return out

@@ -25,7 +25,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .enumeration import BoxCounter, MachineRange, machine_to_index, str_to_nat
+from .enumeration import MachineRange, machine_to_index, str_to_nat
 from .halting import Simulator, SweepStats, check_schedule, sweep
 from .tm_core import identity_scanner, run
 
@@ -83,6 +83,16 @@ def _canonical_programs(universe: MachineRange, cap: int):
                     yield prefix + p, i, p
 
 
+def _canonical_count(universe: MachineRange, length: int) -> int:
+    """How many programs ``_canonical_programs(universe, length)`` yields:
+    an index of bit length k heads 2^(length - 2k) - 1 of them."""
+    lo, hi = universe.index_bounds()
+    return sum(
+        len(range(max(lo, 1 << (k - 1)), min(hi, (1 << k) - 1) + 1)) * ((1 << (length - 2 * k)) - 1)
+        for k in range(1, (length + 1) // 2)
+    )
+
+
 def phi(
     t: int,
     x: str,
@@ -109,7 +119,9 @@ def phi_profile(
     Each (index, program) pair is analysed once, at the largest budget still
     without a witness (a ``cache`` given serves and records the verdicts); a
     halt with output x at step s settles every open budget t >= s.  Refuses
-    up front when the scan could exceed ``ceiling`` programs.
+    up front when the scan could exceed ``ceiling`` programs.  Machine 1
+    outputs x from ``101 b x`` at step 1, so with index 1 in the universe
+    the scan ends by length len(x) + 4.
     """
     _check_binary(x)
     schedule = check_schedule(schedule)
@@ -117,9 +129,11 @@ def phi_profile(
         cap = len(x) + cap_constant()
     if cap < 0:
         raise ValueError("cap must be >= 0")
-    if 1 << (cap + 1) > ceiling:
+    length = min(cap, len(x) + 4) if universe.contains_index(1) else cap
+    count = _canonical_count(universe, length)
+    if count > ceiling:
         raise EnumerationLimitError(
-            f"2^(cap+1) = 2^{cap + 1} programs exceeds ceiling {ceiling}; "
+            f"{count} programs of length <= {length} exceed ceiling {ceiling}; "
             "shrink the cap or the universe, or raise the ceiling"
         )
     verdict = Simulator(cache).raw_verdict
@@ -229,10 +243,7 @@ def applicable_set(
             "universe or max_prog_len, or raise the ceiling"
         )
     programs = [p for length in range(max_prog_len + 1) for p in _programs_of_length(length)]
-    jobs = []
-    for n, lo, hi in universe.layers():
-        boxes = BoxCounter(n, lo, hi)
-        jobs += [(n, lo, hi, p, boxes, p, x) for p in programs]
+    jobs = [(n, lo, hi, p, p, x) for n, lo, hi in universe.layers() for p in programs]
     if not jobs:  # an empty universe: no tree to sweep
         return []
     pairs, sweep_stats = sweep(_leaf_pairs, jobs, budget, threads)
@@ -243,13 +254,13 @@ def applicable_set(
     return pruned
 
 
-def _leaf_pairs(leaves, boxes, program, x) -> list:
+def _leaf_pairs(leaves, program, x) -> list:
     """The pairs with output x of one leaf tree on ``program``: one per index
-    of a halting leaf's box in ``boxes``, at the leaf's step count."""
+    of a halting leaf's box, at the leaf's step count."""
     pairs = []
     for table, _, res in leaves:
         if res[0] == "h" and res[2] == x:
-            pairs += [make_pair(i, program, res[1]) for i in boxes.members(table)]
+            pairs += [make_pair(i, program, res[1]) for i in table.boxes.members(table)]
     return pairs
 
 

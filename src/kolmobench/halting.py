@@ -555,22 +555,22 @@ class PartialTable(dict):
 
 
 class _BoxTable(PartialTable):
-    """A leaf's partial table in a lazy sweep, with the sweep's ``BoxCounter``
-    and entry list.  A read of an open entry that the box forces (one value
-    with a nonzero count) pins it in place, and the run goes on; any other
-    open read raises ``Undefined(pos, counts)`` with the child counts."""
+    """A leaf's partial table in a lazy sweep, with the sweep's ``BoxCounter``.
+    A read of an open entry that the box forces (one value with a nonzero
+    count) pins it in place, and the run goes on; any other open read raises
+    ``Undefined(pos, counts)`` with the child counts."""
 
-    __slots__ = ("boxes", "entries")
+    __slots__ = ("boxes",)
 
-    def __init__(self, boxes, entries, fixed=()):
+    def __init__(self, boxes, fixed=()):
         super().__init__(fixed)
-        self.boxes, self.entries = boxes, entries
+        self.boxes = boxes
 
     def __missing__(self, pos):
         counts = self.boxes.children(self, pos)
         if counts.count(0) != len(counts) - 1:
             raise Undefined(pos, counts)
-        entry = self[pos] = self.entries[counts.index(max(counts))]
+        entry = self[pos] = self.boxes.entries[counts.index(max(counts))]
         return entry
 
 
@@ -583,9 +583,10 @@ def layer_leaves(n: int, budget: int, lo: int, hi: int, verify: bool = False,
                  input_str: str = "", stats: SweepStats | None = None):
     """Lazy (tree-normal-form) sweep of the n-state layer on one input.
 
-    Yields ``(table, count, result)`` per leaf (a partial table): how many
-    indices in [lo, hi] complete the leaf, and the ``analyze_table`` result
-    they all share on ``input_str``.  A run that reads an open entry which
+    Yields ``(table, count, result)`` per leaf: a partial table whose
+    ``boxes`` is the sweep's ``BoxCounter`` (``boxes.members(table)`` lists
+    the indices in [lo, hi] that complete it), how many they are, and the
+    ``analyze_table`` result they all share on ``input_str``.  A run that reads an open entry which
     the box forces pins it and goes on (``_BoxTable``): every index of the
     box has that value there, so the box and its count are unchanged.  A
     run that reads any other open entry is re-run once per value of that
@@ -595,11 +596,10 @@ def layer_leaves(n: int, budget: int, lo: int, hi: int, verify: bool = False,
     pinning and branching likewise; a failed replay raises.  A ``stats``
     given counts each leaf yielded and each certificate replayed.
     """
-    entries = [divmod(d, n + 1) for d in range(5 * (n + 1))]
     boxes = BoxCounter(n, lo, hi)
     input_syms = str_to_syms(input_str)
     stats = SweepStats() if stats is None else stats
-    stack = [(_BoxTable(boxes, entries), boxes.size)] if boxes.size else []
+    stack = [(_BoxTable(boxes), boxes.size)] if boxes.size else []
     while stack:
         table, count = stack.pop()
         try:
@@ -611,9 +611,9 @@ def layer_leaves(n: int, budget: int, lo: int, hi: int, verify: bool = False,
                 stats.leaves_verified += 1
         except Undefined as e:
             pos, counts = e.args
-            for entry, c in zip(entries, counts):
+            for entry, c in zip(boxes.entries, counts):
                 if c:
-                    stack.append((_BoxTable(boxes, entries, {**table, pos: entry}), c))
+                    stack.append((_BoxTable(boxes, {**table, pos: entry}), c))
             continue
         stats.add(res, count)
         yield table, count, res

@@ -83,11 +83,33 @@ def test_estimate_rejects_non_binary(capsys):
 
 
 def test_estimate_cap_too_large_is_resource_refusal(capsys):
+    # Without index 1 the phi scan may run to the cap: far past the ceiling.
     code, _, err = run_cli(
-        ["estimate", "1", "--cap", "40", "--budget", "4"], capsys
+        ["estimate", "1", "--cap", "40", "--budget", "4", "--universe-interval", "2:4096"],
+        capsys,
     )
     assert code == EXIT_RESOURCE
     assert "refusal" in err
+
+
+def test_estimate_refusal_closes_the_cache(tmp_path, capsys, monkeypatch):
+    # The phi scan records its verdicts, then the applicable set refuses:
+    # the cache must still be closed, with the records on disk.
+    closed, real_close = [], VerdictCache.close
+
+    def close(self):
+        closed.append(self.path)
+        real_close(self)
+
+    monkeypatch.setattr(VerdictCache, "close", close)
+    cache = str(tmp_path / "c.jsonl")
+    code, _, err = run_cli(
+        ["estimate", "1", "--max-prog-len", "25", "--budget", "16", "--cache-path", cache],
+        capsys,
+    )
+    assert code == EXIT_RESOURCE and "simulations exceed ceiling" in err
+    assert closed == [cache]
+    assert len(Path(cache).read_text().splitlines()) == len(VerdictCache(cache)) == 5
 
 
 def test_estimate_without_small_indices_scans_only_their_programs():
@@ -451,7 +473,7 @@ PINNED_EXPORTS = {
     "corrected-L0-json": (
         ["ctm", "--scheme", "corrected", "--max-states", "1", "--L", "0", "--budget", "16",
          "--out", "json"],
-        "2e9f85805fa6b3ea9853f302cc6f153664d8fa44cbb55bfe85a13de9220084e3", "0c7b1fdad3c73261",
+        "2e9f85805fa6b3ea9853f302cc6f153664d8fa44cbb55bfe85a13de9220084e3", "8bd4822e6c8916c2",
         "total_mass=215477/1048576 (0.205495) <= 1\n",
     ),
     "bb-verify-json": (

@@ -25,8 +25,10 @@ from kolmobench.ctm import (
     table_to_csv,
     table_to_json,
 )
-from kolmobench.enumeration import MachineRange
+from kolmobench.enumeration import MachineRange, index_to_table
 from kolmobench.estimator import identity_index, upper_bound_C
+from kolmobench.halting import SweepStats, analyze_table
+from kolmobench.tm_core import str_to_syms
 
 N1 = MachineRange(1, 1)
 
@@ -147,10 +149,17 @@ def test_corrected_table_matches_plain_run_oracle(threads):
 def test_corrected_table_matches_plain_run_oracle_across_layers(threads):
     # 990:1040 holds the last 1-state machines (up to 1000) and 2-state
     # machines on both sides of 1024, the step from bit length 10 to 11.
+    # One leaf tree per (layer, bit length, program) must weigh its verdicts
+    # as one plain analysis per (index, program) pair does.
     u = MachineRange(1, 2, 990, 1040)
     table = corrected_table(u, 2, budget=64, threads=threads)
     assert table.entries == _plain_run_masses(990, 1040, 2, 64)
     assert table.stats.machines == sum(table.stats.verdicts.values()) == u.count << 2
+    want = SweepStats()
+    for i in u.indices():
+        for p in ("00", "01", "10", "11"):
+            want.add(analyze_table(index_to_table(i)[1], str_to_syms(p), 64), 1)
+    assert table.stats.verdicts == want.verdicts
 
 
 @pytest.mark.parametrize("block_len", [0, 3])

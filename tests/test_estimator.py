@@ -6,10 +6,18 @@ import pytest
 
 import kolmobench.ctm
 import kolmobench.estimator
-from kolmobench.enumeration import MachineRange, index_to_table, machine_to_index, str_to_nat
+from kolmobench.enumeration import (
+    MachineRange,
+    index_to_machine,
+    index_to_table,
+    machine_to_index,
+    str_to_nat,
+)
 from kolmobench.estimator import (
     EnumerationLimitError,
     PRUNING_POLICIES,
+    _canonical_count,
+    _canonical_programs,
     applicable_set,
     bound_from_pairs,
     cap_constant,
@@ -79,8 +87,31 @@ def test_phi_default_cap_is_length_plus_constant(small_universe):
 
 
 def test_phi_resource_refusal(small_universe):
-    with pytest.raises(EnumerationLimitError):
-        phi(4, "0101", small_universe)  # default cap 25 exceeds default ceiling
+    # Without index 1 the scan may run to the default cap 25: 8,380,418
+    # canonical programs exceed the default ceiling 2^22.
+    with pytest.raises(EnumerationLimitError, match="8380418 programs"):
+        phi(4, "0101", MachineRange(1, 2, 2, 4096))
+    # With index 1 it ends by length 4 + 4: 105 programs.
+    assert phi(4, "0101", small_universe).value <= 8
+
+
+@pytest.mark.parametrize(
+    "universe",
+    [MachineRange(1, 1), MachineRange(1, 2, 1, 40), MachineRange(1, 2, 2, 9),
+     MachineRange(1, 2, 5, 5), MachineRange(1, 2, 990, 1040)],
+)
+def test_canonical_count_matches_the_scan(universe):
+    for cap in range(16):
+        assert _canonical_count(universe, cap) == len(list(_canonical_programs(universe, cap)))
+
+
+@pytest.mark.parametrize("x", ["", "0", "1", "0101", "110100111010"])
+def test_machine_one_outputs_the_rest_of_its_input_at_step_one(x):
+    # The phi scan's refusal counts only up to length len(x) + 4 when
+    # index 1 is in the universe, because program 101 b x is a witness.
+    for b in "01":
+        assert analyze_table(index_to_table(1)[1], str_to_syms(b + x), 1) == ("h", 1, x)
+        assert run(index_to_machine(1), b + x, 1) == Halted(x, 1)
 
 
 def test_phi_rejects_bad_inputs(small_universe):

@@ -203,7 +203,7 @@ def test_frequency_over_two_layers_matches_plain_loop(pool_sizes):
     assert pool_sizes == []  # both trees run in this process
 
 
-ONE_LAYER_JOB = (1, 1, 1000, "", [(0, None)])  # the 1-state layer's frequency tree
+ONE_LAYER_JOB = (1, 1, 1000, "", 0)  # the 1-state layer's frequency tree
 
 
 def test_sweep_runs_one_job_in_process(monkeypatch):
@@ -317,6 +317,17 @@ def boxes(draw):
     return n, fixed, lo, hi
 
 
+def box_count(counter, fixed):
+    """How many indices of the counter's interval agree with ``fixed``: the
+    interval's size, else the child of the rest of ``fixed`` at one of its
+    pinned entries."""
+    if not fixed:
+        return counter.size
+    pos = next(iter(fixed))
+    rest = {k: v for k, v in fixed.items() if k != pos}
+    return counter.children(rest, pos)[counter.entries.index(fixed[pos])]
+
+
 @given(boxes())
 def test_box_count_matches_brute_force(box):
     # Every child count too, the zeros of the children the sweep prunes included.
@@ -326,7 +337,8 @@ def test_box_count_matches_brute_force(box):
     tables = [index_to_table(i)[1] for i in range(max(lo, first), min(hi, last) + 1)]
     members = [t for t in tables if all(t[pos] == entry for pos, entry in fixed.items())]
     counter = BoxCounter(n, lo, hi)
-    assert counter(fixed) == len(members)
+    assert counter.entries == [divmod(d, n + 1) for d in range(5 * (n + 1))]
+    assert box_count(counter, fixed) == len(members)
     for pos in set(range(3 * n)) - set(fixed):
         want = [sum(t[pos] == divmod(d, n + 1) for t in members) for d in range(5 * (n + 1))]
         assert counter.children(fixed, pos) == want
@@ -346,14 +358,15 @@ def test_box_members_match_brute_force(box):
     members = counter.members(fixed)
     assert all(lo <= i <= hi for i in members)
     assert all(index_to_table(i)[1][pos] == entry for i in members for pos, entry in fixed.items())
-    assert len(members) == counter(fixed)
+    assert len(members) == box_count(counter, fixed)
     assert members == want
 
 
 def test_box_count_of_open_table_is_interval_size():
-    assert BoxCounter(2, 1, 10**12)({}) == machine_count(2)
-    assert BoxCounter(2, LAYER2_LO + 7, LAYER2_LO + 99)({}) == 93
-    assert BoxCounter(1, 1, 1000)({0: (MOVE_RIGHT, 1)}) == 1000 // 10
+    assert BoxCounter(2, 1, 10**12).size == machine_count(2)
+    assert BoxCounter(2, LAYER2_LO + 7, LAYER2_LO + 99).size == 93
+    assert box_count(BoxCounter(1, 1, 1000), {0: (MOVE_RIGHT, 1)}) == 1000 // 10
+    assert len(BoxCounter(1, 1, 1000).members({0: (MOVE_RIGHT, 1)})) == 1000 // 10
     assert sum(BoxCounter(2, 1, 10**12).children({}, 5)) == machine_count(2)
 
 
@@ -391,7 +404,7 @@ def test_full_two_state_layer_matches_oracle():
 
 @pytest.mark.slow
 def test_full_two_state_layer_on_input_one_matches_plain_loop():
-    # The corrected mixture's leaf tree on a non-empty input, over every bit
+    # The corrected mixture's leaf trees on a non-empty input, one per bit
     # length of the layer (10 to 24), against one analysis per machine.
     lo, hi = LAYER2_LO, LAYER2_LO + machine_count(2) - 1
     kraft_max = ctm._kraft_exponent(hi.bit_length())
@@ -401,9 +414,9 @@ def test_full_two_state_layer_on_input_one_matches_plain_loop():
         if res[0] == "h" and res[2] is not None:
             share = 1 << (kraft_max - ctm._kraft_exponent(i.bit_length()))
             want[res[2]] = want.get(res[2], 0) + share
-    pieces = [(kraft_max - ctm._kraft_exponent(k),
-               BoxCounter(2, max(lo, 1 << (k - 1)), min(hi, (1 << k) - 1)))
-              for k in range(lo.bit_length(), hi.bit_length() + 1)]
-    got, stats = halting.sweep(ctm._leaf_numerators, [(2, lo, hi, "1", pieces)], 256)
+    jobs = [(2, max(lo, 1 << (k - 1)), min(hi, (1 << k) - 1), "1",
+             kraft_max - ctm._kraft_exponent(k))
+            for k in range(lo.bit_length(), hi.bit_length() + 1)]
+    got, stats = halting.sweep(ctm._leaf_numerators, jobs, 256)
     assert got == want
     assert stats.machines == machine_count(2)
