@@ -53,6 +53,26 @@ def test_enumerate_round_trips_indices(capsys):
         assert machine_to_index(index_to_machine(idx)) == idx
 
 
+@pytest.mark.parametrize(
+    "argv, digest, names",
+    [
+        (["enumerate", "1", "--verdicts"],
+         "5a9720f2bf43d3bf7cc3e9316ab58764d2dc6bdd3e46aff863d1d4dd2cbf321e",
+         {"ProvedHalts": 13, "ProvedDiverges": 7}),
+        (["enumerate", "2", "--limit", "200", "--verdicts", "--budget", "2"],
+         "909f83cef02de1f38108b79de046fe33e1b694b68d6016ef7f68a02f00ad95ab",
+         {"ProvedHalts": 151, "ProvedDiverges": 44, "Unknown": 5}),
+    ],
+    ids=["one-state", "two-state-budget-2"],
+)
+def test_enumerate_verdict_column_is_pinned(capsys, argv, digest, names):
+    code, out, _ = run_cli(argv, capsys)
+    assert code == EXIT_OK
+    column = [line.split("\t")[2] for line in out.splitlines()[2:]]
+    assert {v: column.count(v) for v in set(column)} == names
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_estimate_profile_nonincreasing(capsys):
     code, out, err = run_cli(
         ["estimate", "11", "--budget", "32", "--universe-interval", "1:1100"],
