@@ -15,7 +15,7 @@ from .enumeration import (
     strlen_of_nat,
 )
 from .estimator import PhiResult, ProgramPair, applicable_set, phi, phi_profile, upper_bound_C
-from .halting import BBRecord, analyze, bb_table, verify_certificate
+from .halting import BBRecord, analyze_table, bb_table, verify_certificate
 from .tm_core import Machine, encode_index, decode_program, run, u_run
 
 __all__ = [
@@ -24,7 +24,7 @@ __all__ = [
     "MachineRange",
     "PhiResult",
     "ProgramPair",
-    "analyze",
+    "analyze_table",
     "applicable_set",
     "bb_table",
     "cantor_pair",

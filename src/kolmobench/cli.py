@@ -48,7 +48,7 @@ from .estimator import (
     cap_constant,
     phi_profile,
 )
-from .halting import SweepStats, analyze, bb_table, doubling_schedule
+from .halting import SweepStats, analyze_table, bb_table, doubling_schedule
 from .tm_core import Cutoff, run
 
 EXIT_OK = 0
@@ -194,8 +194,8 @@ def cmd_enumerate(args, parser) -> int:
         m = index_to_machine(k)
         line = f"{k}\t{m.to_text()}"
         if args.verdicts:
-            v = analyze(m, "", args.budget)
-            line += f"\t{type(v).__name__}"
+            res = analyze_table(m.table, (), args.budget)
+            line += "\t" + {"h": "ProvedHalts", "d": "ProvedDiverges", "u": "Unknown"}[res[0]]
         print(line)
     return EXIT_OK
 

@@ -1,28 +1,33 @@
 """Certified halting analysis at finite budget, and busy-beaver step tables.
 
-``analyze`` simulates a machine and either proves it halts, proves it
-diverges with a replayable certificate, or reports unknown-at-budget.
-Soundness is the hard requirement; completeness only has to be good enough
-to fully decide the 1- and 2-state layers on empty input.
+``analyze_table(table, input_syms, budget)`` simulates a machine and either
+proves it halts, ``('h', steps, output)``, proves it diverges with a
+replayable certificate, ``('d', cert, step)``, or reports unknown-at-budget,
+``('u', budget)``.  Soundness is the hard requirement; completeness only has
+to be good enough to fully decide the 1- and 2-state layers on empty input.
 
-Certificate kinds, each with a mechanical checker:
+Certificate tuples by tag, each re-checked by
+``verify_certificate(table, input_syms, cert)``:
 
-* ``ConfigCycle`` -- the exact configuration (state, head, tape) recurred;
-  a deterministic machine then loops forever.
-* ``BlankEscape`` -- the head sits on blank tape beyond every non-blank
-  cell and the current state moves outward over blanks into itself.
-* ``DirectionalEscape`` -- two steps with equal state, the head strictly
+* ``('cycle', a, b)`` -- the exact configuration (state, head, tape) at
+  step a recurred at step b; a deterministic machine then loops forever.
+* ``('escape', state, step, dir)`` -- the head sits on blank tape beyond
+  every non-blank cell and the current state moves outward (dir ``'R'`` or
+  ``'L'``) over blanks into itself.
+* ``('dir', a, b, dir)`` -- two steps with equal state, the head strictly
   further out, the head never behind the earlier position in between, and
   an identical view of the tape from the head outward.  The segment then
   replays shifted, forever (junk left behind is never revisited).
-* ``SpliceCycle`` -- the later tape equals the earlier tape translated by
-  ``shift`` with up to two uniform symbol blocks spliced in, the head and
-  state corresponding, and every head crossing of a cut arrives in a state
-  that walks over the block's symbol monotonically, returning to itself at
-  each fresh cell and repainting uniformly (block symbols must return to
-  the spliced value by the end).  The run from the later step then replays
-  the segment with the blocks pumped wider each round.  With no cuts this
-  degenerates to a pure translated recurrence, which is sound outright.
+* ``('splice', a, b, shift, cuts)`` -- the later tape equals the earlier
+  tape translated by ``shift`` with up to two uniform symbol blocks
+  ``cuts`` ((cut, width, symbol), ... in step-b coordinates) spliced in,
+  the head and state corresponding, and every head crossing of a cut
+  arrives in a state that walks over the block's symbol monotonically,
+  returning to itself at each fresh cell and repainting uniformly (block
+  symbols must return to the spliced value by the end).  The run from the
+  later step then replays the segment with the blocks pumped wider each
+  round.  With no cuts this degenerates to a pure translated recurrence,
+  which is sound outright.
 """
 
 from __future__ import annotations
@@ -32,14 +37,11 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import islice
-from multiprocessing import get_context
-from typing import NamedTuple
 
 from .enumeration import BoxCounter, MachineRange, index_to_table, machine_count
 from .tm_core import (
     MOVE_LEFT,
     MOVE_RIGHT,
-    Machine,
     Table,
     read_output,
     steps,
@@ -53,57 +55,6 @@ SNAPSHOT_TAPE_CAP = 2048
 CYCLE_TAPE_CAP = 128
 MAX_SNAPSHOTS_PER_KEY = 6
 SNAPSHOT_GROWTH = (5, 4)  # admit a new snapshot when steps >= last * 5/4
-
-
-@dataclass(frozen=True)
-class ConfigCycle:
-    step_a: int
-    step_b: int
-
-
-@dataclass(frozen=True)
-class BlankEscape:
-    state: int
-    step: int
-    direction: str  # "R" or "L"
-
-
-@dataclass(frozen=True)
-class DirectionalEscape:
-    step_a: int
-    step_b: int
-    direction: str
-
-
-@dataclass(frozen=True)
-class SpliceCycle:
-    step_a: int
-    step_b: int
-    shift: int
-    cuts: tuple  # ((cut_pos, width, symbol), ...) in step_b coordinates
-
-
-Certificate = ConfigCycle | BlankEscape | DirectionalEscape | SpliceCycle
-
-
-@dataclass(frozen=True)
-class ProvedHalts:
-    steps: int
-    output: str | None  # None marks an invalid (non-contiguous) output
-
-
-@dataclass(frozen=True)
-class ProvedDiverges:
-    certificate: Certificate
-    found_at: int
-
-
-@dataclass(frozen=True)
-class Unknown:
-    budget: int
-
-
-HaltingVerdict = ProvedHalts | ProvedDiverges | Unknown
 
 
 def _walk_check(table, q, sym, dir_right, cache):
@@ -368,27 +319,6 @@ def analyze_table(table: Table, input_syms: tuple, budget: int):
     return ("u", budget)
 
 
-def _to_certificate(ct) -> Certificate:
-    kind = ct[0]
-    if kind == "cycle":
-        return ConfigCycle(ct[1], ct[2])
-    if kind == "escape":
-        return BlankEscape(state=ct[1], step=ct[2], direction=ct[3])
-    if kind == "dir":
-        return DirectionalEscape(step_a=ct[1], step_b=ct[2], direction=ct[3])
-    return SpliceCycle(step_a=ct[1], step_b=ct[2], shift=ct[3], cuts=ct[4])
-
-
-def analyze(m: Machine, input_str: str, budget: int) -> HaltingVerdict:
-    """Sound halting verdict for machine ``m`` on ``input_str`` at ``budget``."""
-    res = analyze_table(m.table, str_to_syms(input_str), budget)
-    if res[0] == "h":
-        return ProvedHalts(steps=res[1], output=res[2])
-    if res[0] == "d":
-        return ProvedDiverges(certificate=_to_certificate(res[1]), found_at=res[2])
-    return Unknown(budget=res[1])
-
-
 def _replay(table, input_syms, step_a, step_b):
     """One plain run: the configuration (state, head, tape) at ``step_a``,
     the one at ``step_b >= step_a``, and the head's range [lo, hi] between
@@ -439,17 +369,17 @@ def _head_matches_splice(ha, hb, d, cuts):
     return hx == hb
 
 
-def verify_certificate(m: Machine, input_str: str, verdict: ProvedDiverges) -> bool:
-    """Re-simulate and confirm every fact the certificate asserts."""
-    table = m.table
-    input_syms = str_to_syms(input_str)
-    cert = verdict.certificate
-    if isinstance(cert, BlankEscape):
-        step_a = step_b = cert.step
-    elif isinstance(cert, (ConfigCycle, DirectionalEscape, SpliceCycle)):
-        if cert.step_a >= cert.step_b:
+def verify_certificate(table: Table, input_syms: tuple, cert: tuple) -> bool:
+    """Re-simulate ``table`` on ``input_syms`` and confirm every fact the
+    certificate tuple ``cert`` (as in ``analyze_table``'s ``('d', cert,
+    step)``) asserts; a certificate with any other tag is rejected."""
+    kind = cert[0]
+    if kind == "escape":
+        step_a = step_b = cert[2]
+    elif kind in ("cycle", "dir", "splice"):
+        step_a, step_b = cert[1], cert[2]
+        if step_a >= step_b:
             return False
-        step_a, step_b = cert.step_a, cert.step_b
     else:
         return False
     if step_a < 0:
@@ -457,17 +387,17 @@ def verify_certificate(m: Machine, input_str: str, verdict: ProvedDiverges) -> b
     (sa, ha, ta), (sb, hb, tb), lo, hi = _replay(table, input_syms, step_a, step_b)
     if sa != sb or sa == 0:
         return False
-    if isinstance(cert, BlankEscape):
-        if sa != cert.state:
+    if kind == "escape":
+        if sa != cert[1]:
             return False
         action, nxt = table[3 * (sa - 1)]
-        if cert.direction == "R":
+        if cert[3] == "R":
             return action == MOVE_RIGHT and nxt == sa and all(p < ha for p in ta)
         return action == MOVE_LEFT and nxt == sa and all(p > ha for p in ta)
-    if isinstance(cert, ConfigCycle):
+    if kind == "cycle":
         return ha == hb and ta == tb
-    if isinstance(cert, DirectionalEscape):
-        if cert.direction == "R":
+    if kind == "dir":
+        if cert[3] == "R":
             if hb <= ha or lo < ha:
                 return False
             fa = {p - ha: v for p, v in ta.items() if p >= ha}
@@ -478,16 +408,17 @@ def verify_certificate(m: Machine, input_str: str, verdict: ProvedDiverges) -> b
             fa = {p - ha: v for p, v in ta.items() if p <= ha}
             fb = {p - hb: v for p, v in tb.items() if p <= hb}
         return fa == fb
-    if cert.cuts == () and cert.shift == 0:
+    shift, cuts = cert[3], cert[4]
+    if not cuts and shift == 0:
         return False
-    if not _tape_matches_splice(ta, tb, cert.shift, cert.cuts):
+    if not _tape_matches_splice(ta, tb, shift, cuts):
         return False
-    if not _head_matches_splice(ha, hb, cert.shift, cert.cuts):
+    if not _head_matches_splice(ha, hb, shift, cuts):
         return False
-    if not cert.cuts:
+    if not cuts:
         return True
-    acuts = _cuts_in_a_coords(cert.shift, cert.cuts)
-    return _check_crossings(table, sa, ha, ta, cert.step_b - cert.step_a, acuts)
+    acuts = _cuts_in_a_coords(shift, cuts)
+    return _check_crossings(table, sa, ha, ta, step_b - step_a, acuts)
 
 
 @dataclass
@@ -574,11 +505,6 @@ class _BoxTable(PartialTable):
         return entry
 
 
-class _LeafMachine(NamedTuple):  # what verify_certificate reads of a Machine
-    n_states: int
-    table: PartialTable
-
-
 def layer_leaves(n: int, budget: int, lo: int, hi: int, verify: bool = False,
                  input_str: str = "", stats: SweepStats | None = None):
     """Lazy (tree-normal-form) sweep of the n-state layer on one input.
@@ -586,15 +512,18 @@ def layer_leaves(n: int, budget: int, lo: int, hi: int, verify: bool = False,
     Yields ``(table, count, result)`` per leaf: a partial table whose
     ``boxes`` is the sweep's ``BoxCounter`` (``boxes.members(table)`` lists
     the indices in [lo, hi] that complete it), how many they are, and the
-    ``analyze_table`` result they all share on ``input_str``.  A run that reads an open entry which
-    the box forces pins it and goes on (``_BoxTable``): every index of the
-    box has that value there, so the box and its count are unchanged.  A
-    run that reads any other open entry is re-run once per value of that
-    entry with a nonzero count.  A run that finishes read no entry outside
-    its leaf, so every completion gets its verdict.  With ``verify`` a
-    divergent leaf's certificate is replayed on the same partial table,
-    pinning and branching likewise; a failed replay raises.  A ``stats``
-    given counts each leaf yielded and each certificate replayed.
+    ``analyze_table`` result they all share on ``input_str``.  A run that
+    reads an open entry which the box forces pins it and goes on
+    (``_BoxTable``): every index of the box has that value there, so the box
+    and its count are unchanged.  A run that reads any other open entry is
+    re-run once per value of that entry with a nonzero count.  A run that
+    finishes read no entry outside its leaf, so every completion gets its
+    verdict.  With ``verify`` a divergent leaf's certificate tuple
+    (``('cycle', ...)``, ``('escape', ...)``, ``('dir', ...)`` or
+    ``('splice', ...)``) goes straight to ``verify_certificate(table,
+    input_syms, cert)`` on the same partial table, which pins and branches
+    likewise; a failed replay raises.  A ``stats`` given counts each leaf
+    yielded and each certificate replayed.
     """
     boxes = BoxCounter(n, lo, hi)
     input_syms = str_to_syms(input_str)
@@ -605,8 +534,7 @@ def layer_leaves(n: int, budget: int, lo: int, hi: int, verify: bool = False,
         try:
             res = analyze_table(table, input_syms, budget)
             if verify and res[0] == "d":
-                verdict = ProvedDiverges(_to_certificate(res[1]), res[2])
-                if not verify_certificate(_LeafMachine(n, table), input_str, verdict):
+                if not verify_certificate(table, input_syms, res[1]):
                     raise AssertionError(f"certificate failed replay on leaf {dict(table)}")
                 stats.leaves_verified += 1
         except Undefined as e:
@@ -629,12 +557,19 @@ def sweep(fold, jobs, budget: int, threads: int = 1):
     """``fold(leaves, *extra)`` over the ``layer_leaves`` tree of each job
     ``(n, lo, hi, input_str, *extra)`` (at least one): the folds (each a
     ``Counter`` or a list) added in job order, and the merged ``SweepStats``.
-    With ``threads > 1`` and more than one job, a fork pool of
-    ``min(threads, len(jobs))`` workers runs the trees; fold and jobs must pickle."""
+    With ``threads > 1`` and more than one job, a fork process pool of
+    ``min(threads, len(jobs))`` workers runs the trees; fold and jobs must
+    pickle.  A worker that dies raises ``BrokenProcessPool`` here."""
     run = partial(_sweep_job, fold, budget)
     workers = min(threads, len(jobs))
-    with get_context("fork").Pool(workers) if workers > 1 else nullcontext() as pool:
-        results = pool.imap(run, jobs) if pool else map(run, jobs)
+    pool = None
+    if workers > 1:  # imported here: a command that never forks never loads them
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
+
+        pool = ProcessPoolExecutor(workers, mp_context=get_context("fork"))
+    with pool or nullcontext():
+        results = pool.map(run, jobs) if pool else map(run, jobs)
         total, stats = next(results)
         for part, part_stats in results:
             total += part  # a Counter's += scans the whole sum, drops entries <= 0 (none here)

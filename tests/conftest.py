@@ -9,7 +9,6 @@ settings.register_profile(
 )
 settings.load_profile("workbench")
 
-from kolmobench import halting
 from kolmobench.enumeration import MachineRange
 
 
@@ -20,16 +19,14 @@ def small_universe():
 
 @pytest.fixture
 def pool_sizes(monkeypatch):
-    """The worker count of each fork pool ``halting.sweep`` starts."""
-    sizes, real = [], halting.get_context
+    """The worker count of each process pool ``halting.sweep`` starts."""
+    import concurrent.futures
 
-    class Context:
-        def __init__(self, method):
-            self.context = real(method)
+    sizes, real = [], concurrent.futures.ProcessPoolExecutor
 
-        def Pool(self, processes):
-            sizes.append(processes)
-            return self.context.Pool(processes)
+    def pool(max_workers, **kwargs):
+        sizes.append(max_workers)
+        return real(max_workers, **kwargs)
 
-    monkeypatch.setattr(halting, "get_context", Context)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
     return sizes

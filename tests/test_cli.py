@@ -151,6 +151,26 @@ def test_estimate_without_small_indices_scans_only_their_programs():
     assert profile[0]["witness"] is None
 
 
+def test_cli_import_loads_no_process_pool_and_no_verdict_classes():
+    # Only a sweep with more than one worker needs a process pool, and the
+    # detector's tuples are the one verdict vocabulary.
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]
+    script = (
+        "import sys, kolmobench.cli, kolmobench.halting as h; "
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules), "
+        "hasattr(h, 'ProvedDiverges'))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.stdout.strip() == "[] False", proc.stderr
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

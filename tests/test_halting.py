@@ -3,20 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kolmobench.enumeration import index_to_machine, iter_tables
-from kolmobench.halting import (
-    BBRecord,
-    BlankEscape,
-    ConfigCycle,
-    DirectionalEscape,
-    ProvedDiverges,
-    ProvedHalts,
-    Simulator,
-    SpliceCycle,
-    Unknown,
-    analyze,
-    bb_table,
-    verify_certificate,
-)
+from kolmobench.halting import BBRecord, Simulator, analyze_table, bb_table, verify_certificate
 from kolmobench.tm_core import (
     MOVE_LEFT,
     MOVE_RIGHT,
@@ -30,6 +17,7 @@ from kolmobench.tm_core import (
     encode_index,
     immediate_halt,
     run,
+    str_to_syms,
     u_run,
 )
 
@@ -50,35 +38,34 @@ def machines(max_states=3):
 
 
 def test_analyze_immediate_halt():
-    v = analyze(immediate_halt(), "", 10)
-    assert v == ProvedHalts(steps=1, output="")
+    assert analyze_table(immediate_halt().table, (), 10) == ("h", 1, "")
 
 
 def test_analyze_right_runner_blank_escape():
     m = Machine(1, ((MOVE_RIGHT, 1), (WRITE_BLANK, 0), (WRITE_BLANK, 0)))
-    v = analyze(m, "", 10)
-    assert isinstance(v, ProvedDiverges)
-    assert isinstance(v.certificate, BlankEscape)
-    assert v.certificate.direction == "R"
-    assert verify_certificate(m, "", v)
+    v = analyze_table(m.table, (), 10)
+    assert v[0] == "d"
+    assert v[1][0] == "escape"
+    assert v[1][3] == "R"
+    assert verify_certificate(m.table, (), v[1])
 
 
 def test_analyze_blink_config_cycle():
     # write one / erase it: the configuration repeats with period 2
     m = Machine(1, ((WRITE_ONE, 1), (WRITE_BLANK, 0), (WRITE_BLANK, 1)))
-    v = analyze(m, "", 10)
-    assert isinstance(v, ProvedDiverges)
-    assert isinstance(v.certificate, ConfigCycle)
-    assert v.certificate.step_b - v.certificate.step_a == 2
-    assert verify_certificate(m, "", v)
+    v = analyze_table(m.table, (), 10)
+    assert v[0] == "d"
+    assert v[1][0] == "cycle"
+    assert v[1][2] - v[1][1] == 2
+    assert verify_certificate(m.table, (), v[1])
 
 
 def test_analyze_one_way_writer_directional_escape():
     m = Machine(1, ((WRITE_ONE, 1), (WRITE_BLANK, 0), (MOVE_RIGHT, 1)))
-    v = analyze(m, "", 64)
-    assert isinstance(v, ProvedDiverges)
-    assert isinstance(v.certificate, DirectionalEscape)
-    assert verify_certificate(m, "", v)
+    v = analyze_table(m.table, (), 64)
+    assert v[0] == "d"
+    assert v[1][0] == "dir"
+    assert verify_certificate(m.table, (), v[1])
 
 
 def test_analyze_two_sided_bouncer_splice_cycle():
@@ -94,10 +81,10 @@ def test_analyze_two_sided_bouncer_splice_cycle():
             (WRITE_BLANK, 0),  # 2,1
         ),
     )
-    v = analyze(m, "", 512)
-    assert isinstance(v, ProvedDiverges)
-    assert isinstance(v.certificate, SpliceCycle)
-    assert verify_certificate(m, "", v)
+    v = analyze_table(m.table, (), 512)
+    assert v[0] == "d"
+    assert v[1][0] == "splice"
+    assert verify_certificate(m.table, (), v[1])
     # long replay really does not halt
     assert isinstance(run(m, "", 20000), Cutoff)
 
@@ -114,40 +101,40 @@ def test_analyze_unknown_below_discovery_budget():
             (WRITE_BLANK, 0),
         ),
     )
-    assert isinstance(analyze(m, "", 5), Unknown)
+    assert analyze_table(m.table, (), 5) == ("u", 5)
 
 
 @given(machines(4), binary, st.integers(1, 200))
 def test_proved_halts_agrees_with_plain_run(m, x, budget):
-    v = analyze(m, x, budget)
-    if isinstance(v, ProvedHalts):
-        out = run(m, x, v.steps)
-        if v.output is None:
-            assert out == InvalidOutput(v.steps)
+    v = analyze_table(m.table, str_to_syms(x), budget)
+    if v[0] == "h":
+        out = run(m, x, v[1])
+        if v[2] is None:
+            assert out == InvalidOutput(v[1])
         else:
-            assert out == Halted(v.output, v.steps)
+            assert out == Halted(v[2], v[1])
 
 
 @given(machines(4), binary, st.integers(1, 200))
 def test_proved_diverges_verifies_and_keeps_running(m, x, budget):
-    v = analyze(m, x, budget)
-    if isinstance(v, ProvedDiverges):
-        assert verify_certificate(m, x, v)
+    v = analyze_table(m.table, str_to_syms(x), budget)
+    if v[0] == "d":
+        assert verify_certificate(m.table, str_to_syms(x), v[1])
         assert isinstance(run(m, x, 4000), Cutoff)
 
 
 @given(machines(), binary, st.integers(1, 60), st.integers(0, 60))
 def test_verdict_monotonicity(m, x, b1, extra):
     b2 = b1 + extra
-    v1 = analyze(m, x, b1)
-    v2 = analyze(m, x, b2)
-    if isinstance(v1, ProvedHalts):
+    v1 = analyze_table(m.table, str_to_syms(x), b1)
+    v2 = analyze_table(m.table, str_to_syms(x), b2)
+    if v1[0] == "h":
         assert v2 == v1
-    elif isinstance(v1, ProvedDiverges):
-        assert isinstance(v2, ProvedDiverges)
-        assert v2.certificate == v1.certificate
+    elif v1[0] == "d":
+        assert v2[0] == "d"
+        assert v2[1] == v1[1]
     else:
-        assert isinstance(v2, (ProvedHalts, ProvedDiverges, Unknown))
+        assert v2[0] in ("h", "d", "u")
 
 
 def test_bb_record_consistency_check():
@@ -178,30 +165,27 @@ def test_bb_schedule_one_state():
 
 def test_verify_rejects_tampered_certificates():
     m = Machine(1, ((MOVE_RIGHT, 1), (WRITE_BLANK, 0), (WRITE_BLANK, 0)))
-    good = analyze(m, "", 10)
-    bad = ProvedDiverges(
-        certificate=BlankEscape(state=1, step=0, direction="L"), found_at=0
-    )
-    assert verify_certificate(m, "", good)
-    assert not verify_certificate(m, "", bad)
+    good = analyze_table(m.table, (), 10)
+    assert verify_certificate(m.table, (), good[1])
+    assert not verify_certificate(m.table, (), ("escape", 1, 0, "L"))
     blink = Machine(1, ((WRITE_ONE, 1), (WRITE_BLANK, 0), (WRITE_BLANK, 1)))
-    assert not verify_certificate(
-        blink, "", ProvedDiverges(certificate=ConfigCycle(0, 1), found_at=1)
-    )
+    assert not verify_certificate(blink.table, (), ("cycle", 0, 1))
     left = Machine(1, ((MOVE_LEFT, 1), (MOVE_LEFT, 1), (MOVE_LEFT, 1)))
-    assert verify_certificate(left, "", analyze(left, "", 10))
+    assert verify_certificate(left.table, (), analyze_table(left.table, (), 10)[1])
     for cert in (
-        DirectionalEscape(step_a=5, step_b=3, direction="R"),
-        DirectionalEscape(step_a=3, step_b=3, direction="L"),
-        ConfigCycle(-1, 2),
-        BlankEscape(state=1, step=-1, direction="L"),
+        ("dir", 5, 3, "R"),
+        ("dir", 3, 3, "L"),
+        ("cycle", -1, 2),
+        ("escape", 1, -1, "L"),
     ):
-        assert not verify_certificate(left, "", ProvedDiverges(certificate=cert, found_at=5))
+        assert not verify_certificate(left.table, (), cert)
     # Index 11 halts at step 2 on "0".  This splice leaves the tape cell that
     # lands right of its cut unchecked; replay must still reject it.
     halts = index_to_machine(11)
-    splice = SpliceCycle(step_a=0, step_b=1, shift=-2, cuts=((-2, 2, 0),))
-    assert not verify_certificate(halts, "0", ProvedDiverges(certificate=splice, found_at=1))
+    splice = ("splice", 0, 1, -2, ((-2, 2, 0),))
+    assert not verify_certificate(halts.table, str_to_syms("0"), splice)
+    # An unknown tag is rejected, even around the facts of a good certificate.
+    assert not verify_certificate(m.table, (), ("halt", *good[1][1:]))
 
 
 def test_simulator_memoizes_across_budgets():
@@ -220,11 +204,11 @@ def test_simulator_memoizes_across_budgets():
     ]
     m = index_to_machine(2)
     for b in (1, 2, 7):
-        fresh = analyze(m, "", b)
+        fresh = analyze_table(m.table, (), b)
         raw = Simulator().raw_verdict(2, "", b)
-        if isinstance(fresh, ProvedDiverges):
+        if fresh[0] == "d":
             assert raw == ("u", b)  # the run did not halt within b; no certificate kept
-        elif isinstance(fresh, ProvedHalts):
+        elif fresh[0] == "h":
             assert raw[0] == "h"
         else:
             assert raw[0] == "u"
@@ -295,8 +279,8 @@ BOUNCER_INDICES = [
 @pytest.mark.parametrize("idx", BOUNCER_INDICES)
 def test_bouncer_family_gets_splice_certificates(idx):
     m = index_to_machine(idx)
-    v = analyze(m, "", 512)
-    assert isinstance(v, ProvedDiverges), (idx, v)
-    assert isinstance(v.certificate, SpliceCycle)
-    assert verify_certificate(m, "", v)
+    v = analyze_table(m.table, (), 512)
+    assert v[0] == "d", (idx, v)
+    assert v[1][0] == "splice"
+    assert verify_certificate(m.table, (), v[1])
     assert isinstance(run(m, "", 100_000), Cutoff)

@@ -7,9 +7,13 @@ exactly.
 """
 
 import hashlib
+import os
 import random
+import subprocess
+import sys
 from dataclasses import asdict
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -27,12 +31,9 @@ from kolmobench.enumeration import (
     table_to_index,
 )
 from kolmobench.halting import (
-    BlankEscape,
     PartialTable,
-    ProvedDiverges,
     SweepStats,
     Undefined,
-    _LeafMachine,
     _walk_check,
     analyze_table,
     bb_table,
@@ -207,10 +208,12 @@ ONE_LAYER_JOB = (1, 1, 1000, "", 0)  # the 1-state layer's frequency tree
 
 
 def test_sweep_runs_one_job_in_process(monkeypatch):
-    def no_pool(method):
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
         raise AssertionError("a single job must run in this process")
 
-    monkeypatch.setattr(halting, "get_context", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     counts, stats = halting.sweep(ctm._leaf_numerators, [ONE_LAYER_JOB], 64, threads=4)
     assert stats.machines == 1000 and sum(counts.values()) > 0
 
@@ -221,6 +224,35 @@ def test_sweep_starts_no_more_workers_than_jobs(pool_sizes):
     one, one_stats = halting.sweep(ctm._leaf_numerators, jobs[:1], 64)
     assert pool_sizes == [2]
     assert counts == one + one and stats.machines == 2 * one_stats.machines == 2000
+
+
+def test_sweep_raises_when_a_pool_worker_dies():
+    # One of two jobs kills its worker.  The sweep must fail loudly, not wait
+    # forever for the lost result; the timeout turns a hang into a failure.
+    script = """
+import os
+from kolmobench import ctm, halting
+
+def fold(leaves, die):
+    if die:
+        os._exit(1)
+    return ctm._leaf_numerators(leaves, 0)
+
+try:
+    halting.sweep(fold, [(1, 1, 1000, "", 0), (1, 1, 1000, "", 1)], 64, threads=2)
+except Exception as e:
+    print(type(e).__name__)
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.stdout.split() == ["BrokenProcessPool"], proc.stderr
 
 
 def seeded_slice(n, seed):
@@ -390,9 +422,8 @@ def test_speculative_blank_escape_read_branches():
 def test_certificate_replay_of_open_entry_raises():
     # The replay must branch on an entry the leaf leaves open, never pass it.
     table = PartialTable({0: (MOVE_RIGHT, 2)})
-    verdict = ProvedDiverges(BlankEscape(state=2, step=1, direction="R"), found_at=1)
     with pytest.raises(Undefined):
-        verify_certificate(_LeafMachine(2, table), "", verdict)
+        verify_certificate(table, (), ("escape", 2, 1, "R"))
 
 
 @pytest.mark.slow
