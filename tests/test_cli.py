@@ -531,6 +531,22 @@ PINNED_EXPORTS = {
         "3aa584a1380dcbc06daf0c841b71dd13e04e78b969c0d3bb5f4ad56330f6377c", "aff94d15e70c159e",
         "phi stabilized at 7 (cap 24); upper bound 7 via (i=1, p='0101'); 841 applicable pairs\n",
     ),
+    # The applicable set of the empty string over the whole 2-state layer, then
+    # over its bit length 21 alone: millions and hundreds of thousands of pairs.
+    "estimate-full-layer-json": (
+        ["estimate", "", "--universe-interval", "1001:11391625", "--max-prog-len", "0",
+         "--out", "json"],
+        "4293bdca4a0fd6488663074c03836b0305608b73e5e5b6545a3848ac0c597cb2", "71ff34c7642c5c95",
+        "phi stabilized at 21 (cap 21); upper bound 21 via (i=1001, p=''); "
+        "3089010 applicable pairs\n",
+    ),
+    "estimate-bit-length-21-json": (
+        ["estimate", "", "--universe-interval", "1048576:2097151", "--max-prog-len", "0",
+         "--out", "json"],
+        "609ce808a72aa627da7b893344582a299b56f842725e9413908cc4d86243a28c", "9116b62b413f95f5",
+        "phi stabilized at 21 (cap 21); upper bound 43 via (i=1048580, p=''); "
+        "282518 applicable pairs\n",
+    ),
 }
 
 
