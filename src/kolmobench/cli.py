@@ -169,9 +169,12 @@ def _universe_from_args(args, parser, max_states: int) -> MachineRange:
         except ValueError:
             parser.error(f"bad --universe-interval {args.universe_interval!r}")
     try:
-        return MachineRange(1, max_states, lo, hi)
+        universe = MachineRange(1, max_states, lo, hi)
     except ValueError as e:
         parser.error(str(e))
+    if universe.count == 0:
+        parser.error("empty universe")
+    return universe
 
 
 def _check_binary_arg(parser, x: str) -> str:
@@ -209,14 +212,16 @@ def cmd_estimate(args, parser) -> int:
     cache = VerdictCache(args.cache_path) if args.cache_path else None
     stats = SweepStats()
     try:  # a refusal or error still closes the cache, with its records written
+        # First the applicable set, which refuses before it sweeps: a refusal costs no phi scan.
+        classes = applicable_set(x, universe, args.budget, args.max_prog_len, policy=args.policy,
+                                 ceiling=args.ceiling, threads=args.threads, stats=stats)
         profile = phi_profile(x, doubling_schedule(1, args.budget), universe, cap=cap,
                               ceiling=args.ceiling, cache=cache)
-        pairs = applicable_set(x, universe, args.budget, args.max_prog_len, policy=args.policy,
-                               ceiling=args.ceiling, threads=args.threads, stats=stats)
     finally:
         if cache is not None:
             cache.close()
-    bound, witness = bound_from_pairs(x, pairs)
+    applicable_count = sum(count for count, _ in classes)
+    bound, witness = bound_from_pairs(x, [pr for _, pr in classes])
     if args.out == "json":
         body = {
             "x": x,
@@ -226,7 +231,7 @@ def cmd_estimate(args, parser) -> int:
                 {"t": r.t, "value": r.value, "witness": r.witness} for r in profile
             ],
             "upper_bound": {"bound": bound, **asdict(witness)},
-            "applicable_count": len(pairs),
+            "applicable_count": applicable_count,
         }
     else:
         body = ["kind,x,t,value,cap,witness,i,p,steps"]
@@ -240,7 +245,7 @@ def cmd_estimate(args, parser) -> int:
     print(
         f"phi stabilized at {profile[-1].value} (cap {cap}); "
         f"upper bound {bound} via (i={witness.i}, p={witness.p!r}); "
-        f"{len(pairs)} applicable pairs",
+        f"{applicable_count} applicable pairs",
         file=sys.stderr,
     )
     return EXIT_OK
@@ -271,8 +276,6 @@ def cmd_ctm(args, parser) -> int:
             if getattr(args, dest) is None:
                 setattr(args, dest, value)
         universe = _universe_from_args(args, parser, args.max_states)
-        if universe.count == 0:
-            parser.error("empty universe")
         config["universe"] = universe.describe()
         if args.scheme == CORRECTED:
             config["L"] = args.block_len or 0

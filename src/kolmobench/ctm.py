@@ -177,10 +177,8 @@ def corrected_table(
         raise ValueError("empty universe")
     programs = [format(v, f"0{block_len}b") for v in range(1 << block_len)] if block_len else [""]
     kraft_max = _kraft_exponent(universe.index_bounds()[1].bit_length())
-    jobs = [(n, max(lo, 1 << (k - 1)), min(hi, (1 << k) - 1), p, kraft_max - _kraft_exponent(k))
-            for n, lo, hi in universe.layers()
-            for k in range(lo.bit_length(), hi.bit_length() + 1)
-            for p in programs]
+    jobs = [(n, lo, hi, p, kraft_max - _kraft_exponent(lo.bit_length()))
+            for n, lo, hi in universe.bit_length_spans() for p in programs]
     numerators, stats = sweep(_leaf_numerators, jobs, budget, threads)
     denom = 1 << (kraft_max + block_len)
     total = sum(numerators.values())

@@ -134,31 +134,26 @@ class BoxCounter:
             out = [o + sign * b for o, b in zip(out, below)]
         return out
 
-    def members(self, fixed) -> list:
-        """The indices in [lo, hi] whose table agrees with ``fixed``, in
-        increasing order.
+    def count(self, fixed) -> int:
+        """How many indices in [lo, hi] have a table that agrees with ``fixed``."""
+        pos = next((p for p in range(self.width) if p not in fixed), None)
+        if pos is None:
+            return int(self.lo <= self._index(fixed) <= self.hi)
+        return sum(self.children(fixed, pos))
 
-        A walk down the open entries, top digit first, that follows only
-        children with a nonzero count, so its cost scales with the members.
-        """
-        n1, powers = self.n1, self.powers
-        start = self.first + sum((a * n1 + s) * powers[pos] for pos, (a, s) in fixed.items())
-        free = [pos for pos in reversed(range(self.width)) if pos not in fixed]
-        if not free:
-            return [start] if self.lo <= start <= self.hi else []
-        out = []
+    def first_member(self, fixed) -> int:
+        """The smallest index in [lo, hi] whose table agrees with ``fixed``
+        (``count(fixed)`` must be nonzero): a walk down the open entries, top
+        digit first, into the first child with a nonzero count."""
+        fixed = dict(fixed)
+        for pos in reversed(range(self.width)):
+            if pos not in fixed:
+                counts = self.children(fixed, pos)
+                fixed[pos] = self.entries[next(d for d, c in enumerate(counts) if c)]
+        return self._index(fixed)
 
-        def walk(fixed, depth, index):
-            if depth == len(free):
-                out.append(index)
-                return
-            pos = free[depth]
-            for d, c in enumerate(self.children(fixed, pos)):
-                if c:
-                    walk({**fixed, pos: self.entries[d]}, depth + 1, index + d * powers[pos])
-
-        walk(dict(fixed), 0, start)
-        return out
+    def _index(self, table) -> int:
+        return self.first + sum((a * self.n1 + s) * self.powers[p] for p, (a, s) in table.items())
 
 
 def iter_tables(n: int):
@@ -225,6 +220,11 @@ class MachineRange:
             for n in range(self.min_states, self.max_states + 1)
         ]
         return [(n, a, b) for n, a, b in spans if a <= b]
+
+    def bit_length_spans(self) -> list:
+        """``layers()`` split at the powers of two: (n, lo, hi) per index bit length."""
+        return [(n, max(lo, 1 << (k - 1)), min(hi, (1 << k) - 1)) for n, lo, hi in self.layers()
+                for k in range(lo.bit_length(), hi.bit_length() + 1)]
 
     def describe(self) -> str:
         s = f"s{self.min_states}-{self.max_states}"

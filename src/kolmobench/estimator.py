@@ -12,8 +12,9 @@ That is exact: any other program never halts or repeats a shorter canonical
 one, and since a sound detector never calls a halting run divergent, one
 analysis at budget B gives the true halting step of every run within B.
 
-``applicable_set`` collects the halting (machine, program) pairs producing
-``x`` and applies a pruning rule; ``upper_bound_C`` takes the shortest
+``applicable_set`` counts the halting (machine, program) pairs producing
+``x`` per (layer, index bit length, program), each class with its first
+pair, and applies a pruning rule; ``upper_bound_C`` takes the shortest
 self-delimiting encoding over that set.  Everything here reports upper
 bounds only; no operation of this module returns anything interpretable as
 a certified minimum.
@@ -25,7 +26,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .enumeration import MachineRange, machine_to_index, str_to_nat
+from .enumeration import BoxCounter, MachineRange, machine_to_index, str_to_nat
 from .halting import Simulator, SweepStats, check_schedule, sweep
 from .tm_core import identity_scanner, run
 
@@ -171,44 +172,28 @@ def make_pair(i: int, p: str, steps: int) -> ProgramPair:
     )
 
 
-def _prune_discard_dominated(pairs):
-    """Drop a pair when some other collected pair is at least as cheap as
-    the smaller of its index length and program length."""
-    if len(pairs) < 2:
-        return list(pairs)
-    costs = sorted(p.cost for p in pairs)
-    lowest, second = costs[0], costs[1]
-    kept = []
-    for pr in pairs:
-        other_min = second if pr.cost == lowest and costs.count(lowest) == 1 else lowest
-        if other_min <= min(pr.i.bit_length(), len(pr.p)):
-            continue
-        kept.append(pr)
-    return kept
+PRUNING_POLICIES = ("discard-dominated", "literal-formula", "none")
 
 
-def _prune_literal_formula(pairs):
-    """The displayed set-difference read literally: remove pairs whose cost
-    is at most min(|i'|, |p'|) of some other collected pair."""
-    if len(pairs) < 2:
-        return list(pairs)
-    thresholds = sorted(min(p.i.bit_length(), len(p.p)) for p in pairs)
-    hi, second_hi = thresholds[-1], thresholds[-2]
-    kept = []
-    for pr in pairs:
-        own = min(pr.i.bit_length(), len(pr.p))
-        other_max = second_hi if own == hi and thresholds.count(hi) == 1 else hi
-        if pr.cost <= other_max:
-            continue
-        kept.append(pr)
-    return kept
+def _prune(policy: str, classes) -> list:
+    """The (count, first pair) classes that ``policy`` keeps.
 
-
-PRUNING_POLICIES = {
-    "discard-dominated": _prune_discard_dominated,
-    "literal-formula": _prune_literal_formula,
-    "none": lambda pairs: list(pairs),
-}
+    A pair's cost |bin(i)| + |p| and threshold min(|bin(i)|, |p|) are its
+    class's.  discard-dominated drops a pair when some other pair costs at
+    most its threshold; literal-formula, the displayed set difference read
+    literally, drops it when its cost is at most some other pair's
+    threshold.  A pair's cost exceeds its threshold (|bin(i)| >= 1), so no
+    pair drops itself, and either rule reads every pair, its own included:
+    the lowest cost, or the highest threshold.
+    """
+    if policy == "none" or not classes:
+        return list(classes)
+    thresholds = [min(pr.i.bit_length(), len(pr.p)) for _, pr in classes]
+    if policy == "discard-dominated":
+        lowest = min(pr.cost for _, pr in classes)
+        return [c for c, t in zip(classes, thresholds) if lowest > t]
+    highest = max(thresholds)
+    return [c for c in classes if c[1].cost > highest]
 
 
 def applicable_set(
@@ -221,8 +206,11 @@ def applicable_set(
     ceiling: int = DEFAULT_ENUM_CEILING,
     threads: int = 1,
     stats: SweepStats | None = None,
-) -> list[ProgramPair]:
-    """All proved-halting pairs with output x, pruned, in canonical order.
+) -> list[tuple[int, ProgramPair]]:
+    """The proved-halting pairs with output x, pruned, as one (count, first
+    pair) per layer, index bit length and program: how many of its pairs
+    output x, and the one of smallest index, with its step count.  In
+    canonical order of the first pairs.
 
     The sweep walks one lazy leaf tree (``halting.sweep``) per layer and
     program; ``threads > 1`` spreads the trees over a fork pool.  A
@@ -243,25 +231,34 @@ def applicable_set(
             "universe or max_prog_len, or raise the ceiling"
         )
     programs = [p for length in range(max_prog_len + 1) for p in _programs_of_length(length)]
-    jobs = [(n, lo, hi, p, p, x) for n, lo, hi in universe.layers() for p in programs]
+    spans, jobs = universe.bit_length_spans(), []
+    for n, lo, hi in universe.layers():
+        boxes = [BoxCounter(n, a, b) for m, a, b in spans if m == n]
+        jobs += [(n, lo, hi, p, boxes, p, x) for p in programs]
     if not jobs:  # an empty universe: no tree to sweep
         return []
-    pairs, sweep_stats = sweep(_leaf_pairs, jobs, budget, threads)
+    classes, sweep_stats = sweep(_leaf_classes, jobs, budget, threads)
     if stats is not None:
         stats.merge(sweep_stats)
-    pruned = PRUNING_POLICIES[policy](pairs)
-    pruned.sort(key=lambda pr: (pr.i, len(pr.p), str_to_nat(pr.p)))
-    return pruned
+    kept = _prune(policy, classes)
+    kept.sort(key=lambda c: (c[1].i, len(c[1].p), str_to_nat(c[1].p)))
+    return kept
 
 
-def _leaf_pairs(leaves, program, x) -> list:
-    """The pairs with output x of one leaf tree on ``program``: one per index
-    of a halting leaf's box, at the leaf's step count."""
-    pairs = []
+def _leaf_classes(leaves, boxes, program, x) -> list:
+    """(count, first pair) per bit length of one leaf tree on ``program``,
+    with a ``BoxCounter`` in ``boxes`` per bit length of the tree's interval:
+    how many of its indices complete a halting leaf with output x, and the
+    smallest of them with that leaf's step count."""
+    counts, firsts = [0] * len(boxes), [(float("inf"), 0)] * len(boxes)
     for table, _, res in leaves:
         if res[0] == "h" and res[2] == x:
-            pairs += [make_pair(i, program, res[1]) for i in table.boxes.members(table)]
-    return pairs
+            for j, box in enumerate(boxes):
+                count = box.count(table)
+                if count:
+                    counts[j] += count
+                    firsts[j] = min(firsts[j], (box.first_member(table), res[1]))
+    return [(c, make_pair(i, program, steps)) for c, (i, steps) in zip(counts, firsts) if c]
 
 
 def bound_from_pairs(x: str, pairs) -> tuple[int, ProgramPair]:
@@ -286,7 +283,7 @@ def upper_bound_C(
     ceiling: int = DEFAULT_ENUM_CEILING,
 ) -> tuple[int, ProgramPair]:
     """Shortest self-delimiting encoding over the applicable set."""
-    pairs = applicable_set(
+    classes = applicable_set(
         x,
         universe,
         budget,
@@ -294,4 +291,4 @@ def upper_bound_C(
         policy=policy,
         ceiling=ceiling,
     )
-    return bound_from_pairs(x, pairs)
+    return bound_from_pairs(x, [pr for _, pr in classes])

@@ -510,9 +510,9 @@ def layer_leaves(n: int, budget: int, lo: int, hi: int, verify: bool = False,
     """Lazy (tree-normal-form) sweep of the n-state layer on one input.
 
     Yields ``(table, count, result)`` per leaf: a partial table whose
-    ``boxes`` is the sweep's ``BoxCounter`` (``boxes.members(table)`` lists
-    the indices in [lo, hi] that complete it), how many they are, and the
-    ``analyze_table`` result they all share on ``input_str``.  A run that
+    ``boxes`` is the sweep's ``BoxCounter``, how many indices in [lo, hi]
+    complete it, and the ``analyze_table`` result they all share on
+    ``input_str``.  A run that
     reads an open entry which the box forces pins it and goes on
     (``_BoxTable``): every index of the box has that value there, so the box
     and its count are unchanged.  A run that reads any other open entry is

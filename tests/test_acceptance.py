@@ -121,8 +121,8 @@ def test_criterion_3_oracle_equivalence():
 
     checked = 0
     for x in all_strings(3):
-        pairs = applicable_set(x, universe, budget, mpl)
-        bound, witness = bound_from_pairs(x, pairs)
+        classes = applicable_set(x, universe, budget, mpl)
+        bound, witness = bound_from_pairs(x, [pr for _, pr in classes])
         want = naive_oracle(x)
         assert want is not None, f"oracle found nothing for {x!r}"
         assert (bound, witness.i, str_to_nat(witness.p)) == want, (x, bound, want)

@@ -113,8 +113,8 @@ def test_estimate_cap_too_large_is_resource_refusal(capsys):
 
 
 def test_estimate_refusal_closes_the_cache(tmp_path, capsys, monkeypatch):
-    # The phi scan records its verdicts, then the applicable set refuses:
-    # the cache must still be closed, with the records on disk.
+    # The applicable set refuses before the phi scan records any verdict: the
+    # cache must still be closed, and it never made its file.
     closed, real_close = [], VerdictCache.close
 
     def close(self):
@@ -129,7 +129,19 @@ def test_estimate_refusal_closes_the_cache(tmp_path, capsys, monkeypatch):
     )
     assert code == EXIT_RESOURCE and "simulations exceed ceiling" in err
     assert closed == [cache]
-    assert len(Path(cache).read_text().splitlines()) == len(VerdictCache(cache)) == 5
+    assert not Path(cache).exists()
+
+
+def test_estimate_refuses_an_empty_universe(tmp_path, capsys):
+    # No machine of the universe could witness a bound: exit 2, nothing written.
+    out, cache = tmp_path / "est.csv", tmp_path / "c.jsonl"
+    code, stdout, err = run_cli(
+        ["estimate", "1", "--universe-interval", "20000000:20000001", "--output", str(out),
+         "--cache-path", str(cache)],
+        capsys,
+    )
+    assert (code, stdout) == (EXIT_BAD_INPUT, "") and "empty universe" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_estimate_without_small_indices_scans_only_their_programs():

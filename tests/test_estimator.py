@@ -1,5 +1,6 @@
 import inspect
 import re
+from collections import Counter
 from functools import lru_cache
 
 import pytest
@@ -10,6 +11,7 @@ from kolmobench.enumeration import (
     MachineRange,
     index_to_machine,
     index_to_table,
+    layer_of_index,
     machine_to_index,
     str_to_nat,
 )
@@ -18,6 +20,7 @@ from kolmobench.estimator import (
     PRUNING_POLICIES,
     _canonical_count,
     _canonical_programs,
+    _prune,
     applicable_set,
     bound_from_pairs,
     cap_constant,
@@ -144,21 +147,27 @@ def test_phi_profile_matches_oracle_where_the_budget_matters(cap, first):
 
 
 def test_applicable_set_contains_immediate_halt_for_empty_string():
-    pairs = applicable_set("", N1, budget=16, max_prog_len=2)
-    assert any(pr.i == 1 and pr.p == "" for pr in pairs)
+    classes = applicable_set("", N1, budget=16, max_prog_len=2)
+    assert any(pr.i == 1 and pr.p == "" for _, pr in classes)
 
 
 def test_applicable_set_pairs_replay(small_universe):
-    u = MachineRange(1, 2, 1, 1200)
+    # Each class's first pair replays on the plain stepper, and its count is
+    # the indices of its span whose plain run outputs x, the first the smallest.
+    u, budget = MachineRange(1, 2, 1, 1200), 32
+    spans = u.bit_length_spans()
     for x in ("", "1"):
-        pairs = applicable_set(x, u, budget=32, max_prog_len=3)
-        assert applicable_set(x, u, budget=32, max_prog_len=3, threads=2) == pairs
-        for pr in pairs:
-            from kolmobench.enumeration import index_to_machine
-
+        classes = applicable_set(x, u, budget=budget, max_prog_len=3)
+        assert applicable_set(x, u, budget=budget, max_prog_len=3, threads=2) == classes
+        for count, pr in classes:
             assert run(index_to_machine(pr.i), pr.p, pr.steps) == Halted(x, pr.steps)
             assert pr.cost == pr.i.bit_length() + len(pr.p)
             assert pr.encoded_len == 2 * pr.i.bit_length() + 1 + len(pr.p)
+            lo, hi = next((lo, hi) for _, lo, hi in spans if lo <= pr.i <= hi)
+            outputs = [run(index_to_machine(i), pr.p, budget) for i in range(lo, hi + 1)]
+            members = [i for i, out in enumerate(outputs, lo)
+                       if isinstance(out, Halted) and out.output == x]
+            assert (members[0], len(members)) == (pr.i, count)
 
 
 @lru_cache(maxsize=None)
@@ -179,6 +188,37 @@ def _plain_loop_pairs(lo, hi, budget, max_prog_len):
     return found
 
 
+def _classes(pairs):
+    """Pairs in canonical order grouped per (layer, index bit length,
+    program): (count, first pair), in canonical order of the first pairs."""
+    classes = {}
+    for pr in pairs:
+        key = (layer_of_index(pr.i), pr.i.bit_length(), pr.p)
+        count, first = classes.get(key, (0, pr))
+        classes[key] = (count + 1, first)
+    return sorted(classes.values(), key=lambda c: (c[1].i, len(c[1].p), str_to_nat(c[1].p)))
+
+
+def _pruned_pair_by_pair(policy, pairs):
+    """The pairs that ``policy`` keeps, each judged against every other pair."""
+    if policy == "none":
+        return list(pairs)
+
+    def threshold(pr):
+        return min(pr.i.bit_length(), len(pr.p))
+
+    def others(tally, own):  # the values of the pairs but one whose value is own
+        return [v for v, n in tally.items() if n > (v == own)]
+
+    costs = Counter(pr.cost for pr in pairs)
+    thresholds = Counter(threshold(pr) for pr in pairs)
+    if policy == "discard-dominated":
+        return [pr for pr in pairs if not any(c <= threshold(pr) for c in others(costs, pr.cost))]
+    assert policy == "literal-formula"
+    return [pr for pr in pairs
+            if not any(pr.cost <= t for t in others(thresholds, threshold(pr)))]
+
+
 # 990:1040 crosses from the 1-state to the 2-state layer and the bit length
 # of its indices steps at 1024; so does 2040:2060's at 2048.
 @pytest.mark.parametrize("threads", [1, 2])
@@ -187,18 +227,37 @@ def test_applicable_set_matches_plain_loop(lo, hi, threads):
     u, budget, mpl = MachineRange(1, 2, lo, hi), 64, 3
     oracle = _plain_loop_pairs(lo, hi, budget, mpl)
     for x in ("", "0", "1", "11", "010"):
-        pairs = applicable_set(x, u, budget, mpl, policy="none", threads=threads)
-        assert [(pr.i, pr.p, pr.steps) for pr in pairs] == oracle.get(x, [])
-        assert pairs == [make_pair(*t) for t in oracle.get(x, [])]
+        pairs = [make_pair(*t) for t in oracle.get(x, [])]
+        for policy in PRUNING_POLICIES:
+            classes = applicable_set(x, u, budget, mpl, policy=policy, threads=threads)
+            assert classes == _classes(_pruned_pair_by_pair(policy, pairs)), (x, policy)
+
+
+def test_full_layer_applicable_set_builds_one_pair_per_class(monkeypatch):
+    # The empty string's 3,089,010 pairs over the whole 2-state layer come from
+    # one ProgramPair per (layer, index bit length, program): bit lengths 10..24.
+    u = MachineRange(1, 2, 1001, 11391625)
+    built = []
+
+    def counted_make_pair(*args):
+        built.append(args)
+        assert len(built) <= 15, "a ProgramPair per index"
+        return make_pair(*args)
+
+    monkeypatch.setattr(kolmobench.estimator, "make_pair", counted_make_pair)
+    classes = applicable_set("", u, 256, 0, ceiling=1 << 26)
+    assert len(u.bit_length_spans()) == len(classes) == len(built) == 15
+    assert sum(count for count, _ in classes) == 3_089_010
+    assert bound_from_pairs("", [pr for _, pr in classes]) == (21, make_pair(1001, "", 1))
 
 
 def test_applicable_set_stats_weigh_verdicts_by_pairs():
     u, mpl = MachineRange(1, 2, 990, 1040), 3
     stats = SweepStats()
-    pairs = applicable_set("1", u, 64, mpl, policy="none", stats=stats)
+    classes = applicable_set("1", u, 64, mpl, policy="none", stats=stats)
     assert stats.machines == sum(stats.verdicts.values()) == u.count * ((1 << (mpl + 1)) - 1)
     assert 0 < stats.leaves < stats.machines
-    assert 0 < len(pairs) <= stats.verdicts["halt"]
+    assert 0 < sum(count for count, _ in classes) <= stats.verdicts["halt"]
 
 
 def test_applicable_set_resource_refusal():
@@ -209,7 +268,8 @@ def test_applicable_set_resource_refusal():
 def test_pruning_matches_independent_predicate():
     u = MachineRange(1, 1, 1, 400)
     x = ""
-    unpruned = applicable_set(x, u, budget=16, max_prog_len=2, policy="none")
+    unpruned = [make_pair(*t) for t in _plain_loop_pairs(1, 400, 16, 2)[x]]
+    assert applicable_set(x, u, budget=16, max_prog_len=2, policy="none") == _classes(unpruned)
     pruned = applicable_set(x, u, budget=16, max_prog_len=2)
     expected = [
         pr
@@ -220,14 +280,14 @@ def test_pruning_matches_independent_predicate():
             for other in unpruned
         )
     ]
-    assert pruned == expected
-    assert len(pruned) < len(unpruned)
+    assert pruned == _classes(expected)
+    assert sum(count for count, _ in pruned) < len(unpruned)
 
 
 def test_literal_formula_policy_differs_by_removing_dominators():
-    pairs = [make_pair(1, "", 1), make_pair(5, "0010", 4)]
-    assert PRUNING_POLICIES["discard-dominated"](pairs) == [pairs[0]]
-    assert PRUNING_POLICIES["literal-formula"](pairs) == [pairs[1]]
+    classes = [(1, make_pair(1, "", 1)), (1, make_pair(5, "0010", 4))]
+    assert _prune("discard-dominated", classes) == [classes[0]]
+    assert _prune("literal-formula", classes) == [classes[1]]
 
 
 def test_upper_bound_examples(small_universe):
@@ -259,8 +319,8 @@ def test_upper_bound_agrees_with_phi_at_stabilization():
     # budget beyond every halting step in the set
     u = MachineRange(1, 2, 1, 1000)
     for x in ("", "0", "11"):
-        pairs = applicable_set(x, u, budget=64, max_prog_len=6)
-        bound, _ = bound_from_pairs(x, pairs)
+        classes = applicable_set(x, u, budget=64, max_prog_len=6)
+        bound, _ = bound_from_pairs(x, [pr for _, pr in classes])
         r = phi(64, x, u, cap=27, ceiling=1 << 28)
         assert r.value == bound
 

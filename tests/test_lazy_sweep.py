@@ -387,18 +387,26 @@ def test_box_members_match_brute_force(box):
         if all(index_to_table(i)[1][pos] == entry for pos, entry in fixed.items())
     ]
     counter = BoxCounter(n, lo, hi)
-    members = counter.members(fixed)
-    assert all(lo <= i <= hi for i in members)
-    assert all(index_to_table(i)[1][pos] == entry for i in members for pos, entry in fixed.items())
-    assert len(members) == box_count(counter, fixed)
-    assert members == want
+    assert counter.count(fixed) == box_count(counter, fixed) == len(want)
+    # The first member of the box, then of the box above it, and so on: the
+    # members in increasing order (the first eight).
+    members, start = [], lo
+    while len(members) < 8 and (counter := BoxCounter(n, start, hi)).count(fixed):
+        members.append(counter.first_member(fixed))
+        start = members[-1] + 1
+    assert members == want[:8]
 
 
 def test_box_count_of_open_table_is_interval_size():
     assert BoxCounter(2, 1, 10**12).size == machine_count(2)
     assert BoxCounter(2, LAYER2_LO + 7, LAYER2_LO + 99).size == 93
     assert box_count(BoxCounter(1, 1, 1000), {0: (MOVE_RIGHT, 1)}) == 1000 // 10
-    assert len(BoxCounter(1, 1, 1000).members({0: (MOVE_RIGHT, 1)})) == 1000 // 10
+    assert BoxCounter(1, 1, 1000).count({0: (MOVE_RIGHT, 1)}) == 1000 // 10
+    assert BoxCounter(1, 1, 1000).first_member({0: (MOVE_RIGHT, 1)}) == min(
+        i for i in range(1, 1001) if index_to_table(i)[1][0] == (MOVE_RIGHT, 1)
+    )
+    assert BoxCounter(2, 1, 10**12).count({}) == machine_count(2)
+    assert BoxCounter(2, LAYER2_LO + 7, LAYER2_LO + 99).first_member({}) == LAYER2_LO + 7
     assert sum(BoxCounter(2, 1, 10**12).children({}, 5)) == machine_count(2)
 
 
