@@ -24,7 +24,7 @@ class CacheCorruptionError(RuntimeError):
 
 _FIELDS = ("i", "p", "budget", "status", "steps", "output")
 # Older files also hold "diverges" records (with a "cert"): did not halt.
-_STATUSES = {"halted", "invalid", "unknown", "diverges"}
+_STATUSES = ("halted", "invalid", "unknown", "diverges")
 
 
 def raw_to_record(i: int, p: str, budget: int, raw) -> dict:
@@ -41,12 +41,29 @@ def record_to_raw(rec: dict):
     return ("u", rec["budget"])
 
 
-def _validate(rec, path, line_no):
+def _is_binary(v) -> bool:
+    return isinstance(v, str) and not v.strip("01")
+
+
+def _problem(rec):
+    """Why a parsed line is not a record, or None: a field of the wrong type
+    stops here, never in a phi scan."""
+    if not isinstance(rec, dict):
+        return "not a JSON object"
     for f in _FIELDS:
         if f not in rec:
-            raise CacheCorruptionError(path, line_no, f"missing field {f!r}")
-    if rec["status"] not in _STATUSES:
-        raise CacheCorruptionError(path, line_no, f"bad status {rec['status']!r}")
+            return f"missing field {f!r}"
+    status, steps, out = rec["status"], rec["steps"], rec["output"]
+    if status not in _STATUSES:
+        return f"bad status {status!r}"
+    if not all(type(rec[f]) is int and rec[f] >= 1 for f in ("i", "budget")):
+        return "i or budget is not an int >= 1"
+    if not _is_binary(rec["p"]):
+        return f"p {rec['p']!r} is not a binary string"
+    if status in ("halted", "invalid") and not (type(steps) is int and 1 <= steps <= rec["budget"]):
+        return f"steps {steps!r} is not an int in 1..budget"
+    if status == "halted" and not _is_binary(out) or status == "invalid" and out is not None:
+        return f"bad output {out!r} for status {status!r}"
 
 
 class VerdictCache:
@@ -69,7 +86,9 @@ class VerdictCache:
                     rec = json.loads(line)
                 except json.JSONDecodeError as e:
                     raise CacheCorruptionError(self.path, line_no, f"bad JSON ({e.msg})")
-                _validate(rec, self.path, line_no)
+                problem = _problem(rec)
+                if problem:
+                    raise CacheCorruptionError(self.path, line_no, problem)
                 key = (rec["i"], rec["p"], rec["budget"])
                 rec = raw_to_record(*key, record_to_raw(rec))  # older formats read as today's
                 prev = self.records.get(key)

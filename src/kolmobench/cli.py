@@ -46,6 +46,7 @@ from .estimator import (
     applicable_set,
     bound_from_pairs,
     cap_constant,
+    check_phi_scan,
     phi_profile,
 )
 from .halting import SweepStats, analyze_table, bb_table, doubling_schedule
@@ -209,10 +210,11 @@ def cmd_estimate(args, parser) -> int:
     cap = args.cap if args.cap is not None else len(x) + cap_constant()
     config = _config(args, x=x, universe=universe.describe(), cap=cap,
                      max_prog_len=args.max_prog_len, policy=args.policy, ceiling=args.ceiling)
+    check_phi_scan(x, universe, cap, args.ceiling)  # both refusals come before either sweep
     cache = VerdictCache(args.cache_path) if args.cache_path else None
     stats = SweepStats()
     try:  # a refusal or error still closes the cache, with its records written
-        # First the applicable set, which refuses before it sweeps: a refusal costs no phi scan.
+        # The applicable set refuses before it sweeps, so its refusal costs no phi scan.
         classes = applicable_set(x, universe, args.budget, args.max_prog_len, policy=args.policy,
                                  ceiling=args.ceiling, threads=args.threads, stats=stats)
         profile = phi_profile(x, doubling_schedule(1, args.budget), universe, cap=cap,

@@ -43,18 +43,13 @@ class SubProbabilityError(ValueError):
     """A corrected mixture's total mass exceeds 1: its weights sum past 1."""
 
 
-@dataclass(frozen=True)
-class TableMeta:
+@dataclass
+class DistributionTable:
+    entries: dict  # output string -> Fraction
     scheme: str
     universe: str
     budget: int
     block_len: int | None = None
-
-
-@dataclass
-class DistributionTable:
-    entries: dict  # output string -> Fraction
-    meta: TableMeta
     stats: SweepStats | None = None  # of the layer sweep behind it; never exported
 
     def total_mass(self) -> Fraction:
@@ -103,7 +98,9 @@ def output_frequency(universe: MachineRange, budget: int) -> DistributionTable:
     counts, stats = sweep(_leaf_numerators, jobs, budget)
     return DistributionTable(
         entries={x: Fraction(c, total) for x, c in counts.items()},
-        meta=TableMeta(scheme=FREQUENCY, universe=universe.describe(), budget=budget),
+        scheme=FREQUENCY,
+        universe=universe.describe(),
+        budget=budget,
         stats=stats,
     )
 
@@ -137,10 +134,7 @@ def flawed_mass(x: str | None, n_max: int, budget: int) -> Fraction:
 
 
 def flawed_table(n_max: int, budget: int) -> DistributionTable:
-    return DistributionTable(
-        entries=_flawed_counts(n_max, budget),
-        meta=TableMeta(scheme=FLAWED, universe=f"i1-{n_max}", budget=budget),
-    )
+    return DistributionTable(_flawed_counts(n_max, budget), FLAWED, f"i1-{n_max}", budget)
 
 
 def flawed_crossing(n_cap: int, budget: int):
@@ -186,12 +180,10 @@ def corrected_table(
         raise SubProbabilityError(f"corrected total mass {total / denom:.6f} exceeds 1")
     return DistributionTable(
         entries={x: Fraction(n, denom) for x, n in numerators.items()},
-        meta=TableMeta(
-            scheme=CORRECTED,
-            universe=universe.describe(),
-            budget=budget,
-            block_len=block_len,
-        ),
+        scheme=CORRECTED,
+        universe=universe.describe(),
+        budget=budget,
+        block_len=block_len,
         stats=stats,
     )
 
@@ -239,13 +231,13 @@ def neg_log_estimate(
 
 
 # ---------------------------------------------------------------------------
-# Exports. CSV columns are fixed; JSON mirrors the field names. Round-trips
-# must be bit-exact, so masses travel as integer numerator/denominator.
+# Exports. CSV columns are fixed; JSON mirrors the field names. Masses are
+# written as integer numerator and denominator, so any parser recovers them exactly.
 
 
 @contextmanager
 def _exact_int_text():
-    """Lift the int/str digit limit of Python >= 3.11 for one export or parse;
+    """Lift the int/str digit limit of Python >= 3.11 for one export or print;
     flawed-mixture denominators pass its default 4300 digits near N = 14,341."""
     old = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
     if old:
@@ -273,48 +265,21 @@ CSV_HEADER = "output_string,mass_numerator,mass_denominator,scheme,universe,budg
 
 @_exact_int_text()
 def table_to_csv(table: DistributionTable, config_digest: str | None = None) -> str:
-    m = table.meta
-    block = "" if m.block_len is None else str(m.block_len)
-    rows = [
-        f"{x},{mass.numerator},{mass.denominator},{m.scheme},{m.universe},{m.budget},{block}"
-        for x, mass in table.sorted_items()
-    ]
+    block = "" if table.block_len is None else table.block_len
+    meta = f"{table.scheme},{table.universe},{table.budget},{block}"
+    rows = [f"{x},{mass.numerator},{mass.denominator},{meta}" for x, mass in table.sorted_items()]
     return export_text([CSV_HEADER, *rows], config_digest)
 
 
 @_exact_int_text()
-def table_from_csv(text: str) -> DistributionTable:
-    rows = [
-        line for line in text.splitlines() if line and not line.startswith("#")
-    ]
-    if not rows or rows[0] != CSV_HEADER:
-        raise ValueError("not a distribution table CSV")
-    entries = {}
-    meta = None
-    for line in rows[1:]:
-        x, num, den, scheme, universe, budget, block = line.split(",")
-        entries[x] = Fraction(int(num), int(den))
-        meta = TableMeta(
-            scheme=scheme,
-            universe=universe,
-            budget=int(budget),
-            block_len=int(block) if block else None,
-        )
-    if meta is None:
-        raise ValueError("empty table: meta row required")
-    return DistributionTable(entries=entries, meta=meta)
-
-
-@_exact_int_text()
 def table_to_json(table: DistributionTable, config_digest: str | None = None) -> str:
-    m = table.meta
     total = table.total_mass()
     doc = {
         "meta": {
-            "scheme": m.scheme,
-            "universe": m.universe,
-            "budget": m.budget,
-            "L": m.block_len,
+            "scheme": table.scheme,
+            "universe": table.universe,
+            "budget": table.budget,
+            "L": table.block_len,
         },
         "entries": [
             {"output": x, "num": mass.numerator, "den": mass.denominator}
@@ -323,16 +288,3 @@ def table_to_json(table: DistributionTable, config_digest: str | None = None) ->
         "total": {"num": total.numerator, "den": total.denominator},
     }
     return export_text(doc, config_digest)
-
-
-@_exact_int_text()
-def table_from_json(text: str) -> DistributionTable:
-    doc = json.loads(text)
-    meta = TableMeta(
-        scheme=doc["meta"]["scheme"],
-        universe=doc["meta"]["universe"],
-        budget=doc["meta"]["budget"],
-        block_len=doc["meta"]["L"],
-    )
-    entries = {e["output"]: Fraction(e["num"], e["den"]) for e in doc["entries"]}
-    return DistributionTable(entries=entries, meta=meta)

@@ -94,6 +94,19 @@ def _canonical_count(universe: MachineRange, length: int) -> int:
     )
 
 
+def check_phi_scan(x: str, universe: MachineRange, cap: int, ceiling: int) -> None:
+    """Refuse a phi scan that could exceed ``ceiling`` programs, by its exact
+    count.  Machine 1 outputs x from ``101 b x`` at step 1, so with index 1
+    in the universe the scan ends by length len(x) + 4."""
+    length = min(cap, len(x) + 4) if universe.contains_index(1) else cap
+    count = _canonical_count(universe, length)
+    if count > ceiling:
+        raise EnumerationLimitError(
+            f"{count} programs of length <= {length} exceed ceiling {ceiling}; "
+            "shrink the cap or the universe, or raise the ceiling"
+        )
+
+
 def phi(
     t: int,
     x: str,
@@ -120,9 +133,7 @@ def phi_profile(
     Each (index, program) pair is analysed once, at the largest budget still
     without a witness (a ``cache`` given serves and records the verdicts); a
     halt with output x at step s settles every open budget t >= s.  Refuses
-    up front when the scan could exceed ``ceiling`` programs.  Machine 1
-    outputs x from ``101 b x`` at step 1, so with index 1 in the universe
-    the scan ends by length len(x) + 4.
+    up front (``check_phi_scan``) when the scan could exceed ``ceiling`` programs.
     """
     _check_binary(x)
     schedule = check_schedule(schedule)
@@ -130,13 +141,7 @@ def phi_profile(
         cap = len(x) + cap_constant()
     if cap < 0:
         raise ValueError("cap must be >= 0")
-    length = min(cap, len(x) + 4) if universe.contains_index(1) else cap
-    count = _canonical_count(universe, length)
-    if count > ceiling:
-        raise EnumerationLimitError(
-            f"{count} programs of length <= {length} exceed ceiling {ceiling}; "
-            "shrink the cap or the universe, or raise the ceiling"
-        )
+    check_phi_scan(x, universe, cap, ceiling)
     verdict = Simulator(cache).raw_verdict
     witnesses = [None] * len(schedule)
     open_n = len(schedule)  # the budgets without a witness: schedule[:open_n]

@@ -1,3 +1,8 @@
+import csv
+import json
+import sys
+from fractions import Fraction
+
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -30,3 +35,35 @@ def pool_sizes(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
     return sizes
+
+
+def _parse_table(text: str, fmt: str = "csv"):
+    """(entries, meta) of a ctm export, read with csv or json alone, not with
+    kolmobench; the int/str digit limit is lifted for flawed denominators."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        if fmt == "json":
+            doc = json.loads(text)
+            entries = {e["output"]: Fraction(int(e["num"]), int(e["den"])) for e in doc["entries"]}
+            assert Fraction(doc["total"]["num"], doc["total"]["den"]) == sum(entries.values())
+            return entries, doc["meta"]
+        rows = list(csv.DictReader(line for line in text.splitlines() if line[:1] != "#"))
+        entries = {
+            r["output_string"]: Fraction(int(r["mass_numerator"]), int(r["mass_denominator"]))
+            for r in rows
+        }
+        (meta,) = {(r["scheme"], r["universe"], r["budget"], r["L"]) for r in rows}
+        scheme, universe, budget, block = meta
+        return entries, {"scheme": scheme, "universe": universe, "budget": int(budget),
+                         "L": int(block) if block else None}
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+@pytest.fixture(scope="session")
+def parse_table():
+    """``parse_table(text, fmt)``: a ctm export's exact masses and meta."""
+    return _parse_table

@@ -9,7 +9,7 @@ from kolmobench.cache import (
     raw_to_record,
     record_to_raw,
 )
-from kolmobench.cli import EXIT_OK, main
+from kolmobench.cli import EXIT_CACHE_CORRUPT, EXIT_OK, main
 
 
 def test_record_round_trip_variants():
@@ -147,3 +147,40 @@ def test_compact_removes_duplicate_lines(tmp_path):
     c = VerdictCache(str(path))
     assert c.compact() == 1
     assert len(path.read_text().splitlines()) == 1
+
+
+HALT = {"budget": 4, "i": 1, "output": "1", "p": "01", "status": "halted", "steps": 1}
+MALFORMED = {
+    "number": "5",
+    "list": "[1]",
+    "string-steps": json.dumps({**HALT, "steps": "1"}),
+    "number-output": json.dumps({**HALT, "output": 5}),
+    "halted-null-output": json.dumps({**HALT, "output": None}),
+    "zero-steps": json.dumps({**HALT, "steps": 0}),
+    "steps-past-budget": json.dumps({**HALT, "steps": 5}),
+    "zero-index": json.dumps({**HALT, "i": 0}),
+    "string-index": json.dumps({**HALT, "i": "1"}),
+    "bool-budget": json.dumps({**HALT, "budget": True}),
+    "non-binary-program": json.dumps({**HALT, "p": "012"}),
+    "null-program": json.dumps({**HALT, "p": None}),
+    "list-status": json.dumps({**HALT, "status": ["halted"]}),
+    "invalid-with-output": json.dumps({**HALT, "status": "invalid", "output": "1"}),
+    "invalid-null-steps": json.dumps({**HALT, "status": "invalid", "steps": None, "output": None}),
+}
+
+
+@pytest.mark.parametrize("line", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_record_is_corruption(line, tmp_path, capsys):
+    # A record of the wrong shape exits 4 and names its line, on every
+    # command that reads the cache, and never reaches a phi scan.
+    path = tmp_path / "c.jsonl"
+    path.write_text(line + "\n", encoding="utf-8")
+    for argv in (
+        ["estimate", "1", "--budget", "4", "--universe-interval", "1:100", "--max-prog-len", "1"],
+        ["cache", "inspect"],
+        ["cache", "verify"],
+    ):
+        assert main([*argv, "--cache-path", str(path)]) == EXIT_CACHE_CORRUPT
+        captured = capsys.readouterr()
+        assert f"cache corruption: {path}:1: " in captured.err and not captured.out
+    assert path.read_text() == line + "\n"

@@ -132,6 +132,25 @@ def test_estimate_refusal_closes_the_cache(tmp_path, capsys, monkeypatch):
     assert not Path(cache).exists()
 
 
+def test_estimate_refuses_the_phi_scan_before_any_sweep(capsys, monkeypatch):
+    # Without index 1 the phi scan may run to the cap; its count is checked
+    # before the applicable set sweeps 4095 x 31 pairs.
+    import kolmobench.estimator
+    import kolmobench.halting
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a sweep ran before the phi-scan refusal")
+
+    monkeypatch.setattr(kolmobench.halting, "sweep", must_not_run)
+    monkeypatch.setattr(kolmobench.estimator, "sweep", must_not_run)
+    code, out, err = run_cli(
+        ["estimate", "1", "--cap", "40", "--budget", "4", "--universe-interval", "2:4096"],
+        capsys,
+    )
+    assert (code, out) == (EXIT_RESOURCE, "")
+    assert "resource refusal: 274743701505 programs of length <= 40 exceed ceiling" in err
+
+
 def test_estimate_refuses_an_empty_universe(tmp_path, capsys):
     # No machine of the universe could witness a bound: exit 2, nothing written.
     out, cache = tmp_path / "est.csv", tmp_path / "c.jsonl"
@@ -208,13 +227,13 @@ def test_ctm_flawed_reports_crossing(capsys):
     assert out.splitlines()[1].startswith("output_string,")
 
 
-def test_ctm_flawed_exports_past_int_digit_limit(tmp_path, capsys):
+def test_ctm_flawed_exports_past_int_digit_limit(tmp_path, capsys, parse_table):
     # From about N = 14,341 mass denominators run past Python's default
-    # 4300-digit int/str limit; exports and parses must stay exact anyway.
+    # 4300-digit int/str limit; exports must stay exact anyway.
     import re
     import sys
 
-    from kolmobench.ctm import table_from_csv, table_from_json, table_to_csv, table_to_json
+    from kolmobench.ctm import flawed_table, table_to_csv, table_to_json
 
     limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     texts = {}
@@ -227,14 +246,15 @@ def test_ctm_flawed_exports_past_int_digit_limit(tmp_path, capsys):
         )
         assert code == EXIT_OK
         texts[fmt] = path.read_text()
-    back_csv = table_from_csv(texts["csv"])
-    back_json = table_from_json(texts["json"])
-    assert back_csv.entries == back_json.entries
-    assert max(m.denominator.bit_length() for m in back_csv.entries.values()) > 4300 * 3.33
+    table = flawed_table(15000, 256)
+    assert max(m.denominator.bit_length() for m in table.entries.values()) > 4300 * 3.33
+    meta = {"scheme": "flawed", "universe": "i1-15000", "budget": 256, "L": None}
+    for fmt in ("csv", "json"):
+        assert parse_table(texts[fmt], fmt) == (table.entries, meta)
     csv_digest = texts["csv"].splitlines()[0].split("=", 1)[1]
     json_digest = re.search(r'"manifest_config":"(\w+)"', texts["json"]).group(1)
-    assert table_to_csv(back_csv, csv_digest) == texts["csv"]
-    assert table_to_json(back_json, json_digest) == texts["json"]
+    assert table_to_csv(table, csv_digest) == texts["csv"]
+    assert table_to_json(table, json_digest) == texts["json"]
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
@@ -916,3 +936,36 @@ def test_every_perfbench_op_argv_parses(monkeypatch):
     for argv in argvs:
         args = parser.parse_args(argv)
         assert args.output and args.command == argv[0]
+
+
+def test_every_perfbench_traced_name_resolves_and_its_checks_pass(monkeypatch, tmp_path, capsys):
+    # The benchmark wraps the names in tracer.TRACED and imports kolmobench in
+    # checks.check_estimate; renaming either breaks it, so check both here.
+    import importlib
+
+    for name in [k for k in os.environ if k.startswith("KOLMOBENCH_")]:
+        monkeypatch.delenv(name)
+    run = _perfbench_run_module(monkeypatch)
+    for name in run.tracer.TRACED:
+        module, *path = name.split(".")
+        owner = importlib.import_module("kolmobench." + module)
+        for attr in path:
+            owner = getattr(owner, attr)
+        assert callable(owner), name
+    common = ("--budget", "8", "--threads", "1")
+    ops = [
+        run.Op("corrected", ("ctm", "--scheme", "corrected", "--L", "2", "--universe-interval",
+                             "1001:1400", "--out", "json", *common), 1600, 1001, 1400, 8, "json", 2),
+        run.Op("frequency", ("ctm", "--scheme", "frequency", "--universe-interval", "1001:3000",
+                             *common), 2000, 1001, 3000, 8),
+        run.Op("estimate", ("estimate", "1", "--universe-interval", "1:100", "--out", "json",
+                            *common), 3100, 1, 100, 8, "json", x="1"),
+    ]
+    reference = run.checks.load_reference()
+    for op in ops:
+        out = tmp_path / f"{op.kind}.{op.out}"
+        assert run_cli([*op.argv, "--output", str(out)], capsys)[0] == EXIT_OK
+        text = out.read_text()
+        manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+        assert run.checks.check_export(op, text, manifest, reference) == [], op.kind
+        assert run.checks.check_export(op, run.checks.corrupt(text), manifest, reference)

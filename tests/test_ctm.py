@@ -9,7 +9,6 @@ from kolmobench import ctm
 from kolmobench.ctm import (
     DistributionTable,
     SubProbabilityError,
-    TableMeta,
     UndefinedMassError,
     alpha_sum_upto,
     corrected_mass,
@@ -20,8 +19,6 @@ from kolmobench.ctm import (
     flawed_table,
     neg_log_estimate,
     output_frequency,
-    table_from_csv,
-    table_from_json,
     table_to_csv,
     table_to_json,
 )
@@ -79,7 +76,7 @@ def test_flawed_crossing_is_three():
 def test_flawed_table_masses_sum_to_all_mass():
     t = flawed_table(50, budget=64)
     assert t.total_mass() == flawed_mass(None, 50, budget=64)
-    assert t.meta.scheme == "flawed"
+    assert t.scheme == "flawed"
 
 
 def test_default_alpha_values():
@@ -251,26 +248,34 @@ def test_gap_report_produced_and_finite():
 
 
 def _sample_table():
-    return DistributionTable(
-        entries={"": Fraction(1, 3), "10": Fraction(3, 7)},
-        meta=TableMeta(scheme="frequency", universe="s1-1", budget=9),
-    )
+    return DistributionTable({"": Fraction(1, 3), "10": Fraction(3, 7)}, "frequency", "s1-1", 9)
 
 
-def test_csv_round_trip_bit_exact():
+def _meta(t):
+    return {"scheme": t.scheme, "universe": t.universe, "budget": t.budget, "L": t.block_len}
+
+
+def _rebuilt(entries, meta):
+    return DistributionTable(entries, meta["scheme"], meta["universe"], meta["budget"], meta["L"])
+
+
+def test_csv_round_trip_bit_exact(parse_table):
     t = _sample_table()
     text = table_to_csv(t, config_digest="abc123")
-    back = table_from_csv(text)
-    assert back.entries == t.entries and back.meta == t.meta
-    assert table_to_csv(back, config_digest="abc123") == text
+    entries, meta = parse_table(text, "csv")
+    assert entries == t.entries and meta == _meta(t)
+    assert text.splitlines()[:2] == ["# manifest_config=abc123", ctm.CSV_HEADER]
+    assert table_to_csv(_rebuilt(entries, meta), config_digest="abc123") == text
 
 
-def test_json_round_trip_bit_exact():
+def test_json_round_trip_bit_exact(parse_table):
     t = corrected_table(MachineRange(1, 1, 1, 50), 1, budget=32)
     text = table_to_json(t)
-    back = table_from_json(text)
-    assert back.entries == t.entries and back.meta == t.meta
-    assert table_to_json(back) == text
+    entries, meta = parse_table(text, "json")
+    assert entries == t.entries and meta == _meta(t) == {
+        "scheme": "corrected", "universe": "s1-1@i1-50", "budget": 32, "L": 1
+    }
+    assert table_to_json(_rebuilt(entries, meta)) == text
 
 
 @given(
@@ -280,12 +285,8 @@ def test_json_round_trip_bit_exact():
         max_size=6,
     )
 )
-def test_csv_round_trip_property(entries):
-    t = DistributionTable(
-        entries=entries,
-        meta=TableMeta(scheme="frequency", universe="s1-2", budget=3),
-    )
+def test_csv_round_trip_property(parse_table, entries):
+    t = DistributionTable(entries, "frequency", "s1-2", 3)
     if not entries:
         return
-    back = table_from_csv(table_to_csv(t))
-    assert back.entries == t.entries
+    assert parse_table(table_to_csv(t)) == (t.entries, _meta(t))
