@@ -420,8 +420,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if vars(args).get("output") and not os.path.isdir(os.path.dirname(args.output) or "."):
-        parser.error(f"no directory for --output {args.output}")  # before the sweep, not after
+    for flag in ("--output", "--cache-path"):  # checked before the sweep, not after
+        path = vars(args).get(flag[2:].replace("-", "_"))
+        if path and os.path.isdir(path):
+            parser.error(f"{flag} {path} is a directory")
+        if path and not os.path.isdir(os.path.dirname(path) or "."):
+            parser.error(f"no directory for {flag} {path}")
     try:
         return args.func(args, parser)
     except EnumerationLimitError as e:

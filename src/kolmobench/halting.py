@@ -547,20 +547,20 @@ def layer_leaves(n: int, budget: int, lo: int, hi: int, verify: bool = False,
         yield table, count, res
 
 
-def _sweep_job(fold, budget, job):
+def _sweep_job(fold, budget, verify, job):
     n, lo, hi, input_str, *extra = job
     stats = SweepStats()
-    return fold(layer_leaves(n, budget, lo, hi, input_str=input_str, stats=stats), *extra), stats
+    return fold(layer_leaves(n, budget, lo, hi, verify, input_str, stats), *extra), stats
 
 
-def sweep(fold, jobs, budget: int, threads: int = 1):
-    """``fold(leaves, *extra)`` over the ``layer_leaves`` tree of each job
-    ``(n, lo, hi, input_str, *extra)`` (at least one): the folds (each a
-    ``Counter`` or a list) added in job order, and the merged ``SweepStats``.
-    With ``threads > 1`` and more than one job, a fork process pool of
-    ``min(threads, len(jobs))`` workers runs the trees; fold and jobs must
-    pickle.  A worker that dies raises ``BrokenProcessPool`` here."""
-    run = partial(_sweep_job, fold, budget)
+def sweep(fold, jobs, budget: int, threads: int = 1, verify: bool = False):
+    """``fold(leaves, *extra)`` over the ``layer_leaves`` tree (with ``verify``)
+    of each job ``(n, lo, hi, input_str, *extra)`` (at least one): the folds
+    (each a ``Counter`` or a list) added in job order, and the merged
+    ``SweepStats``.  With ``threads > 1`` and more than one job, a fork process
+    pool of ``min(threads, len(jobs))`` workers runs the trees; fold and jobs
+    must pickle.  A worker that dies raises ``BrokenProcessPool`` here."""
+    run = partial(_sweep_job, fold, budget, verify)
     workers = min(threads, len(jobs))
     pool = None
     if workers > 1:  # imported here: a command that never forks never loads them
@@ -585,6 +585,18 @@ def check_schedule(schedule) -> list:
     if schedule[0] < 1:
         raise ValueError("budget must be >= 1")
     return schedule
+
+
+def _bb_fold(leaves) -> list:
+    """``[(max_steps, last_found)]`` of one tree: its largest halting step
+    count and its latest certificate discovery step (0 where it has none)."""
+    max_steps = last_found = 0
+    for _, _, res in leaves:
+        if res[0] == "h":
+            max_steps = max(max_steps, res[1])
+        elif res[0] == "d":
+            last_found = max(last_found, res[2])
+    return [(max_steps, last_found)]
 
 
 def doubling_schedule(start: int, limit: int) -> list:
@@ -619,17 +631,11 @@ def bb_table(
     """
     schedule = check_schedule(schedule)
     universe = machine_range or MachineRange(n, n)
-    spans = [(lo, hi) for k, lo, hi in universe.layers() if k == n]
-    if not spans:
+    jobs = [(k, lo, hi, "") for k, lo, hi in universe.layers() if k == n]
+    if not jobs:
         raise ValueError(f"no {n}-state machine in {universe.describe()}")
-    lo, hi = spans[0]
-    stats = SweepStats()
-    max_steps = last_found = 0  # last_found: the latest certificate's discovery step
-    for _, _, res in layer_leaves(n, schedule[-1], lo, hi, verify, stats=stats):
-        if res[0] == "h":
-            max_steps = max(max_steps, res[1])
-        elif res[0] == "d":
-            last_found = max(last_found, res[2])
+    folds, stats = sweep(_bb_fold, jobs, schedule[-1], verify=verify)
+    max_steps, last_found = map(max, zip(*folds))
     undecided = machine_count(n) - stats.machines + stats.verdicts.get("unknown", 0)
     first = -1 if undecided else bisect_left(schedule, max(max_steps, last_found))
     return BBRecord(n, max_steps, undecided == 0, undecided, schedule[first], stats)

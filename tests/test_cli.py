@@ -1,11 +1,17 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kolmobench import cli
 from kolmobench.cache import VerdictCache
@@ -396,21 +402,120 @@ def test_exports_identical_across_threads_and_cache_warmth(tmp_path, capsys):
     assert e1.read_bytes() == e2.read_bytes() == e3.read_bytes()
 
 
+BB, FREQUENCY = ["bb", "1"], ["ctm", "--scheme", "frequency", "--max-states", "1"]
+
+
+# The last argument is a path under tmp_path: in a missing directory, or "."
+# for tmp_path itself, a directory.
 @pytest.mark.parametrize("argv, sweep", [
-    (["bb", "1"], "bb_table"),
-    (["ctm", "--scheme", "frequency", "--max-states", "1"], "output_frequency"),
-    (["estimate", "10"], "phi_profile"),
+    (BB + ["--output", "missing/x.csv"], "bb_table"),
+    (FREQUENCY + ["--output", "missing/x.csv"], "output_frequency"),
+    (["estimate", "10", "--output", "missing/x.csv"], "phi_profile"),
+    (BB + ["--output", "."], "bb_table"),
+    (FREQUENCY + ["--output", "."], "output_frequency"),
+    (["estimate", "10", "--output", "."], "phi_profile"),
+    (["estimate", "10", "--cache-path", "."], "phi_profile"),
+    (["estimate", "10", "--cache-path", "missing/c.jsonl"], "phi_profile"),
 ])
 def test_missing_output_directory_exits_2_before_the_sweep(argv, sweep, tmp_path, capsys,
                                                            monkeypatch):
     def must_not_run(*args, **kwargs):
         raise AssertionError(f"{sweep} ran")
 
-    monkeypatch.setattr(cli, sweep, must_not_run)
-    target = tmp_path / "missing" / "x.csv"
-    code, out, err = run_cli(argv + ["--output", str(target)], capsys)
-    assert code == EXIT_BAD_INPUT and f"no directory for --output {target}" in err
+    for name in {sweep, "applicable_set"}:  # estimate sweeps the applicable set first
+        monkeypatch.setattr(cli, name, must_not_run)
+    *argv, flag, path = argv
+    target = tmp_path / path
+    code, out, err = run_cli(argv + [flag, str(target)], capsys)
+    reason = "{} {} is a directory" if path == "." else "no directory for {} {}"
+    assert code == EXIT_BAD_INPUT and reason.format(flag, target) in err
     assert out == "" and list(tmp_path.iterdir()) == []
+
+
+# Path kinds for --output and --cache-path, under a fresh directory per example:
+# missing (in an existing directory), in a missing directory, a directory, an
+# empty file and a file that is no cache ("5" is JSON but not a record).
+PATH_KINDS = {"missing": "new.txt", "no-dir": "none/new.txt", "dir": "dir", "empty": "empty",
+              "junk": "junk"}
+BUDGETS = st.integers(-1, 16)
+
+
+@st.composite
+def _intervals(draw):
+    """``lo:hi`` with at most 200 indices, near the layer edges; some empty."""
+    lo = draw(st.sampled_from([1, 990, 11391500])) + draw(st.integers(0, 20))
+    return f"{lo}:{lo + draw(st.integers(-1, 199))}"
+
+
+def _argv(command, positional, required, optional):
+    """One argv strategy: the command, its positional values, its required
+    flags, then any subset of its optional ones (True: a bare switch)."""
+    def flatten(parts):
+        pos, flags = parts
+        words = [command, *map(str, pos)]
+        for flag, value in flags.items():
+            words += [flag] if value is True else [flag, str(value)]
+        return words
+
+    flags = st.fixed_dictionaries(required, optional=optional)
+    return st.tuples(st.tuples(*positional), flags).map(flatten)
+
+
+PATHS = st.sampled_from(sorted(PATH_KINDS))
+SHARED = {"--budget": BUDGETS, "--out": st.sampled_from(["csv", "json"]), "--output": PATHS,
+          "--threads": st.integers(1, 2), "--seed": st.integers(0, 3)}
+ARGVS = st.one_of(
+    _argv("enumerate", [st.integers(0, 3)], {},
+          {"--budget": BUDGETS, "--limit": st.integers(-1, 3), "--verdicts": st.just(True)}),
+    _argv("estimate", [st.sampled_from(["", "0", "1", "101", "2"])],
+          {"--universe-interval": _intervals()},
+          {**SHARED, "--max-states": st.integers(1, 2), "--cache-path": PATHS,
+           "--cap": st.integers(-1, 12), "--max-prog-len": st.integers(0, 2),
+           "--ceiling": st.sampled_from([0, 1, 100, 10**6]),
+           "--policy": st.sampled_from(["discard-dominated", "none"])}),
+    _argv("ctm", [], {"--scheme": st.sampled_from(["corrected", "frequency"]),
+                      "--universe-interval": _intervals()},
+          {**SHARED, "--max-states": st.integers(1, 2), "--L": st.integers(0, 2),
+           "--N": st.integers(0, 16)}),
+    _argv("ctm", [], {"--scheme": st.just("flawed"), "--N": st.integers(0, 16)},
+          {**SHARED, "--universe-interval": _intervals(), "--L": st.integers(0, 2)}),
+    _argv("bb", [st.integers(0, 2)], {"--universe-interval": _intervals()},
+          {**SHARED, "--verify": st.just(True), "--auto-budget": st.just(True)}),
+    _argv("cache", [st.sampled_from(["inspect", "verify", "compact"])], {},
+          {"--cache-path": PATHS, "--seed": st.integers(0, 3), "--sample": st.integers(-1, 3)}),
+)
+
+
+def _tree(root: Path) -> dict:
+    return {p.relative_to(root): p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
+
+
+@settings(derandomize=True, max_examples=400)
+@given(argv=ARGVS)
+def test_every_argv_ends_in_a_documented_exit_code(argv):
+    # In process, as the console script runs: argparse's exit is a SystemExit,
+    # anything else escaping main is a bug.  A failed run leaves every file as
+    # it found it, so it writes no export, manifest or .tmp file.
+    with tempfile.TemporaryDirectory() as d, mock.patch.dict(os.environ):
+        root = Path(d)
+        (root / "dir").mkdir()
+        (root / "empty").write_text("")
+        (root / "junk").write_text("5\n")
+        argv = [str(root / PATH_KINDS[w]) if w in PATH_KINDS else w for w in argv]
+        for env in [k for k in os.environ if k.startswith("KOLMOBENCH_")]:
+            del os.environ[env]
+        before = _tree(root)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as e:
+                code = e.code
+        assert code in (EXIT_OK, EXIT_BAD_INPUT, EXIT_RESOURCE, EXIT_CACHE_CORRUPT,
+                        EXIT_VERIFY_FAILED)
+        after = _tree(root)
+        assert not [p for p in after if p.name.endswith(".tmp")]
+        if code != EXIT_OK:
+            assert after == before
 
 
 def test_manifest_written_alongside_export(tmp_path, capsys):

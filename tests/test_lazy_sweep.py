@@ -226,6 +226,16 @@ def test_sweep_starts_no_more_workers_than_jobs(pool_sizes):
     assert counts == one + one and stats.machines == 2 * one_stats.machines == 2000
 
 
+def test_sweep_passes_verify_to_every_worker(pool_sizes):
+    # Each job's certificates are replayed where its tree runs, forked workers
+    # included: the pool's verified-leaf count equals the in-process one.
+    jobs = [(1, 1, 1000, ""), (1, 1, 1000, "1")]
+    one = halting.sweep(halting._bb_fold, jobs, 64, threads=1, verify=True)
+    two = halting.sweep(halting._bb_fold, jobs, 64, threads=2, verify=True)
+    assert pool_sizes == [2]
+    assert one == two and len(one[0]) == 2 and one[1].leaves_verified > 0
+
+
 def test_sweep_raises_when_a_pool_worker_dies():
     # One of two jobs kills its worker.  The sweep must fail loudly, not wait
     # forever for the lost result; the timeout turns a hang into a failure.
