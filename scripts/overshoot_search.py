@@ -7,13 +7,12 @@ import argparse
 
 from kolmobench.enumeration import MachineRange
 from kolmobench.estimator import phi_profile
+from kolmobench.tm_core import programs_of_length
 
 
 def all_strings(max_len):
-    yield ""
-    for length in range(1, max_len + 1):
-        for v in range(1 << length):
-            yield format(v, f"0{length}b")
+    for length in range(max_len + 1):
+        yield from programs_of_length(length)
 
 
 def main():

@@ -11,13 +11,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import datetime
 import hashlib
 import json
 import os
-import random
 import sys
-from dataclasses import asdict
+import time
 
 from . import __version__
 from .cache import CacheCorruptionError, VerdictCache, record_to_raw
@@ -126,18 +124,20 @@ def _config_digest(config: dict) -> str:
 
 def _write_export(text: str, args, config: dict, stats=None) -> None:
     """Write the export and its manifest; sweep ``stats`` go to the manifest only."""
+    now = time.time_ns()  # "created" has datetime's UTC isoformat() shape, with microseconds
     manifest = {
         "config": config,
         "runtime": {
             "tool_version": __version__,
-            "created": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+            "created": time.strftime(f"%Y-%m-%dT%H:%M:%S.{now // 1000 % 10**6:06d}+00:00",
+                                     time.gmtime(now // 10**9)),
             "threads": args.threads,
             "cache_path": vars(args).get("cache_path"),
             "export_sha256": hashlib.sha256(text.encode()).hexdigest(),
         },
     }
     if stats is not None:
-        manifest["runtime"]["stats"] = asdict(stats)
+        manifest["runtime"]["stats"] = vars(stats)
     if args.output:
         manifest_text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
         _replace_files({args.output: text, args.output + ".manifest.json": manifest_text})
@@ -232,7 +232,7 @@ def cmd_estimate(args, parser) -> int:
             "profile": [
                 {"t": r.t, "value": r.value, "witness": r.witness} for r in profile
             ],
-            "upper_bound": {"bound": bound, **asdict(witness)},
+            "upper_bound": {"bound": bound, **witness._asdict()},
             "applicable_count": applicable_count,
         }
     else:
@@ -314,7 +314,7 @@ def cmd_bb(args, parser) -> int:
         rec = bb_table(args.n_states, schedule, machine_range=rng, verify=args.verify)
     except ValueError as e:
         parser.error(str(e))
-    fields = {k: v for k, v in asdict(rec).items() if k != "stats"}
+    fields = rec._asdict()
     rows = [",".join(fields), ",".join(map(str, fields.values()))]
     body = fields if args.out == "json" else rows
     _write_export(export_text(body, _config_digest(config)), args, config, rec.stats)
@@ -347,6 +347,7 @@ def cmd_cache(args, parser) -> int:
     if not keys:
         print("cache empty; nothing to verify")
         return EXIT_OK
+    import random  # here, not at the top: a test checks that importing the CLI loads no random
     rng = random.Random(args.seed)
     sample = keys if len(keys) <= args.sample else rng.sample(keys, args.sample)
     mismatches = 0
@@ -420,12 +421,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    for flag in ("--output", "--cache-path"):  # checked before the sweep, not after
+    # Checked before the sweep, not after: neither the path nor a file that the
+    # export (_replace_files) or cache compact writes beside it is a directory.
+    for flag, suffixes in (("--output", ("", ".tmp", ".manifest.json", ".manifest.json.tmp")),
+                           ("--cache-path", ("", ".tmp"))):
         path = vars(args).get(flag[2:].replace("-", "_"))
-        if path and os.path.isdir(path):
-            parser.error(f"{flag} {path} is a directory")
         if path and not os.path.isdir(os.path.dirname(path) or "."):
             parser.error(f"no directory for {flag} {path}")
+        for side in [path + suffix for suffix in suffixes] if path else []:
+            if os.path.isdir(side):
+                parser.error(f"{flag} {side} is a directory" if side == path else
+                             f"{flag} {path} writes {side}, which is a directory")
     try:
         return args.func(args, parser)
     except EnumerationLimitError as e:

@@ -25,11 +25,11 @@ import math
 import sys
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .enumeration import MachineRange, index_to_table
 from .halting import SweepStats, analyze_table, sweep
+from .tm_core import programs_of_length
 
 FLAWED, CORRECTED, FREQUENCY = "flawed", "corrected", "frequency"
 
@@ -43,14 +43,12 @@ class SubProbabilityError(ValueError):
     """A corrected mixture's total mass exceeds 1: its weights sum past 1."""
 
 
-@dataclass
 class DistributionTable:
-    entries: dict  # output string -> Fraction
-    scheme: str
-    universe: str
-    budget: int
-    block_len: int | None = None
-    stats: SweepStats | None = None  # of the layer sweep behind it; never exported
+    def __init__(self, entries: dict, scheme: str, universe: str, budget: int,
+                 block_len: int | None = None, stats: SweepStats | None = None):
+        self.entries = entries  # output string -> Fraction
+        self.scheme, self.universe, self.budget, self.block_len = scheme, universe, budget, block_len
+        self.stats = stats  # of the layer sweep behind it; never exported
 
     def total_mass(self) -> Fraction:
         return sum(self.entries.values(), Fraction(0))
@@ -169,7 +167,7 @@ def corrected_table(
         raise ValueError("budget must be >= 1")
     if universe.count == 0:
         raise ValueError("empty universe")
-    programs = [format(v, f"0{block_len}b") for v in range(1 << block_len)] if block_len else [""]
+    programs = list(programs_of_length(block_len))
     kraft_max = _kraft_exponent(universe.index_bounds()[1].bit_length())
     jobs = [(n, lo, hi, p, kraft_max - _kraft_exponent(lo.bit_length()))
             for n, lo, hi in universe.bit_length_spans() for p in programs]

@@ -11,7 +11,7 @@ over ``5*(n+1)`` values.  Indices are 1-based so that harmonic weights
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import isqrt
 
@@ -170,26 +170,25 @@ def iter_tables(n: int):
         yield start + off, tuple(entries[digits[width - 1 - j]] for j in range(width))
 
 
-@dataclass(frozen=True)
-class MachineRange:
+class MachineRange(namedtuple("MachineRange", "min_states max_states index_lo index_hi")):
     """The enumerated universe backing the reference machine.
 
     Spans all machines with ``min_states..max_states`` states, optionally
-    clipped to an explicit index interval [index_lo, index_hi].
+    clipped to an explicit index interval [index_lo, index_hi].  ``count``
+    is the number of indices in it, not the tuple method.
     """
 
-    min_states: int = 1
-    max_states: int = 2
-    index_lo: int | None = None
-    index_hi: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (1 <= self.min_states <= self.max_states):
+    def __new__(cls, min_states: int = 1, max_states: int = 2,
+                index_lo: int | None = None, index_hi: int | None = None):
+        if not (1 <= min_states <= max_states):
             raise ValueError("need 1 <= min_states <= max_states")
-        if (self.index_lo is None) != (self.index_hi is None):
+        if (index_lo is None) != (index_hi is None):
             raise ValueError("index interval needs both ends")
-        if self.index_lo is not None and self.index_lo > self.index_hi:
+        if index_lo is not None and index_lo > index_hi:
             raise ValueError("empty index interval")
+        return super().__new__(cls, min_states, max_states, index_lo, index_hi)
 
     def index_bounds(self) -> tuple[int, int]:
         lo = layer_offset(self.min_states) + 1

@@ -23,12 +23,12 @@ a certified minimum.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .enumeration import BoxCounter, MachineRange, machine_to_index, str_to_nat
 from .halting import Simulator, SweepStats, check_schedule, sweep
-from .tm_core import identity_scanner, run
+from .tm_core import identity_scanner, programs_of_length, run
 
 DEFAULT_ENUM_CEILING = 1 << 22
 
@@ -48,26 +48,12 @@ def cap_constant() -> int:
     return 2 * identity_index().bit_length() + 1
 
 
-@dataclass(frozen=True)
-class PhiResult:
-    x: str
-    t: int
-    value: int
-    witness: str | None
-    cap: int
+PhiResult = namedtuple("PhiResult", "x t value witness cap")
 
 
 def _check_binary(x: str):
     if any(ch not in "01" for ch in x):
         raise ValueError(f"not a binary string: {x!r}")
-
-
-def _programs_of_length(length: int):
-    if length == 0:
-        yield ""
-        return
-    for v in range(1 << length):
-        yield format(v, f"0{length}b")
 
 
 def _canonical_programs(universe: MachineRange, cap: int):
@@ -80,7 +66,7 @@ def _canonical_programs(universe: MachineRange, cap: int):
             head = "1" * k + "0"
             for i in range(max(lo, 1 << (k - 1)), min(hi, (1 << k) - 1) + 1):
                 prefix = head + format(i, "b")
-                for p in _programs_of_length(length - 2 * k - 1):
+                for p in programs_of_length(length - 2 * k - 1):
                     yield prefix + p, i, p
 
 
@@ -159,15 +145,8 @@ def phi_profile(
     ]
 
 
-@dataclass(frozen=True)
-class ProgramPair:
-    """A halting (machine index, program) pair recorded for one output."""
-
-    i: int
-    p: str
-    cost: int
-    encoded_len: int
-    steps: int
+# A halting (machine index, program) pair recorded for one output.
+ProgramPair = namedtuple("ProgramPair", "i p cost encoded_len steps")
 
 
 def make_pair(i: int, p: str, steps: int) -> ProgramPair:
@@ -235,7 +214,7 @@ def applicable_set(
             f"{work} simulations exceed ceiling {ceiling}; shrink the "
             "universe or max_prog_len, or raise the ceiling"
         )
-    programs = [p for length in range(max_prog_len + 1) for p in _programs_of_length(length)]
+    programs = [p for length in range(max_prog_len + 1) for p in programs_of_length(length)]
     spans, jobs = universe.bit_length_spans(), []
     for n, lo, hi in universe.layers():
         boxes = [BoxCounter(n, a, b) for m, a, b in spans if m == n]

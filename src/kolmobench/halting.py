@@ -33,8 +33,8 @@ Certificate tuples by tag, each re-checked by
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import namedtuple
 from contextlib import nullcontext
-from dataclasses import dataclass, field
 from functools import partial
 from itertools import islice
 
@@ -421,16 +421,17 @@ def verify_certificate(table: Table, input_syms: tuple, cert: tuple) -> bool:
     return _check_crossings(table, sa, ha, ta, step_b - step_a, acuts)
 
 
-@dataclass
 class SweepStats:
     """What a lazy sweep did.  The verdict histogram is weighted by the
     machines each leaf covers, so it sums to ``machines``, the indices swept;
     a sweep over several inputs counts each (index, input) pair."""
 
-    machines: int = 0
-    leaves: int = 0
-    leaves_verified: int = 0
-    verdicts: dict = field(default_factory=dict)
+    def __init__(self):
+        self.machines = self.leaves = self.leaves_verified = 0
+        self.verdicts = {}
+
+    def __eq__(self, other):
+        return type(other) is SweepStats and vars(self) == vars(other)
 
     def add(self, res, count: int) -> None:
         """Count one analysed leaf covering ``count`` machines."""
@@ -451,23 +452,21 @@ class SweepStats:
             self.verdicts[kind] = self.verdicts.get(kind, 0) + count
 
 
-@dataclass(frozen=True)
-class BBRecord:
+class BBRecord(namedtuple("BBRecord", "n_states max_steps decided_all undecided_count "
+                                       "budget_used")):
     """Busy-beaver style summary of one state-count layer on empty input.
 
-    ``stats`` describes the sweep behind the record and is never compared.
+    ``stats`` describes the sweep behind the record.  It is an attribute,
+    not a field, so it is never compared, unpacked or exported.
     """
 
-    n_states: int
-    max_steps: int
-    decided_all: bool
-    undecided_count: int
-    budget_used: int
-    stats: SweepStats | None = field(default=None, compare=False)
-
-    def __post_init__(self):
-        if self.decided_all != (self.undecided_count == 0):
+    def __new__(cls, n_states: int, max_steps: int, decided_all: bool, undecided_count: int,
+                budget_used: int, stats: SweepStats | None = None):
+        if decided_all != (undecided_count == 0):
             raise ValueError("decided_all must mirror undecided_count == 0")
+        rec = super().__new__(cls, n_states, max_steps, decided_all, undecided_count, budget_used)
+        rec.stats = stats
+        return rec
 
 
 class Undefined(Exception):

@@ -21,7 +21,7 @@ Conventions fixed here (everything downstream depends on them):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import islice
 
 # Tape symbols.
@@ -42,29 +42,26 @@ def str_to_syms(s: str) -> tuple[int, ...]:
     return tuple(ZERO if ch == "0" else ONE for ch in s)
 
 
-@dataclass(frozen=True)
-class Machine:
+class Machine(namedtuple("Machine", "n_states table")):
     """An n-state machine with a total transition table.
 
     ``table[3*(s-1) + sym]`` is the entry for state ``s`` reading ``sym``
     (symbol rank: blank=0, zero=1, one=2).  ``next_state`` 0 halts.
     """
 
-    n_states: int
-    table: Table
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n_states < 1:
+    def __new__(cls, n_states: int, table: Table):
+        if n_states < 1:
             raise ValueError("machine needs at least one state")
-        if len(self.table) != 3 * self.n_states:
-            raise ValueError(
-                f"table must have {3 * self.n_states} entries, got {len(self.table)}"
-            )
-        for action, nxt in self.table:
+        if len(table) != 3 * n_states:
+            raise ValueError(f"table must have {3 * n_states} entries, got {len(table)}")
+        for action, nxt in table:
             if not (WRITE_BLANK <= action <= MOVE_RIGHT):
                 raise ValueError(f"bad action {action}")
-            if not (0 <= nxt <= self.n_states):
-                raise ValueError(f"next state {nxt} out of range 0..{self.n_states}")
+            if not (0 <= nxt <= n_states):
+                raise ValueError(f"next state {nxt} out of range 0..{n_states}")
+        return super().__new__(cls, n_states, table)
 
     def entry(self, state: int, symbol: int) -> Entry:
         return self.table[3 * (state - 1) + symbol]
@@ -100,22 +97,21 @@ def steps(table, state: int, head: int, tape: dict):
         yield head, state
 
 
-@dataclass(frozen=True)
-class Halted:
-    output: str
-    steps: int
+def _outcome(name: str, fields: str) -> type:
+    """A run outcome's class: a named tuple that equals only outcomes of its
+    own class, so ``InvalidOutput(5) != Cutoff(5)``."""
+
+    def eq(a, b):
+        return type(a) is type(b) and tuple.__eq__(a, b)
+
+    return type(name, (namedtuple(name, fields),), {
+        "__slots__": (), "__eq__": eq, "__ne__": lambda a, b: not eq(a, b),
+        "__hash__": tuple.__hash__})
 
 
-@dataclass(frozen=True)
-class InvalidOutput:
-    steps: int
-
-
-@dataclass(frozen=True)
-class Cutoff:
-    budget: int
-
-
+Halted = _outcome("Halted", "output steps")
+InvalidOutput = _outcome("InvalidOutput", "steps")
+Cutoff = _outcome("Cutoff", "budget")
 RunOutcome = Halted | InvalidOutput | Cutoff
 
 
@@ -153,6 +149,11 @@ def encode_index(i: int) -> str:
         raise ValueError("indices start at 1")
     b = bin(i)[2:]
     return "1" * len(b) + "0" + b
+
+
+def programs_of_length(length: int):
+    """Every program of ``length`` bits, in numeric order, lazily."""
+    return (bin(v | 1 << length)[3:] for v in range(1 << length))
 
 
 def decode_program(bits: str):

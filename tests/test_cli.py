@@ -190,12 +190,17 @@ def test_estimate_without_small_indices_scans_only_their_programs():
 
 def test_cli_import_loads_no_process_pool_and_no_verdict_classes():
     # Only a sweep with more than one worker needs a process pool, and the
-    # detector's tuples are the one verdict vocabulary.
+    # detector's tuples are the one verdict vocabulary.  Records are named
+    # tuples or plain classes, so start-up adds no dataclasses (nor its
+    # inspect), datetime or random; these are compared with the modules
+    # loaded before the import, as site may already have loaded random.
     src = Path(__file__).resolve().parents[1] / "src"
     path = [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]
     script = (
-        "import sys, kolmobench.cli, kolmobench.halting as h; "
+        "import sys; before = set(sys.modules); "
+        "import kolmobench.cli, kolmobench.halting as h; "
         "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules), "
+        "sorted({'dataclasses', 'inspect', 'datetime', 'random'} & set(sys.modules) - before), "
         "hasattr(h, 'ProvedDiverges'))"
     )
     proc = subprocess.run(
@@ -205,7 +210,7 @@ def test_cli_import_loads_no_process_pool_and_no_verdict_classes():
         text=True,
         timeout=60,
     )
-    assert proc.stdout.strip() == "[] False", proc.stderr
+    assert proc.stdout.strip() == "[] [] False", proc.stderr
 
 
 @pytest.mark.parametrize(
@@ -405,8 +410,9 @@ def test_exports_identical_across_threads_and_cache_warmth(tmp_path, capsys):
 BB, FREQUENCY = ["bb", "1"], ["ctm", "--scheme", "frequency", "--max-states", "1"]
 
 
-# The last argument is a path under tmp_path: in a missing directory, or "."
-# for tmp_path itself, a directory.
+# The last argument is a path under tmp_path: in a missing directory, "." for
+# tmp_path itself, a directory, or "<name>+<suffix>": an empty file <name>
+# beside a directory <name><suffix>, where the command would write a file.
 @pytest.mark.parametrize("argv, sweep", [
     (BB + ["--output", "missing/x.csv"], "bb_table"),
     (FREQUENCY + ["--output", "missing/x.csv"], "output_frequency"),
@@ -416,6 +422,12 @@ BB, FREQUENCY = ["bb", "1"], ["ctm", "--scheme", "frequency", "--max-states", "1
     (["estimate", "10", "--output", "."], "phi_profile"),
     (["estimate", "10", "--cache-path", "."], "phi_profile"),
     (["estimate", "10", "--cache-path", "missing/c.jsonl"], "phi_profile"),
+    (BB + ["--output", "x.csv+.manifest.json"], "bb_table"),
+    (BB + ["--output", "x.csv+.tmp"], "bb_table"),
+    (BB + ["--output", "x.csv+.manifest.json.tmp"], "bb_table"),
+    (FREQUENCY + ["--output", "x.csv+.tmp"], "output_frequency"),
+    (["estimate", "10", "--output", "x.csv+.manifest.json"], "phi_profile"),
+    (["cache", "compact", "--cache-path", "c.jsonl+.tmp"], "VerdictCache"),
 ])
 def test_missing_output_directory_exits_2_before_the_sweep(argv, sweep, tmp_path, capsys,
                                                            monkeypatch):
@@ -425,18 +437,26 @@ def test_missing_output_directory_exits_2_before_the_sweep(argv, sweep, tmp_path
     for name in {sweep, "applicable_set"}:  # estimate sweeps the applicable set first
         monkeypatch.setattr(cli, name, must_not_run)
     *argv, flag, path = argv
-    target = tmp_path / path
+    path, beside, suffix = path.partition("+")
+    target, side = tmp_path / path, f"{tmp_path / path}{suffix}"
+    if beside:
+        target.write_text("")
+        os.mkdir(side)
+    before = sorted(tmp_path.iterdir())
     code, out, err = run_cli(argv + [flag, str(target)], capsys)
-    reason = "{} {} is a directory" if path == "." else "no directory for {} {}"
-    assert code == EXIT_BAD_INPUT and reason.format(flag, target) in err
-    assert out == "" and list(tmp_path.iterdir()) == []
+    reason = ("{} {} writes {}, which is a directory" if beside else
+              "{} {} is a directory" if path == "." else "no directory for {} {}")
+    assert code == EXIT_BAD_INPUT and reason.format(flag, target, side) in err
+    assert out == "" and sorted(tmp_path.iterdir()) == before
+    assert not beside or target.read_text() == ""
 
 
 # Path kinds for --output and --cache-path, under a fresh directory per example:
 # missing (in an existing directory), in a missing directory, a directory, an
-# empty file and a file that is no cache ("5" is JSON but not a record).
+# empty file, a file that is no cache ("5" is JSON but not a record) and a
+# missing file whose manifest path is a directory.
 PATH_KINDS = {"missing": "new.txt", "no-dir": "none/new.txt", "dir": "dir", "empty": "empty",
-              "junk": "junk"}
+              "junk": "junk", "dir-manifest": "side.csv"}
 BUDGETS = st.integers(-1, 16)
 
 
@@ -499,6 +519,7 @@ def test_every_argv_ends_in_a_documented_exit_code(argv):
     with tempfile.TemporaryDirectory() as d, mock.patch.dict(os.environ):
         root = Path(d)
         (root / "dir").mkdir()
+        (root / "side.csv.manifest.json").mkdir()
         (root / "empty").write_text("")
         (root / "junk").write_text("5\n")
         argv = [str(root / PATH_KINDS[w]) if w in PATH_KINDS else w for w in argv]

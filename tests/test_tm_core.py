@@ -18,6 +18,7 @@ from kolmobench.tm_core import (
     encode_index,
     identity_scanner,
     immediate_halt,
+    programs_of_length,
     run,
     steps,
     str_to_syms,
@@ -101,6 +102,9 @@ def test_run_detects_invalid_output():
         ),
     )
     assert run(m, "101", 10) == InvalidOutput(2)
+    # Outcomes of two classes never compare equal, even with equal fields.
+    assert InvalidOutput(5) != Cutoff(5) and not InvalidOutput(5) == Cutoff(5)
+    assert Halted("", 1) != InvalidOutput(1)
 
 
 def test_run_rejects_zero_budget():
@@ -138,6 +142,11 @@ def test_encode_index_examples():
     assert encode_index(1) == "101"
     assert encode_index(2) == "11010"
     assert encode_index(5) == "1110101"
+
+
+def test_programs_of_length_in_numeric_order():
+    assert list(programs_of_length(0)) == [""]
+    assert list(programs_of_length(2)) == ["00", "01", "10", "11"]
 
 
 def test_encode_index_rejects_zero():
