@@ -5,6 +5,7 @@ plain run did within that budget: halted at a step count, with an output
 (``halted``) or without (``invalid``), or not halted (``unknown``).  With no
 certificate or discovery step, no detector change makes a record stale, and
 ``tm_core.run`` re-derives each one.  A bad line is reported by its number.
+In memory a record is the run's tuple; JSON is read and written only at the file.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from __future__ import annotations
 import json
 import os
 from collections import Counter
+
+from .enumeration import MAX_STATES_SUPPORTED, layer_offset
 
 
 class CacheCorruptionError(RuntimeError):
@@ -41,6 +44,10 @@ def record_to_raw(rec: dict):
     return ("u", rec["budget"])
 
 
+def _line(rec: dict) -> str:
+    return json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n"
+
+
 def _is_binary(v) -> bool:
     return isinstance(v, str) and not v.strip("01")
 
@@ -58,6 +65,8 @@ def _problem(rec):
         return f"bad status {status!r}"
     if not all(type(rec[f]) is int and rec[f] >= 1 for f in ("i", "budget")):
         return "i or budget is not an int >= 1"
+    if rec["i"] > layer_offset(MAX_STATES_SUPPORTED + 1):
+        return f"i {rec['i']} is past the {MAX_STATES_SUPPORTED}-state layer"
     if not _is_binary(rec["p"]):
         return f"p {rec['p']!r} is not a binary string"
     if status in ("halted", "invalid") and not (type(steps) is int and 1 <= steps <= rec["budget"]):
@@ -67,7 +76,7 @@ def _problem(rec):
 
 
 class VerdictCache:
-    """In-memory map over a JSONL file; appends go straight to disk."""
+    """In-memory map of run tuples over a JSONL file; appends go straight to disk."""
 
     def __init__(self, path: str):
         self.path = path
@@ -90,27 +99,26 @@ class VerdictCache:
                 if problem:
                     raise CacheCorruptionError(self.path, line_no, problem)
                 key = (rec["i"], rec["p"], rec["budget"])
-                rec = raw_to_record(*key, record_to_raw(rec))  # older formats read as today's
+                raw = record_to_raw(rec)  # older formats read as today's
                 prev = self.records.get(key)
-                if prev is not None and prev != rec:
+                if prev is not None and prev != raw:
                     raise CacheCorruptionError(
                         self.path, line_no, f"conflicting duplicate for key {key}"
                     )
-                self.records[key] = rec
+                self.records[key] = raw
 
     def lookup(self, i: int, p: str, budget: int):
-        rec = self.records.get((i, p, budget))
-        return None if rec is None else record_to_raw(rec)
+        return self.records.get((i, p, budget))
 
     def record(self, i: int, p: str, budget: int, raw) -> None:
         key = (i, p, budget)
         if key in self.records:
             return
         rec = raw_to_record(i, p, budget, raw)
-        self.records[key] = rec
+        self.records[key] = record_to_raw(rec)
         if self._fh is None:
             self._fh = open(self.path, "a", encoding="utf-8")
-        self._fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
+        self._fh.write(_line(rec))
 
     def flush(self) -> None:
         if self._fh is not None:
@@ -125,7 +133,7 @@ class VerdictCache:
         return len(self.records)
 
     def status_counts(self) -> Counter:
-        return Counter(rec["status"] for rec in self.records.values())
+        return Counter(raw_to_record(*key, raw)["status"] for key, raw in self.records.items())
 
     def compact(self) -> int:
         """Rewrite the file without duplicate lines; returns records kept."""
@@ -133,9 +141,6 @@ class VerdictCache:
         tmp = self.path + ".tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
             for key in sorted(self.records):
-                fh.write(
-                    json.dumps(self.records[key], sort_keys=True, separators=(",", ":"))
-                    + "\n"
-                )
+                fh.write(_line(raw_to_record(*key, self.records[key])))
         os.replace(tmp, self.path)
         return len(self.records)

@@ -233,7 +233,7 @@ class MachineRange(namedtuple("MachineRange", "min_states max_states index_lo in
 
     @staticmethod
     def parse(text: str) -> "MachineRange":
-        """Inverse of describe(), e.g. 's1-2@i1-5000'."""
+        """Inverse of describe(), e.g. 's1-2@i1-5000'; perfbench/checks.py reads exports with it."""
         body = text
         ival = None
         if "@i" in text:

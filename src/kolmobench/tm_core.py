@@ -97,22 +97,9 @@ def steps(table, state: int, head: int, tape: dict):
         yield head, state
 
 
-def _outcome(name: str, fields: str) -> type:
-    """A run outcome's class: a named tuple that equals only outcomes of its
-    own class, so ``InvalidOutput(5) != Cutoff(5)``."""
-
-    def eq(a, b):
-        return type(a) is type(b) and tuple.__eq__(a, b)
-
-    return type(name, (namedtuple(name, fields),), {
-        "__slots__": (), "__eq__": eq, "__ne__": lambda a, b: not eq(a, b),
-        "__hash__": tuple.__hash__})
-
-
-Halted = _outcome("Halted", "output steps")
-InvalidOutput = _outcome("InvalidOutput", "steps")
-Cutoff = _outcome("Cutoff", "budget")
-RunOutcome = Halted | InvalidOutput | Cutoff
+# A halt as the detector states it, ``("h", steps, output or None)``, with
+# names; it equals that plain tuple.  A run that has not halted is ``("u", budget)``.
+Halted = namedtuple("Halted", "kind steps output")
 
 
 def read_output(tape: dict[int, int]):
@@ -128,19 +115,15 @@ def read_output(tape: dict[int, int]):
     return "".join([SYMBOL_NAMES[tape[p]] for p in cells])  # no blank is stored
 
 
-def run(m: Machine, input_str: str, budget: int) -> RunOutcome:
-    """Budgeted run with the fixed input/output conventions."""
+def run(m: Machine, input_str: str, budget: int):
+    """Budgeted run with the fixed input/output conventions: a ``Halted``,
+    else ``("u", budget)``."""
     if budget < 1:
         raise ValueError("budget must be >= 1")
     tape = dict(enumerate(str_to_syms(input_str)))
     for n, (_, state) in enumerate(islice(steps(m.table, 1, 0, tape), budget), 1):
         pass
-    if state != 0:
-        return Cutoff(budget)
-    out = read_output(tape)
-    if out is None:
-        return InvalidOutput(n)
-    return Halted(out, n)
+    return ("u", budget) if state else Halted("h", n, read_output(tape))
 
 
 def encode_index(i: int) -> str:
@@ -195,20 +178,18 @@ def immediate_halt() -> Machine:
     )
 
 
-def u_run(program: str, budget: int, universe) -> RunOutcome:
+def u_run(program: str, budget: int, universe):
     """Reference-machine run: decode ``program`` as (index, p) and simulate.
 
     Non-decoding programs and indices outside ``universe`` never produce
-    output; they count as running out of budget.
+    output; they count as running out of budget, ``("u", budget)``.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
     dec = decode_program(program)
-    if dec is None:
-        return Cutoff(budget)
+    if dec is None or not universe.contains_index(dec[0]):
+        return ("u", budget)
     i, p = dec
-    if not universe.contains_index(i):
-        return Cutoff(budget)
     from .enumeration import index_to_machine
 
     return run(index_to_machine(i), p, budget)

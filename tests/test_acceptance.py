@@ -32,7 +32,7 @@ from kolmobench.enumeration import (
 )
 from kolmobench.estimator import applicable_set, bound_from_pairs, cap_constant, phi_profile
 from kolmobench.halting import bb_table
-from kolmobench.tm_core import Halted, Machine, run, u_run
+from kolmobench.tm_core import Machine, run, u_run
 
 DATA = Path(__file__).parent / "data" / "regression.json"
 ARTIFACTS = Path(__file__).parent / "artifacts"
@@ -88,7 +88,7 @@ def test_criterion_2_cap_soundness_and_witness_replay(phi_profiles):
             assert r.value <= len(x) + c, (x, r)
             assert r.witness is not None, (x, r.t)
             out = u_run(r.witness, r.t, FULL_2)
-            assert isinstance(out, Halted) and out.output == x, (x, r)
+            assert out[0] == "h" and out[2] == x, (x, r)
             assert len(r.witness) == r.value
             replayed += 1
     print(
@@ -112,7 +112,7 @@ def test_criterion_3_oracle_equivalence():
                 for v in range(1 << length) if length else [0]:
                     p = format(v, f"0{length}b") if length else ""
                     out = run(m, p, budget)
-                    if isinstance(out, Halted) and out.output == x:
+                    if out[0] == "h" and out[2] == x:
                         enc = 2 * i.bit_length() + 1 + length
                         key = (enc, i, str_to_nat(p))
                         if best is None or key < best:

@@ -81,10 +81,14 @@ def test_older_format_loads_serves_and_verifies(tmp_path, capsys):
     assert [cache.lookup(i, p, b) for i, p, b in sorted(cache.records)] == [
         ("h", 1, "1"), ("u", 2), ("u", 8), ("h", 2, None), ("u", 8), ("u", 64)
     ]
-    assert all("cert" not in rec for rec in cache.records.values())
     assert cache.status_counts() == {"halted": 1, "invalid": 1, "unknown": 4}
     assert main(["cache", "verify", "--cache-path", str(path)]) == EXIT_OK
     assert "verified 6 of 6 records; mismatches: 0" in capsys.readouterr().out
+    # Compact writes every record in today's format: no "cert", no "diverges".
+    assert main(["cache", "compact", "--cache-path", str(path)]) == EXIT_OK
+    lines = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    assert len(lines) == 6 and all("cert" not in rec for rec in lines)
+    assert {rec["status"] for rec in lines} == {"halted", "invalid", "unknown"}
 
 
 def test_cache_lookup_and_persistence(tmp_path):
@@ -166,6 +170,8 @@ MALFORMED = {
     "list-status": json.dumps({**HALT, "status": ["halted"]}),
     "invalid-with-output": json.dumps({**HALT, "status": "invalid", "output": "1"}),
     "invalid-null-steps": json.dumps({**HALT, "status": "invalid", "steps": None, "output": None}),
+    "index-past-layer-8": json.dumps({**HALT, "i": 10**60, "p": "", "status": "unknown",
+                                      "steps": None, "output": None}),
 }
 
 

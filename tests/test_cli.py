@@ -190,7 +190,7 @@ def test_estimate_without_small_indices_scans_only_their_programs():
 
 def test_cli_import_loads_no_process_pool_and_no_verdict_classes():
     # Only a sweep with more than one worker needs a process pool, and the
-    # detector's tuples are the one verdict vocabulary.  Records are named
+    # detector's tuples are the one verdict and run vocabulary.  Records are named
     # tuples or plain classes, so start-up adds no dataclasses (nor its
     # inspect), datetime or random; these are compared with the modules
     # loaded before the import, as site may already have loaded random.
@@ -198,10 +198,10 @@ def test_cli_import_loads_no_process_pool_and_no_verdict_classes():
     path = [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]
     script = (
         "import sys; before = set(sys.modules); "
-        "import kolmobench.cli, kolmobench.halting as h; "
+        "import kolmobench.cli, kolmobench.halting as h, kolmobench.tm_core as t; "
         "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules), "
         "sorted({'dataclasses', 'inspect', 'datetime', 'random'} & set(sys.modules) - before), "
-        "hasattr(h, 'ProvedDiverges'))"
+        "hasattr(h, 'ProvedDiverges'), [n for n in ('Cutoff', 'InvalidOutput') if hasattr(t, n)])"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script],
@@ -210,7 +210,7 @@ def test_cli_import_loads_no_process_pool_and_no_verdict_classes():
         text=True,
         timeout=60,
     )
-    assert proc.stdout.strip() == "[] [] False", proc.stderr
+    assert proc.stdout.strip() == "[] [] False []", proc.stderr
 
 
 @pytest.mark.parametrize(

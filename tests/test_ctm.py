@@ -107,12 +107,12 @@ def test_corrected_block_zero_degenerates_to_weighted_frequency():
     t = corrected_table(u, block_len=0, budget=16)
     expected = {}
     from kolmobench.enumeration import index_to_machine
-    from kolmobench.tm_core import Halted, run
+    from kolmobench.tm_core import run
 
     for i in range(1, 11):
         out = run(index_to_machine(i), "", 16)
-        if isinstance(out, Halted):
-            expected[out.output] = expected.get(out.output, Fraction(0)) + default_alpha(i)
+        if out[0] == "h" and out[2] is not None:
+            expected[out[2]] = expected.get(out[2], Fraction(0)) + default_alpha(i)
     assert t.entries == expected
 
 
@@ -121,7 +121,7 @@ def _plain_run_masses(lo, hi, block_len, budget):
     """Corrected masses over indices lo..hi from a plain run double loop
     with default_alpha(i) / 2^L Fraction sums: no detector, memo, cache or pool."""
     from kolmobench.enumeration import index_to_machine
-    from kolmobench.tm_core import Halted, run
+    from kolmobench.tm_core import run
 
     programs = [format(v, f"0{block_len}b") for v in range(1 << block_len)]
     masses = {}
@@ -129,9 +129,9 @@ def _plain_run_masses(lo, hi, block_len, budget):
         m = index_to_machine(i)
         for p in programs:
             out = run(m, p, budget)
-            if isinstance(out, Halted):
+            if out[0] == "h" and out[2] is not None:
                 share = default_alpha(i) / (1 << block_len)
-                masses[out.output] = masses.get(out.output, Fraction(0)) + share
+                masses[out[2]] = masses.get(out[2], Fraction(0)) + share
     return masses
 
 

@@ -31,7 +31,7 @@ from kolmobench.estimator import (
     upper_bound_C,
 )
 from kolmobench.halting import SweepStats, analyze_table
-from kolmobench.tm_core import Halted, immediate_halt, run, str_to_syms, u_run
+from kolmobench.tm_core import immediate_halt, run, str_to_syms, u_run
 
 N1 = MachineRange(1, 1)
 
@@ -44,7 +44,7 @@ def oracle_phi(t, x, cap, universe):
         for v in range(1 << length) if length else [0]:
             q = format(v, f"0{length}b") if length else ""
             out = u_run(q, t, universe)
-            if isinstance(out, Halted) and out.output == x:
+            if out[0] == "h" and out[2] == x:
                 hits.append((length, v, q))
     if not hits:
         return cap, None
@@ -74,7 +74,7 @@ def test_phi_witness_replays(small_universe):
         r = phi(8, x, small_universe, cap=8, ceiling=1 << 12)
         assert r.witness is not None
         out = u_run(r.witness, 8, small_universe)
-        assert isinstance(out, Halted) and out.output == x
+        assert out[0] == "h" and out[2] == x
         assert len(r.witness) == r.value
 
 
@@ -114,7 +114,7 @@ def test_machine_one_outputs_the_rest_of_its_input_at_step_one(x):
     # index 1 is in the universe, because program 101 b x is a witness.
     for b in "01":
         assert analyze_table(index_to_table(1)[1], str_to_syms(b + x), 1) == ("h", 1, x)
-        assert run(index_to_machine(1), b + x, 1) == Halted(x, 1)
+        assert run(index_to_machine(1), b + x, 1) == ("h", 1, x)
 
 
 def test_phi_rejects_bad_inputs(small_universe):
@@ -160,13 +160,13 @@ def test_applicable_set_pairs_replay(small_universe):
         classes = applicable_set(x, u, budget=budget, max_prog_len=3)
         assert applicable_set(x, u, budget=budget, max_prog_len=3, threads=2) == classes
         for count, pr in classes:
-            assert run(index_to_machine(pr.i), pr.p, pr.steps) == Halted(x, pr.steps)
+            assert run(index_to_machine(pr.i), pr.p, pr.steps) == ("h", pr.steps, x)
             assert pr.cost == pr.i.bit_length() + len(pr.p)
             assert pr.encoded_len == 2 * pr.i.bit_length() + 1 + len(pr.p)
             lo, hi = next((lo, hi) for _, lo, hi in spans if lo <= pr.i <= hi)
             outputs = [run(index_to_machine(i), pr.p, budget) for i in range(lo, hi + 1)]
             members = [i for i, out in enumerate(outputs, lo)
-                       if isinstance(out, Halted) and out.output == x]
+                       if out[0] == "h" and out[2] == x]
             assert (members[0], len(members)) == (pr.i, count)
 
 

@@ -10,9 +10,6 @@ from kolmobench.tm_core import (
     WRITE_BLANK,
     WRITE_ONE,
     WRITE_ZERO,
-    Cutoff,
-    Halted,
-    InvalidOutput,
     Machine,
     encode_index,
     immediate_halt,
@@ -86,7 +83,7 @@ def test_analyze_two_sided_bouncer_splice_cycle():
     assert v[1][0] == "splice"
     assert verify_certificate(m.table, (), v[1])
     # long replay really does not halt
-    assert isinstance(run(m, "", 20000), Cutoff)
+    assert run(m, "", 20000) == ("u", 20000)
 
 
 def test_analyze_unknown_below_discovery_budget():
@@ -108,11 +105,7 @@ def test_analyze_unknown_below_discovery_budget():
 def test_proved_halts_agrees_with_plain_run(m, x, budget):
     v = analyze_table(m.table, str_to_syms(x), budget)
     if v[0] == "h":
-        out = run(m, x, v[1])
-        if v[2] is None:
-            assert out == InvalidOutput(v[1])
-        else:
-            assert out == Halted(v[2], v[1])
+        assert run(m, x, v[1]) == v
 
 
 @given(machines(4), binary, st.integers(1, 200))
@@ -120,7 +113,7 @@ def test_proved_diverges_verifies_and_keeps_running(m, x, budget):
     v = analyze_table(m.table, str_to_syms(x), budget)
     if v[0] == "d":
         assert verify_certificate(m.table, str_to_syms(x), v[1])
-        assert isinstance(run(m, x, 4000), Cutoff)
+        assert run(m, x, 4000) == ("u", 4000)
 
 
 @given(machines(), binary, st.integers(1, 60), st.integers(0, 60))
@@ -149,7 +142,7 @@ def test_bb_table_one_state_matches_brute_force():
     for idx, table in iter_tables(1):
         m = Machine(1, table)
         out = run(m, "", 10_000)
-        if not isinstance(out, Cutoff):
+        if out[0] == "h":
             halting.add(idx)
             oracle_max = max(oracle_max, out.steps)
     rec = bb_table(1, [64], verify=True)
@@ -196,8 +189,8 @@ def test_simulator_memoizes_across_budgets():
 
     u = MachineRange(1, 1, 991, 991)
     prog = encode_index(991) + "11"
-    assert u_run(prog, 2, u) == Cutoff(2)
-    assert u_run(prog, 3, u) == Halted("11", 3) == u_run(prog, 100, u)
+    assert u_run(prog, 2, u) == ("u", 2)
+    assert u_run(prog, 3, u) == ("h", 3, "11") == u_run(prog, 100, u)
     prof = phi_profile("11", [2, 3, 100], u, cap=len(prog), ceiling=1 << 24)
     assert [(r.value, r.witness) for r in prof] == [
         (len(prog), None), (len(prog), prog), (len(prog), prog)
@@ -283,4 +276,4 @@ def test_bouncer_family_gets_splice_certificates(idx):
     assert v[0] == "d", (idx, v)
     assert v[1][0] == "splice"
     assert verify_certificate(m.table, (), v[1])
-    assert isinstance(run(m, "", 100_000), Cutoff)
+    assert run(m, "", 100_000) == ("u", 100_000)

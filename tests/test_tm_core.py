@@ -10,9 +10,7 @@ from kolmobench.tm_core import (
     ONE,
     WRITE_BLANK,
     WRITE_ONE,
-    Cutoff,
     Halted,
-    InvalidOutput,
     Machine,
     decode_program,
     encode_index,
@@ -76,16 +74,18 @@ def test_step_reads_only_the_entries_it_takes():
 
 
 def test_run_identity_scanner_copies_input():
-    assert run(identity_scanner(), "101", 10) == Halted("101", 4)
+    out = run(identity_scanner(), "101", 10)
+    assert out == Halted("h", 4, "101") == ("h", 4, "101")
+    assert (out.kind, out.steps, out.output) == ("h", 4, "101")
 
 
 def test_run_immediate_halt_empty():
-    assert run(immediate_halt(), "", 10) == Halted("", 1)
+    assert run(immediate_halt(), "", 10) == ("h", 1, "")
 
 
 def test_run_right_runner_cutoff():
     m = Machine(1, ((MOVE_RIGHT, 1), (WRITE_BLANK, 0), (WRITE_BLANK, 0)))
-    assert run(m, "", 100) == Cutoff(100)
+    assert run(m, "", 100) == ("u", 100)
 
 
 def test_run_detects_invalid_output():
@@ -101,10 +101,10 @@ def test_run_detects_invalid_output():
             (WRITE_BLANK, 0),
         ),
     )
-    assert run(m, "101", 10) == InvalidOutput(2)
-    # Outcomes of two classes never compare equal, even with equal fields.
-    assert InvalidOutput(5) != Cutoff(5) and not InvalidOutput(5) == Cutoff(5)
-    assert Halted("", 1) != InvalidOutput(1)
+    assert run(m, "101", 10) == ("h", 2, None)
+    # An invalid halt equals neither a cutoff nor a valid halt with equal fields.
+    assert Halted("h", 5, None) != ("u", 5) and not Halted("h", 5, None) == ("u", 5)
+    assert Halted("h", 1, "") != Halted("h", 1, None)
 
 
 def test_run_rejects_zero_budget():
@@ -120,7 +120,7 @@ def test_run_deterministic(m, x, budget):
 @given(machines(), binary, st.integers(1, 40), st.integers(0, 30))
 def test_budget_monotonicity(m, x, budget, extra):
     first = run(m, x, budget)
-    if isinstance(first, (Halted, InvalidOutput)):
+    if first[0] == "h":
         assert run(m, x, budget + extra) == first
 
 
@@ -135,7 +135,7 @@ def test_nonblank_cells_stay_inside_visited(m, x, budget):
 
 @given(binary)
 def test_identity_guarantee(p):
-    assert run(identity_scanner(), p, len(p) + 1) == Halted(p, len(p) + 1)
+    assert run(identity_scanner(), p, len(p) + 1) == ("h", len(p) + 1, p)
 
 
 def test_encode_index_examples():
@@ -175,21 +175,21 @@ def test_encoding_is_prefix_free(i):
 
 def test_u_run_identity_program(small_universe):
     prog = encode_index(991) + "11"
-    assert u_run(prog, 50, small_universe) == Halted("11", 3)
+    assert u_run(prog, 50, small_universe) == ("h", 3, "11")
 
 
 def test_u_run_malformed_program_is_cutoff(small_universe):
-    assert u_run("1" * 9, 17, small_universe) == Cutoff(17)
+    assert u_run("1" * 9, 17, small_universe) == ("u", 17)
 
 
 def test_u_run_immediate_halt(small_universe):
-    assert u_run(encode_index(1), 10, small_universe) == Halted("", 1)
+    assert u_run(encode_index(1), 10, small_universe) == ("h", 1, "")
 
 
 def test_u_run_outside_universe_is_cutoff():
     tiny = MachineRange(1, 1)
     prog = encode_index(1001)  # first 2-state machine
-    assert u_run(prog, 10, tiny) == Cutoff(10)
+    assert u_run(prog, 10, tiny) == ("u", 10)
 
 
 def test_machine_validation():
