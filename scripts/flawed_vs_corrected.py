@@ -5,7 +5,7 @@ mixture stays a sub-probability at every tested scale."""
 
 import argparse
 
-from kolmobench.ctm import alpha_sum_upto, corrected_mass, flawed_crossing, flawed_mass
+from kolmobench.ctm import alpha_sum_upto, corrected_table, flawed_crossing, flawed_table
 from kolmobench.enumeration import MachineRange
 
 
@@ -18,7 +18,7 @@ def main():
 
     print("== flawed scheme: total mass of sum 1/i over halting machines ==")
     for n in sorted({1, 2, 3, 10, 100, 1000, args.n_cap}):
-        m = flawed_mass(None, n, args.budget)
+        m = flawed_table(n, args.budget).total_mass()
         flag = "  <-- exceeds 1" if m > 1 else ""
         print(f"  N={n:>6}: {str(m):>24} ~ {float(m):.6f}{flag}")
     crossing, mass = flawed_crossing(args.n_cap, args.budget)
@@ -30,7 +30,7 @@ def main():
     print(f"  alpha budget (sum of weights): {alpha_sum_upto(int(hi))} "
           f"~ {float(alpha_sum_upto(int(hi))):.6f}")
     for block_len in (0, 2, 4, 6):
-        total = corrected_mass(None, universe, block_len, args.budget)
+        total = corrected_table(universe, block_len, args.budget).total_mass()
         assert total <= 1
         print(f"  L={block_len}: total {str(total):>32} ~ {float(total):.8f}  (<= 1)")
 

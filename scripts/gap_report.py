@@ -5,7 +5,7 @@ an additive O(1) constant would have to absorb; nothing certifies it away."""
 
 import argparse
 
-from kolmobench.ctm import UndefinedMassError, neg_log_estimate
+from kolmobench.ctm import UndefinedMassError, corrected_table, neg_log_estimate
 from kolmobench.enumeration import MachineRange
 from kolmobench.estimator import upper_bound_C
 from kolmobench.tm_core import programs_of_length
@@ -27,11 +27,12 @@ def main():
     lo, _, hi = args.interval.partition(":")
     universe = MachineRange(1, 2, int(lo), int(hi))
     print(f"universe {universe.describe()}, L={args.block_len}, budget {args.budget}")
+    table = corrected_table(universe, args.block_len, args.budget)
     print(f"{'x':>6}  {'-log2 m(x)':>11}  {'upper bound':>11}  {'gap':>8}")
     for x in all_strings(args.max_len):
         bound, _ = upper_bound_C(x, universe, args.budget, args.block_len)
         try:
-            est = neg_log_estimate(x, universe, args.block_len, args.budget)
+            est = neg_log_estimate(x, table)
         except UndefinedMassError:
             print(f"{x!r:>6}  {'undefined':>11}  {bound:>11}  {'-':>8}")
             continue

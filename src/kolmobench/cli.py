@@ -350,6 +350,12 @@ def cmd_cache(args, parser) -> int:
     import random  # here, not at the top: a test checks that importing the CLI loads no random
     rng = random.Random(args.seed)
     sample = keys if len(keys) <= args.sample else rng.sample(keys, args.sample)
+    steps = sum(budget for _, _, budget in sample)
+    if steps > CLI_DEFAULT_CEILING:
+        raise EnumerationLimitError(
+            f"replaying {len(sample)} sampled records may take {steps} steps, past "
+            f"{CLI_DEFAULT_CEILING}; pass a smaller --sample"
+        )
     mismatches = 0
     for i, p, budget in sorted(sample):
         if run(index_to_machine(i), p, budget) != cache.records[(i, p, budget)]:

@@ -112,27 +112,14 @@ def _flawed_halts(n_max: int, budget: int):
             yield i, res[2]
 
 
-def _flawed_counts(n_max: int, budget: int):
-    """Output string -> exact 1/i mass, over machines 1..n_max on empty input."""
+def flawed_table(n_max: int, budget: int) -> DistributionTable:
+    """Each output's exact 1/i mass, over machines 1..n_max on empty input."""
+    if n_max < 1:
+        raise ValueError("need at least one machine")
     masses = {}
     for i, x in _flawed_halts(n_max, budget):
         masses[x] = masses.get(x, Fraction(0)) + Fraction(1, i)
-    return masses
-
-
-def flawed_mass(x: str | None, n_max: int, budget: int) -> Fraction:
-    """Harmonically weighted mass of output x (or total over all outputs
-    when x is None) over the first n_max machines."""
-    if n_max < 1:
-        raise ValueError("need at least one machine")
-    masses = _flawed_counts(n_max, budget)
-    if x is None:
-        return sum(masses.values(), Fraction(0))
-    return masses.get(x, Fraction(0))
-
-
-def flawed_table(n_max: int, budget: int) -> DistributionTable:
-    return DistributionTable(_flawed_counts(n_max, budget), FLAWED, f"i1-{n_max}", budget)
+    return DistributionTable(masses, FLAWED, f"i1-{n_max}", budget)
 
 
 def flawed_crossing(n_cap: int, budget: int):
@@ -196,31 +183,14 @@ def _leaf_numerators(leaves, shift: int) -> Counter:
     return numerators
 
 
-def corrected_mass(
-    x: str | None,
-    universe: MachineRange,
-    block_len: int,
-    budget: int,
-) -> Fraction:
-    table = corrected_table(universe, block_len, budget)
-    if x is None:
-        return table.total_mass()
-    return table.entries.get(x, Fraction(0))
-
-
-def neg_log_estimate(
-    x: str,
-    universe: MachineRange,
-    block_len: int,
-    budget: int,
-) -> float:
-    """-log2 of the corrected mass of x, in bits.
+def neg_log_estimate(x: str, table: DistributionTable) -> float:
+    """-log2 of x's mass in a corrected table, in bits.
 
     This estimates the prefix-style complexity of x only up to the additive
     constant of the coding theorem; it is a comparison target, not a value
     of C(x) or K(x).
     """
-    mass = corrected_mass(x, universe, block_len, budget)
+    mass = table.entries.get(x, 0)
     if mass == 0:
         raise UndefinedMassError(
             f"{x!r} was never produced at this scale; grow the universe or budget"

@@ -34,7 +34,7 @@ DEFAULT_ENUM_CEILING = 1 << 22
 
 
 class EnumerationLimitError(RuntimeError):
-    """A sweep would enumerate more programs than the configured ceiling."""
+    """A sweep, or a cache verify replay, would do more work than the configured ceiling."""
 
 
 @lru_cache(maxsize=1)

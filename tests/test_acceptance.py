@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from kolmobench.ctm import alpha_sum_upto, corrected_mass, flawed_crossing
+from kolmobench.ctm import alpha_sum_upto, corrected_table, flawed_crossing
 from kolmobench.enumeration import (
     MachineRange,
     cantor_pair,
@@ -157,7 +157,7 @@ def test_criterion_5_corrected_mass_never_exceeds_one():
     for universe in (MachineRange(1, 1), MachineRange(1, 2, 1, 8000)):
         for block_len in (0, 1, 2, 3, 6):
             masses = {
-                budget: corrected_mass(None, universe, block_len, budget)
+                budget: corrected_table(universe, block_len, budget).total_mass()
                 for budget in (16, 1024)
             }
             for budget, total in masses.items():

@@ -389,6 +389,18 @@ def test_cache_verify_runs_neither_detector_nor_replay(tmp_path, capsys, monkeyp
     assert "MISMATCH at (i=1, p='', budget=8)" in err and "mismatches: 1" in out
 
 
+def test_cache_verify_refuses_a_sample_past_the_step_ceiling(tmp_path, capsys, monkeypatch):
+    # The sampled budgets bound the replay's steps; past the ceiling nothing runs.
+    monkeypatch.setattr(cli, "CLI_DEFAULT_CEILING", 100)
+    monkeypatch.setattr(cli, "run", lambda *a: pytest.fail("cache verify replayed a record"))
+    cache = tmp_path / "vc.jsonl"
+    rec = {"i": 2, "p": "", "budget": 1000, "status": "unknown", "steps": None, "output": None}
+    cache.write_text(json.dumps(rec) + "\n", encoding="utf-8")
+    code, out, err = run_cli(["cache", "verify", "--cache-path", str(cache)], capsys)
+    assert code == EXIT_RESOURCE and not out
+    assert "1000 steps" in err and "--sample" in err
+
+
 def test_exports_identical_across_threads_and_cache_warmth(tmp_path, capsys):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"

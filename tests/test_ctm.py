@@ -11,21 +11,19 @@ from kolmobench.ctm import (
     SubProbabilityError,
     UndefinedMassError,
     alpha_sum_upto,
-    corrected_mass,
     corrected_table,
     default_alpha,
     flawed_crossing,
-    flawed_mass,
     flawed_table,
     neg_log_estimate,
     output_frequency,
     table_to_csv,
     table_to_json,
 )
-from kolmobench.enumeration import MachineRange, index_to_table
+from kolmobench.enumeration import MachineRange, index_to_machine, index_to_table
 from kolmobench.estimator import identity_index, upper_bound_C
 from kolmobench.halting import SweepStats, analyze_table
-from kolmobench.tm_core import str_to_syms
+from kolmobench.tm_core import run, str_to_syms
 
 N1 = MachineRange(1, 1)
 
@@ -59,11 +57,11 @@ def test_output_frequency_monotone_in_budget():
 
 
 def test_flawed_mass_first_machine():
-    assert flawed_mass(None, 1, budget=16) == 1
+    assert flawed_table(1, budget=16).total_mass() == 1
 
 
 def test_flawed_mass_nondecreasing_in_ceiling():
-    masses = [flawed_mass(None, n, budget=64) for n in range(1, 30)]
+    masses = [flawed_table(n, budget=64).total_mass() for n in range(1, 30)]
     assert all(a <= b for a, b in zip(masses, masses[1:]))
 
 
@@ -75,7 +73,12 @@ def test_flawed_crossing_is_three():
 
 def test_flawed_table_masses_sum_to_all_mass():
     t = flawed_table(50, budget=64)
-    assert t.total_mass() == flawed_mass(None, 50, budget=64)
+    plain = Fraction(0)
+    for i in range(1, 51):
+        res = run(index_to_machine(i), "", 64)
+        if res[0] == "h" and res[2] is not None:
+            plain += Fraction(1, i)
+    assert t.total_mass() == plain
     assert t.scheme == "flawed"
 
 
@@ -106,9 +109,6 @@ def test_corrected_block_zero_degenerates_to_weighted_frequency():
     u = MachineRange(1, 1, 1, 10)
     t = corrected_table(u, block_len=0, budget=16)
     expected = {}
-    from kolmobench.enumeration import index_to_machine
-    from kolmobench.tm_core import run
-
     for i in range(1, 11):
         out = run(index_to_machine(i), "", 16)
         if out[0] == "h" and out[2] is not None:
@@ -120,9 +120,6 @@ def test_corrected_block_zero_degenerates_to_weighted_frequency():
 def _plain_run_masses(lo, hi, block_len, budget):
     """Corrected masses over indices lo..hi from a plain run double loop
     with default_alpha(i) / 2^L Fraction sums: no detector, memo, cache or pool."""
-    from kolmobench.enumeration import index_to_machine
-    from kolmobench.tm_core import run
-
     programs = [format(v, f"0{block_len}b") for v in range(1 << block_len)]
     masses = {}
     for i in range(lo, hi + 1):
@@ -184,7 +181,7 @@ def test_corrected_total_mass_never_exceeds_alpha_budget():
     for interval in ((1, 1000), (1, 3000)):
         u = MachineRange(1, 2, *interval)
         for block in (0, 2, 4):
-            total = corrected_mass(None, u, block, budget=64)
+            total = corrected_table(u, block, budget=64).total_mass()
             assert total <= alpha_sum_upto(interval[1]) <= Fraction(1, 4) < 1
 
 
@@ -205,26 +202,26 @@ def test_corrected_monotone_in_budget_and_universe():
     big = corrected_table(u, 2, budget=64)
     for x, mass in small.entries.items():
         assert big.entries.get(x, Fraction(0)) >= mass
-    narrow = corrected_mass(None, MachineRange(1, 1, 1, 200), 2, budget=64)
-    wide = corrected_mass(None, MachineRange(1, 1, 1, 1000), 2, budget=64)
+    narrow = corrected_table(MachineRange(1, 1, 1, 200), 2, budget=64).total_mass()
+    wide = corrected_table(MachineRange(1, 1, 1, 1000), 2, budget=64).total_mass()
     assert narrow <= wide
 
 
 def test_neg_log_exact_power_of_two():
     u = MachineRange(1, 1, 1, 1)  # machine 1 halts on eps with eps
-    mass = corrected_mass("", u, 0, budget=8)
-    assert mass == Fraction(1, 8)
-    assert neg_log_estimate("", u, 0, budget=8) == 3.0
+    table = corrected_table(u, 0, budget=8)
+    assert table.entries[""] == Fraction(1, 8)
+    assert neg_log_estimate("", table) == 3.0
 
 
 def test_neg_log_undefined_for_missing_output():
     with pytest.raises(UndefinedMassError):
-        neg_log_estimate("0110", MachineRange(1, 1, 1, 3), 1, budget=8)
+        neg_log_estimate("0110", corrected_table(MachineRange(1, 1, 1, 3), 1, budget=8))
 
 
 def test_neg_log_nonincreasing_as_universe_grows():
-    small = neg_log_estimate("1", MachineRange(1, 1, 1, 200), 2, budget=64)
-    big = neg_log_estimate("1", MachineRange(1, 1, 1, 1000), 2, budget=64)
+    small = neg_log_estimate("1", corrected_table(MachineRange(1, 1, 1, 200), 2, budget=64))
+    big = neg_log_estimate("1", corrected_table(MachineRange(1, 1, 1, 1000), 2, budget=64))
     assert big <= small
 
 
@@ -235,10 +232,11 @@ def test_gap_report_produced_and_finite():
     strings = [""] + [
         format(v, f"0{L}b") for L in (1, 2, 3) for v in range(1 << L)
     ]
+    table = corrected_table(u, 4, budget=64)
     gaps = {}
     for x in strings:
         try:
-            est = neg_log_estimate(x, u, 4, budget=64)
+            est = neg_log_estimate(x, table)
         except UndefinedMassError:
             continue
         bound, _ = upper_bound_C(x, u, budget=64, max_prog_len=4)
