@@ -317,6 +317,26 @@ def test_cache_verify_fresh_cache_passes(tmp_path, capsys):
     assert "mismatches: 0" in out
 
 
+def test_estimate_cache_file_is_pinned(tmp_path, capsys):
+    # The records name each (index, program, budget) the phi scan analysed, so
+    # these bytes move if any pair is analysed at another budget; cache verify
+    # would pass such a file.
+    cache, out = tmp_path / "vc.jsonl", tmp_path / "e.json"
+    code, _, _ = run_cli(
+        ["estimate", "0110", "--budget", "1024", "--universe-interval", "1:2000",
+         "--out", "json", "--cache-path", str(cache), "--output", str(out)],
+        capsys,
+    )
+    assert code == EXIT_OK
+    assert len(cache.read_bytes().splitlines()) == 56
+    assert hashlib.sha256(cache.read_bytes()).hexdigest() == (
+        "5271af6fedfcd3a69e58e32bb1dd37c6f1fc2d16cc305583e8089db9b0ac8538"
+    )
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "29041c909af66d4ba65877d3b3970c56d810930259a86466cd3254c492b72bbd"
+    )
+
+
 @pytest.mark.parametrize("action", ["inspect", "verify", "compact"])
 def test_cache_on_missing_path_exits_2(tmp_path, capsys, action):
     cache = tmp_path / "missing.jsonl"

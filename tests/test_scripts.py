@@ -12,6 +12,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 FVC_SMOKE = ["--n-cap", "20", "--budget", "16", "--interval", "1:40"]
 GAP_SMOKE = ["--max-len", "1", "--block-len", "2", "--budget", "16", "--interval", "1:200"]
+OVERSHOOT_SMOKE = ["--max-len", "1", "--max-budget-log2", "4"]
 
 
 def _run_script(script, args):
@@ -33,7 +34,7 @@ def _run_script(script, args):
         ("flawed_vs_corrected.py", FVC_SMOKE),
         ("gap_report.py", GAP_SMOKE),
         ("bb_layers.py", ["--max-states", "1", "--start-budget", "4"]),
-        ("overshoot_search.py", ["--max-len", "1", "--max-budget-log2", "4"]),
+        ("overshoot_search.py", OVERSHOOT_SMOKE),
     ],
 )
 def test_script_runs(script, args):
@@ -49,9 +50,16 @@ def test_script_runs(script, args):
          "0fd703441dd47591b939766334e70ae1e8b971e4962bcada17b767f61511afed"),
         ("gap_report.py", ["--max-len", "2", "--budget", "64", "--interval", "1:400"],
          "f7e0bf2ed1ca93ea67672178cd79dcab06f4ad377f8a6bce2aeeb8b38b16d42b"),
+        ("gap_report.py", ["--max-len", "5"],
+         "3a70d042ed5d277cda04133cdd8fe2d91c9fab559e0c8fa16ff3fd278658bd4d"),
+        ("overshoot_search.py", OVERSHOOT_SMOKE,
+         "558b982414b4f34edac6a4d5c73ed7ae4c67205638c974aec35d5d866c156db2"),
+        ("overshoot_search.py", [],
+         "0f96d00c28c8d078ff37c05035ab99895b34fc3fda9147a65ee00e4e9831f62f"),
     ],
 )
 def test_script_output_pinned(script, args, digest):
-    """The mixture scripts print exact masses and estimates, so their stdout
-    is pinned byte for byte (bb_layers.py prints wall time and is left out)."""
+    """The mixture and estimator scripts print exact masses, bounds and phi
+    values, so their stdout is pinned byte for byte (bb_layers.py prints
+    wall time and is left out)."""
     assert hashlib.sha256(_run_script(script, args).encode()).hexdigest() == digest
