@@ -17,7 +17,7 @@ def main():
     args = ap.parse_args()
 
     print("== flawed scheme: total mass of sum 1/i over halting machines ==")
-    for n in sorted({1, 2, 3, 10, 100, 1000, args.n_cap}):
+    for n in sorted({n for n in (1, 2, 3, 10, 100, 1000, args.n_cap) if n <= args.n_cap}):
         m = flawed_table(n, args.budget).total_mass()
         flag = "  <-- exceeds 1" if m > 1 else ""
         print(f"  N={n:>6}: {str(m):>24} ~ {float(m):.6f}{flag}")

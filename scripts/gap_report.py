@@ -7,7 +7,7 @@ import argparse
 
 from kolmobench.ctm import UndefinedMassError, corrected_table, neg_log_estimate
 from kolmobench.enumeration import MachineRange
-from kolmobench.estimator import upper_bound_C
+from kolmobench.estimator import applicable_set, bound_from_pairs
 from kolmobench.tm_core import programs_of_length
 
 
@@ -28,9 +28,10 @@ def main():
     universe = MachineRange(1, 2, int(lo), int(hi))
     print(f"universe {universe.describe()}, L={args.block_len}, budget {args.budget}")
     table = corrected_table(universe, args.block_len, args.budget)
+    classes = applicable_set(all_strings(args.max_len), universe, args.budget, args.block_len)
     print(f"{'x':>6}  {'-log2 m(x)':>11}  {'upper bound':>11}  {'gap':>8}")
-    for x in all_strings(args.max_len):
-        bound, _ = upper_bound_C(x, universe, args.budget, args.block_len)
+    for x, found in classes.items():
+        bound, _ = bound_from_pairs(x, [pr for _, pr in found])
         try:
             est = neg_log_estimate(x, table)
         except UndefinedMassError:

@@ -24,8 +24,8 @@ def main():
     universe = MachineRange(1, 2)
     schedule = [1 << k for k in range(args.max_budget_log2 + 1)]
     found = []
-    for x in all_strings(args.max_len):
-        profile = phi_profile(x, schedule, universe, ceiling=1 << 26)
+    profiles = phi_profile(all_strings(args.max_len), schedule, universe, ceiling=1 << 26)
+    for x, profile in profiles.items():
         values = {r.t: r.value for r in profile}
         drops = [(t, values[t], values[4 * t]) for t in schedule
                  if 4 * t in values and values[t] > values[4 * t]]

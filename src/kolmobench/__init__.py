@@ -14,7 +14,7 @@ from .enumeration import (
     str_to_nat,
     strlen_of_nat,
 )
-from .estimator import PhiResult, ProgramPair, applicable_set, phi, phi_profile, upper_bound_C
+from .estimator import PhiResult, ProgramPair, applicable_set, phi_profile
 from .halting import BBRecord, analyze_table, bb_table, verify_certificate
 from .tm_core import Machine, encode_index, decode_program, run, u_run
 
@@ -35,12 +35,10 @@ __all__ = [
     "machine_count",
     "machine_to_index",
     "nat_to_str",
-    "phi",
     "phi_profile",
     "run",
     "str_to_nat",
     "strlen_of_nat",
     "u_run",
-    "upper_bound_C",
     "verify_certificate",
 ]

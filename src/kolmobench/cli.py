@@ -215,10 +215,10 @@ def cmd_estimate(args, parser) -> int:
     stats = SweepStats()
     try:  # a refusal or error still closes the cache, with its records written
         # The applicable set refuses before it sweeps, so its refusal costs no phi scan.
-        classes = applicable_set(x, universe, args.budget, args.max_prog_len, policy=args.policy,
-                                 ceiling=args.ceiling, threads=args.threads, stats=stats)
-        profile = phi_profile(x, doubling_schedule(1, args.budget), universe, cap=cap,
-                              ceiling=args.ceiling, cache=cache)
+        classes = applicable_set([x], universe, args.budget, args.max_prog_len, policy=args.policy,
+                                 ceiling=args.ceiling, threads=args.threads, stats=stats)[x]
+        profile = phi_profile([x], doubling_schedule(1, args.budget), universe, cap=cap,
+                              ceiling=args.ceiling, cache=cache)[x]
     finally:
         if cache is not None:
             cache.close()

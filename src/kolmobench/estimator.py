@@ -1,20 +1,20 @@
 """Anytime upper bounds on plain complexity from budgeted program sweeps.
 
-``phi(t, x)`` is the shortest reference-machine program of length up to
+phi(t, x) is the shortest reference-machine program of length up to
 ``len(x) + c`` that outputs ``x`` within ``t`` steps, defaulting to the cap
 when none does.  The constant ``c`` is pinned to the encoding length of the
 built-in right-scanner, which copies any program to the output, so the cap
 is always witnessed at sufficient budget.
 
-``phi_profile`` computes phi along a budget schedule in one scan of the
-canonical programs ``1^k 0 bin(i) p`` (k = |bin(i)|, i in the universe).
-That is exact: any other program never halts or repeats a shorter canonical
-one, and since a sound detector never calls a halting run divergent, one
-analysis at budget B gives the true halting step of every run within B.
-
-``applicable_set`` counts the halting (machine, program) pairs producing
-``x`` per (layer, index bit length, program), each class with its first
-pair, and applies a pruning rule; ``upper_bound_C`` takes the shortest
+Both entry points answer any set of strings from one sweep.  ``phi_profile``
+computes phi along a budget schedule in one scan of the canonical programs
+``1^k 0 bin(i) p`` (k = |bin(i)|, i in the universe).  That is exact: any
+other program never halts or repeats a shorter canonical one, and since a
+sound detector never calls a halting run divergent, one analysis at budget
+B gives the true halting step of every run within B.  ``applicable_set``
+counts the halting (machine, program) pairs producing each string per
+(layer, index bit length, program), each class with its first pair, and
+applies a pruning rule; ``bound_from_pairs`` takes the shortest
 self-delimiting encoding over that set.  Everything here reports upper
 bounds only; no operation of this module returns anything interpretable as
 a certified minimum.
@@ -51,9 +51,13 @@ def cap_constant() -> int:
 PhiResult = namedtuple("PhiResult", "x t value witness cap")
 
 
-def _check_binary(x: str):
-    if any(ch not in "01" for ch in x):
-        raise ValueError(f"not a binary string: {x!r}")
+def _binary_strings(xs) -> dict:
+    """The distinct strings of ``xs`` in order, as dict keys, each checked binary."""
+    xs = dict.fromkeys(xs)
+    for x in xs:
+        if any(ch not in "01" for ch in x):
+            raise ValueError(f"not a binary string: {x!r}")
+    return xs
 
 
 def _canonical_programs(universe: MachineRange, cap: int):
@@ -93,56 +97,55 @@ def check_phi_scan(x: str, universe: MachineRange, cap: int, ceiling: int) -> No
         )
 
 
-def phi(
-    t: int,
-    x: str,
-    universe: MachineRange,
-    *,
-    cap: int | None = None,
-    ceiling: int = DEFAULT_ENUM_CEILING,
-) -> PhiResult:
-    """Shortest program of length <= cap producing x within t steps."""
-    return phi_profile(x, [t], universe, cap=cap, ceiling=ceiling)[0]
-
-
 def phi_profile(
-    x: str,
+    xs,
     schedule,
     universe: MachineRange,
     *,
     cap: int | None = None,
     ceiling: int = DEFAULT_ENUM_CEILING,
     cache=None,
-) -> list[PhiResult]:
-    """phi along a strictly increasing budget schedule, in one program scan.
+) -> dict[str, list[PhiResult]]:
+    """phi of each string along a strictly increasing budget schedule, in
+    one program scan: ``{x: [PhiResult per budget]}``.
 
-    Each (index, program) pair is analysed once, at the largest budget still
-    without a witness (a ``cache`` given serves and records the verdicts); a
-    halt with output x at step s settles every open budget t >= s.  Refuses
-    up front (``check_phi_scan``) when the scan could exceed ``ceiling`` programs.
+    Each string has its own cap (default len(x) + c) and its own open
+    budgets, those without a witness.  Each (index, program) pair is
+    analysed once, at the largest open budget of any string whose cap admits
+    it (a ``cache`` given serves and records the verdicts); a halt with
+    output x at step s settles x's open budgets t >= s.  Refuses up front
+    (``check_phi_scan``) if one string's scan could exceed ``ceiling`` programs.
     """
-    _check_binary(x)
+    xs = _binary_strings(xs)
     schedule = check_schedule(schedule)
-    if cap is None:
-        cap = len(x) + cap_constant()
-    if cap < 0:
+    if cap is not None and cap < 0:
         raise ValueError("cap must be >= 0")
-    check_phi_scan(x, universe, cap, ceiling)
+    caps = {x: len(x) + cap_constant() if cap is None else cap for x in xs}
+    for x, c in caps.items():
+        check_phi_scan(x, universe, c, ceiling)
     verdict = Simulator(cache).raw_verdict
-    witnesses = [None] * len(schedule)
-    open_n = len(schedule)  # the budgets without a witness: schedule[:open_n]
-    for q, i, p in _canonical_programs(universe, cap):
-        if not open_n:
+    witnesses = {x: [None] * len(schedule) for x in caps}
+    open_n = dict.fromkeys(caps, len(schedule))  # x's budgets without a witness: schedule[:n]
+    length = -1
+    for q, i, p in _canonical_programs(universe, max(caps.values(), default=-1)):
+        if len(q) > length:  # a string stays open up to its cap
+            length = len(q)
+            open_n = {x: n for x, n in open_n.items() if n and caps[x] >= length}
+            top = max(open_n.values(), default=0)
+        if not top:
             break
-        res = verdict(i, p, schedule[open_n - 1])
-        if res[0] == "h" and res[2] == x:
-            settled = bisect_left(schedule, res[1], 0, open_n)
-            witnesses[settled:open_n] = [q] * (open_n - settled)
-            open_n = settled
-    return [
-        PhiResult(x=x, t=t, value=cap if w is None else len(w), witness=w, cap=cap)
-        for t, w in zip(schedule, witnesses)
-    ]
+        res = verdict(i, p, schedule[top - 1])
+        if res[0] == "h" and res[2] in open_n:
+            x, n = res[2], open_n[res[2]]
+            settled = open_n[x] = bisect_left(schedule, res[1], 0, n)
+            witnesses[x][settled:n] = [q] * (n - settled)
+            if settled < n:
+                top = max(open_n.values())
+    return {
+        x: [PhiResult(x=x, t=t, value=c if w is None else len(w), witness=w, cap=c)
+            for t, w in zip(schedule, witnesses[x])]
+        for x, c in caps.items()
+    }
 
 
 # A halting (machine index, program) pair recorded for one output.
@@ -181,7 +184,7 @@ def _prune(policy: str, classes) -> list:
 
 
 def applicable_set(
-    x: str,
+    xs,
     universe: MachineRange,
     budget: int,
     max_prog_len: int,
@@ -190,24 +193,27 @@ def applicable_set(
     ceiling: int = DEFAULT_ENUM_CEILING,
     threads: int = 1,
     stats: SweepStats | None = None,
-) -> list[tuple[int, ProgramPair]]:
-    """The proved-halting pairs with output x, pruned, as one (count, first
-    pair) per layer, index bit length and program: how many of its pairs
-    output x, and the one of smallest index, with its step count.  In
-    canonical order of the first pairs.
+) -> dict[str, list[tuple[int, ProgramPair]]]:
+    """The proved-halting pairs with output x, for each string x, from one
+    sweep: ``{x: classes}``.  Each x's classes are pruned on their own, one
+    (count, first pair) per layer, index bit length and program: how many
+    of its pairs output x, and the one of smallest index, with its step
+    count.  In canonical order of the first pairs.
 
     The sweep walks one lazy leaf tree (``halting.sweep``) per layer and
     program; ``threads > 1`` spreads the trees over a fork pool.  A
     ``stats`` given is updated with the trees' counts, (index, program)
-    pairs weighted.
+    pairs weighted.  An empty collection sweeps nothing.
     """
-    _check_binary(x)
+    wanted = _binary_strings(xs)
     if budget < 1:
         raise ValueError("budget must be >= 1")
     if max_prog_len < 0:
         raise ValueError("max_prog_len must be >= 0")
     if policy not in PRUNING_POLICIES:
         raise ValueError(f"unknown pruning policy {policy!r}")
+    if not wanted:
+        return {}
     work = universe.count * ((1 << (max_prog_len + 1)) - 1)
     if work > ceiling:
         raise EnumerationLimitError(
@@ -218,31 +224,34 @@ def applicable_set(
     spans, jobs = universe.bit_length_spans(), []
     for n, lo, hi in universe.layers():
         boxes = [BoxCounter(n, a, b) for m, a, b in spans if m == n]
-        jobs += [(n, lo, hi, p, boxes, p, x) for p in programs]
-    if not jobs:  # an empty universe: no tree to sweep
-        return []
-    classes, sweep_stats = sweep(_leaf_classes, jobs, budget, threads)
-    if stats is not None:
-        stats.merge(sweep_stats)
-    kept = _prune(policy, classes)
-    kept.sort(key=lambda c: (c[1].i, len(c[1].p), str_to_nat(c[1].p)))
-    return kept
+        jobs += [(n, lo, hi, p, boxes, p, frozenset(wanted)) for p in programs]
+    classes = {x: [] for x in wanted}
+    if jobs:  # an empty universe has no tree to sweep
+        found, sweep_stats = sweep(_leaf_classes, jobs, budget, threads)
+        if stats is not None:
+            stats.merge(sweep_stats)
+        for x, count, pair in found:
+            classes[x].append((count, pair))
+    return {x: sorted(_prune(policy, found),
+                      key=lambda c: (c[1].i, len(c[1].p), str_to_nat(c[1].p)))
+            for x, found in classes.items()}
 
 
-def _leaf_classes(leaves, boxes, program, x) -> list:
-    """(count, first pair) per bit length of one leaf tree on ``program``,
-    with a ``BoxCounter`` in ``boxes`` per bit length of the tree's interval:
-    how many of its indices complete a halting leaf with output x, and the
-    smallest of them with that leaf's step count."""
-    counts, firsts = [0] * len(boxes), [(float("inf"), 0)] * len(boxes)
+def _leaf_classes(leaves, boxes, program, wanted) -> list:
+    """(x, count, first pair) per wanted output x and bit length of one leaf
+    tree on ``program``, with a ``BoxCounter`` in ``boxes`` per bit length of
+    the tree's interval: how many of its indices complete a halting leaf
+    with output x, and the smallest of them with that leaf's step count."""
+    found = {}
     for table, _, res in leaves:
-        if res[0] == "h" and res[2] == x:
+        if res[0] == "h" and res[2] in wanted:
             for j, box in enumerate(boxes):
                 count = box.count(table)
                 if count:
-                    counts[j] += count
-                    firsts[j] = min(firsts[j], (box.first_member(table), res[1]))
-    return [(c, make_pair(i, program, steps)) for c, (i, steps) in zip(counts, firsts) if c]
+                    key, first = (res[2], j), (box.first_member(table), res[1])
+                    total, least = found.get(key, (0, first))
+                    found[key] = (total + count, min(least, first))
+    return [(x, c, make_pair(i, program, steps)) for (x, _), (c, (i, steps)) in found.items()]
 
 
 def bound_from_pairs(x: str, pairs) -> tuple[int, ProgramPair]:
@@ -255,24 +264,3 @@ def bound_from_pairs(x: str, pairs) -> tuple[int, ProgramPair]:
         return best.encoded_len, best
     scanner_steps = run(identity_scanner(), x, len(x) + 1).steps
     return len(x) + cap_constant(), make_pair(identity_index(), x, scanner_steps)
-
-
-def upper_bound_C(
-    x: str,
-    universe: MachineRange,
-    budget: int,
-    max_prog_len: int,
-    *,
-    policy: str = "discard-dominated",
-    ceiling: int = DEFAULT_ENUM_CEILING,
-) -> tuple[int, ProgramPair]:
-    """Shortest self-delimiting encoding over the applicable set."""
-    classes = applicable_set(
-        x,
-        universe,
-        budget,
-        max_prog_len,
-        policy=policy,
-        ceiling=ceiling,
-    )
-    return bound_from_pairs(x, [pr for _, pr in classes])

@@ -21,7 +21,7 @@ from kolmobench.ctm import (
     table_to_json,
 )
 from kolmobench.enumeration import MachineRange, index_to_machine, index_to_table
-from kolmobench.estimator import identity_index, upper_bound_C
+from kolmobench.estimator import applicable_set, bound_from_pairs, identity_index
 from kolmobench.halting import SweepStats, analyze_table
 from kolmobench.tm_core import run, str_to_syms
 
@@ -233,13 +233,14 @@ def test_gap_report_produced_and_finite():
         format(v, f"0{L}b") for L in (1, 2, 3) for v in range(1 << L)
     ]
     table = corrected_table(u, 4, budget=64)
+    classes = applicable_set(strings, u, budget=64, max_prog_len=4)
     gaps = {}
     for x in strings:
         try:
             est = neg_log_estimate(x, table)
         except UndefinedMassError:
             continue
-        bound, _ = upper_bound_C(x, u, budget=64, max_prog_len=4)
+        bound, _ = bound_from_pairs(x, [pr for _, pr in classes[x]])
         gaps[x] = est - bound
     assert gaps, "no string got a defined estimate"
     assert all(math.isfinite(g) for g in gaps.values())

@@ -26,14 +26,18 @@ from kolmobench.estimator import (
     cap_constant,
     identity_index,
     make_pair,
-    phi,
     phi_profile,
-    upper_bound_C,
 )
 from kolmobench.halting import SweepStats, analyze_table
-from kolmobench.tm_core import immediate_halt, run, str_to_syms, u_run
+from kolmobench.tm_core import immediate_halt, programs_of_length, run, str_to_syms, u_run
 
 N1 = MachineRange(1, 1)
+
+
+def _bound(x, universe, budget, max_prog_len):
+    """The shortest encoding over x's applicable set, from a batch of one."""
+    classes = applicable_set([x], universe, budget, max_prog_len)[x]
+    return bound_from_pairs(x, [pr for _, pr in classes])
 
 
 def oracle_phi(t, x, cap, universe):
@@ -64,14 +68,14 @@ def test_constants():
 )
 def test_phi_matches_oracle_and_frozen_values(x, expected, small_universe):
     for t in (1, 4, 64):
-        r = phi(t, x, small_universe, cap=9, ceiling=1 << 12)
+        r = phi_profile([x], [t], small_universe, cap=9, ceiling=1 << 12)[x][0]
         assert (r.value, r.witness) == oracle_phi(t, x, 9, small_universe)
         assert r.value == expected
 
 
 def test_phi_witness_replays(small_universe):
     for x in ("", "0", "11"):
-        r = phi(8, x, small_universe, cap=8, ceiling=1 << 12)
+        r = phi_profile([x], [8], small_universe, cap=8, ceiling=1 << 12)[x][0]
         assert r.witness is not None
         out = u_run(r.witness, 8, small_universe)
         assert out[0] == "h" and out[2] == x
@@ -80,12 +84,12 @@ def test_phi_witness_replays(small_universe):
 
 def test_phi_value_at_most_cap(small_universe):
     for x in ("", "1", "10"):
-        r = phi(2, x, small_universe, cap=4, ceiling=1 << 8)
+        r = phi_profile([x], [2], small_universe, cap=4, ceiling=1 << 8)[x][0]
         assert r.value <= r.cap == 4
 
 
 def test_phi_default_cap_is_length_plus_constant(small_universe):
-    r = phi(4, "01", small_universe, ceiling=1 << 26)
+    r = phi_profile(["01"], [4], small_universe, ceiling=1 << 26)["01"][0]
     assert r.cap == 2 + cap_constant()
 
 
@@ -93,9 +97,9 @@ def test_phi_resource_refusal(small_universe):
     # Without index 1 the scan may run to the default cap 25: 8,380,418
     # canonical programs exceed the default ceiling 2^22.
     with pytest.raises(EnumerationLimitError, match="8380418 programs"):
-        phi(4, "0101", MachineRange(1, 2, 2, 4096))
+        phi_profile(["0101"], [4], MachineRange(1, 2, 2, 4096))
     # With index 1 it ends by length 4 + 4: 105 programs.
-    assert phi(4, "0101", small_universe).value <= 8
+    assert phi_profile(["0101"], [4], small_universe)["0101"][0].value <= 8
 
 
 @pytest.mark.parametrize(
@@ -119,17 +123,17 @@ def test_machine_one_outputs_the_rest_of_its_input_at_step_one(x):
 
 def test_phi_rejects_bad_inputs(small_universe):
     with pytest.raises(ValueError):
-        phi(0, "1", small_universe, cap=4)
+        phi_profile(["1"], [0], small_universe, cap=4)
     with pytest.raises(ValueError):
-        phi(1, "21", small_universe, cap=4)
+        phi_profile(["21"], [1], small_universe, cap=4)
 
 
 def test_phi_profile_monotone_and_validates_schedule(small_universe):
-    prof = phi_profile("11", [1, 5, 50], small_universe, cap=8, ceiling=1 << 12)
+    prof = phi_profile(["11"], [1, 5, 50], small_universe, cap=8, ceiling=1 << 12)["11"]
     values = [r.value for r in prof]
     assert values == sorted(values, reverse=True)
     with pytest.raises(ValueError):
-        phi_profile("11", [3, 3], small_universe, cap=8, ceiling=1 << 12)
+        phi_profile(["11"], [3, 3], small_universe, cap=8, ceiling=1 << 12)
 
 
 @pytest.mark.parametrize("cap,first", [(14, 12), (11, 11)])
@@ -138,7 +142,7 @@ def test_phi_profile_matches_oracle_where_the_budget_matters(cap, first):
     # cap 11, phi(1) has no witness.
     u = MachineRange(1, 2, 8, 15)
     schedule = [1, 2, 4, 8, 16, 64]
-    prof = phi_profile("10", schedule, u, cap=cap, ceiling=1 << 16)
+    prof = phi_profile(["10"], schedule, u, cap=cap, ceiling=1 << 16)["10"]
     assert [(r.value, r.witness) for r in prof] == [
         oracle_phi(t, "10", cap, u) for t in schedule
     ]
@@ -147,7 +151,7 @@ def test_phi_profile_matches_oracle_where_the_budget_matters(cap, first):
 
 
 def test_applicable_set_contains_immediate_halt_for_empty_string():
-    classes = applicable_set("", N1, budget=16, max_prog_len=2)
+    classes = applicable_set([""], N1, budget=16, max_prog_len=2)[""]
     assert any(pr.i == 1 and pr.p == "" for _, pr in classes)
 
 
@@ -157,8 +161,8 @@ def test_applicable_set_pairs_replay(small_universe):
     u, budget = MachineRange(1, 2, 1, 1200), 32
     spans = u.bit_length_spans()
     for x in ("", "1"):
-        classes = applicable_set(x, u, budget=budget, max_prog_len=3)
-        assert applicable_set(x, u, budget=budget, max_prog_len=3, threads=2) == classes
+        classes = applicable_set([x], u, budget=budget, max_prog_len=3)[x]
+        assert applicable_set([x], u, budget=budget, max_prog_len=3, threads=2)[x] == classes
         for count, pr in classes:
             assert run(index_to_machine(pr.i), pr.p, pr.steps) == ("h", pr.steps, x)
             assert pr.cost == pr.i.bit_length() + len(pr.p)
@@ -229,7 +233,7 @@ def test_applicable_set_matches_plain_loop(lo, hi, threads):
     for x in ("", "0", "1", "11", "010"):
         pairs = [make_pair(*t) for t in oracle.get(x, [])]
         for policy in PRUNING_POLICIES:
-            classes = applicable_set(x, u, budget, mpl, policy=policy, threads=threads)
+            classes = applicable_set([x], u, budget, mpl, policy=policy, threads=threads)[x]
             assert classes == _classes(_pruned_pair_by_pair(policy, pairs)), (x, policy)
 
 
@@ -245,7 +249,7 @@ def test_full_layer_applicable_set_builds_one_pair_per_class(monkeypatch):
         return make_pair(*args)
 
     monkeypatch.setattr(kolmobench.estimator, "make_pair", counted_make_pair)
-    classes = applicable_set("", u, 256, 0, ceiling=1 << 26)
+    classes = applicable_set([""], u, 256, 0, ceiling=1 << 26)[""]
     assert len(u.bit_length_spans()) == len(classes) == len(built) == 15
     assert sum(count for count, _ in classes) == 3_089_010
     assert bound_from_pairs("", [pr for _, pr in classes]) == (21, make_pair(1001, "", 1))
@@ -254,7 +258,7 @@ def test_full_layer_applicable_set_builds_one_pair_per_class(monkeypatch):
 def test_applicable_set_stats_weigh_verdicts_by_pairs():
     u, mpl = MachineRange(1, 2, 990, 1040), 3
     stats = SweepStats()
-    classes = applicable_set("1", u, 64, mpl, policy="none", stats=stats)
+    classes = applicable_set(["1"], u, 64, mpl, policy="none", stats=stats)["1"]
     assert stats.machines == sum(stats.verdicts.values()) == u.count * ((1 << (mpl + 1)) - 1)
     assert 0 < stats.leaves < stats.machines
     assert 0 < sum(count for count, _ in classes) <= stats.verdicts["halt"]
@@ -262,15 +266,15 @@ def test_applicable_set_stats_weigh_verdicts_by_pairs():
 
 def test_applicable_set_resource_refusal():
     with pytest.raises(EnumerationLimitError):
-        applicable_set("1", MachineRange(1, 2), budget=4, max_prog_len=6)
+        applicable_set(["1"], MachineRange(1, 2), budget=4, max_prog_len=6)
 
 
 def test_pruning_matches_independent_predicate():
     u = MachineRange(1, 1, 1, 400)
     x = ""
     unpruned = [make_pair(*t) for t in _plain_loop_pairs(1, 400, 16, 2)[x]]
-    assert applicable_set(x, u, budget=16, max_prog_len=2, policy="none") == _classes(unpruned)
-    pruned = applicable_set(x, u, budget=16, max_prog_len=2)
+    assert applicable_set([x], u, budget=16, max_prog_len=2, policy="none")[x] == _classes(unpruned)
+    pruned = applicable_set([x], u, budget=16, max_prog_len=2)[x]
     expected = [
         pr
         for pr in unpruned
@@ -291,24 +295,24 @@ def test_literal_formula_policy_differs_by_removing_dominators():
 
 
 def test_upper_bound_examples(small_universe):
-    bound, witness = upper_bound_C("", N1, budget=16, max_prog_len=2)
+    bound, witness = _bound("", N1, budget=16, max_prog_len=2)
     assert bound <= 2 * (1).bit_length() + 1 == 3
     assert witness.i == 1 and witness.p == ""
-    bound, witness = upper_bound_C("11", N1, budget=64, max_prog_len=4)
+    bound, witness = _bound("11", N1, budget=64, max_prog_len=4)
     assert bound == 6 and (witness.i, witness.p) == (1, "011")
 
 
 def test_upper_bound_at_most_cap(small_universe):
     u = MachineRange(1, 2, 1, 1100)
     for x in ("", "0", "10"):
-        bound, _ = upper_bound_C(x, u, budget=64, max_prog_len=4)
+        bound, _ = _bound(x, u, budget=64, max_prog_len=4)
         assert bound <= len(x) + cap_constant()
 
 
 def test_upper_bound_empty_set_falls_back_to_scanner():
     # a universe without any machine able to output "11" on short programs
     u = MachineRange(1, 1, 2, 2)  # machine 2 never halts
-    bound, witness = upper_bound_C("11", u, budget=8, max_prog_len=1)
+    bound, witness = _bound("11", u, budget=8, max_prog_len=1)
     assert bound == 2 + cap_constant()
     assert witness.i == identity_index() and witness.p == "11"
     assert witness.steps == 3
@@ -319,9 +323,8 @@ def test_upper_bound_agrees_with_phi_at_stabilization():
     # budget beyond every halting step in the set
     u = MachineRange(1, 2, 1, 1000)
     for x in ("", "0", "11"):
-        classes = applicable_set(x, u, budget=64, max_prog_len=6)
-        bound, _ = bound_from_pairs(x, [pr for _, pr in classes])
-        r = phi(64, x, u, cap=27, ceiling=1 << 28)
+        bound, _ = _bound(x, u, budget=64, max_prog_len=6)
+        r = phi_profile([x], [64], u, cap=27, ceiling=1 << 28)[x][0]
         assert r.value == bound
 
 
@@ -335,7 +338,7 @@ def test_no_operation_documents_a_lower_bound():
 
 
 def test_phi_profile_empty_string_reaches_minimal_program(small_universe):
-    prof = phi_profile("", [1, 10, 100], small_universe, cap=6, ceiling=1 << 10)
+    prof = phi_profile([""], [1, 10, 100], small_universe, cap=6, ceiling=1 << 10)[""]
     values = [r.value for r in prof]
     assert values == sorted(values, reverse=True)
     # exhaustive sweep: the shortest program producing the empty string
@@ -343,5 +346,121 @@ def test_phi_profile_empty_string_reaches_minimal_program(small_universe):
 
 
 def test_phi_cap_zero_degenerates(small_universe):
-    r = phi(5, "", small_universe, cap=0, ceiling=1 << 4)
+    r = phi_profile([""], [5], small_universe, cap=0, ceiling=1 << 4)[""][0]
     assert r.value == 0 and r.witness is None
+
+
+def _strings(max_len):
+    return [p for length in range(max_len + 1) for p in programs_of_length(length)]
+
+
+DOUBLING_14 = [1 << k for k in range(15)]  # 1 .. 2^14
+
+
+def _phi_batch_matches_one_string_calls(xs, universe):
+    batch = phi_profile(xs, DOUBLING_14, universe, ceiling=1 << 26)
+    assert list(batch) == xs
+    assert batch == {x: phi_profile([x], DOUBLING_14, universe, ceiling=1 << 26)[x] for x in xs}
+
+
+def test_phi_batch_matches_one_string_calls_up_to_6_bits():
+    # 127 strings, each with its own default cap and open budgets, in one scan.
+    _phi_batch_matches_one_string_calls(_strings(6), MachineRange(1, 2, 1, 4096))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("universe, max_len", [
+    (MachineRange(1, 2, 1, 4096), 9),  # 1,023 strings
+    (MachineRange(1, 2, 990, 1040), 4),  # no program under 21 bits; the budget matters
+    (MachineRange(1, 2, 2, 11411625), 4),  # the 2-state layer without machine 1
+])
+def test_phi_batch_matches_one_string_calls(universe, max_len):
+    _phi_batch_matches_one_string_calls(_strings(max_len), universe)
+
+
+def test_phi_batch_matches_oracle(small_universe):
+    # One cap for the whole batch, so each string's values are the oracle's at that cap.
+    xs = _strings(3)
+    batch = phi_profile(xs, [1, 4, 64], small_universe, cap=9, ceiling=1 << 12)
+    for x in xs:
+        assert [(r.value, r.witness) for r in batch[x]] == [
+            oracle_phi(t, x, 9, small_universe) for t in (1, 4, 64)
+        ], x
+
+
+@lru_cache(maxsize=None)
+def _one_string_classes(x, policy):
+    return applicable_set([x], MachineRange(1, 2, 1, 2000), 64, 3, policy=policy)[x]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("policy", PRUNING_POLICIES)
+def test_applicable_set_batch_matches_one_string_calls(policy, threads):
+    xs = _strings(3)
+    batch = applicable_set(xs, MachineRange(1, 2, 1, 2000), 64, 3, policy=policy,
+                           threads=threads)
+    assert batch == {x: _one_string_classes(x, policy) for x in xs}
+
+
+class _RecordingCache:
+    """A verdict cache that serves nothing and keeps every record."""
+
+    def __init__(self):
+        self.records = []
+
+    def lookup(self, i, p, budget):
+        return None
+
+    def record(self, i, p, budget, res):
+        self.records.append((i, p, budget, res))
+
+
+def test_empty_batch_sweeps_nothing(small_universe):
+    stats, cache = SweepStats(), _RecordingCache()
+    assert applicable_set([], small_universe, 64, 3, stats=stats) == {}
+    assert stats.leaves == stats.machines == 0
+    assert phi_profile([], [1, 4], small_universe, cache=cache) == {}
+    assert cache.records == []
+
+
+def test_duplicated_string_is_answered_once(small_universe):
+    u = MachineRange(1, 2, 1, 1200)
+    once, twice = SweepStats(), SweepStats()
+    classes = applicable_set(["1"], u, 64, 3, stats=once)
+    assert applicable_set(["1", "1"], u, 64, 3, stats=twice) == classes
+    assert (twice.leaves, twice.machines) == (once.leaves, once.machines)
+    scans = []
+    for xs in (["01"], ["01", "01"]):
+        cache = _RecordingCache()
+        scans.append((phi_profile(xs, [1, 8], small_universe, cache=cache), cache.records))
+    assert scans[0] == scans[1] and list(scans[0][0]) == ["01"]
+
+
+def _refuses(call):
+    try:
+        call()
+    except EnumerationLimitError:
+        return True
+    return False
+
+
+def test_batch_refuses_exactly_when_one_of_its_strings_would(small_universe):
+    # With index 1 in the universe, x's scan ends by length len(x) + 4, so
+    # the strings' exact counts differ; try ceilings at and around each.
+    xs = ["", "01", "0110"]
+    counts = sorted(_canonical_count(small_universe, len(x) + 4) for x in xs)
+    for ceiling in sorted({c + d for c in counts for d in (-1, 0, 1)}):
+        alone = [_refuses(lambda x=x: phi_profile([x], [1], small_universe, ceiling=ceiling))
+                 for x in xs]
+        for batch in (xs, xs[:2], xs[1:], []):
+            want = any(r for x, r in zip(xs, alone) if x in batch)
+            assert _refuses(lambda: phi_profile(batch, [1], small_universe,
+                                                ceiling=ceiling)) == want, (ceiling, batch)
+    # The applicable set's work does not depend on x: any non-empty batch
+    # refuses exactly when each of its strings does.
+    u, work = MachineRange(1, 2, 1, 100), 100 * 15
+    for ceiling in (work - 1, work):
+        alone = _refuses(lambda: applicable_set(["1"], u, 8, 3, ceiling=ceiling))
+        assert alone == (ceiling < work)
+        assert _refuses(lambda: applicable_set(xs, u, 8, 3, ceiling=ceiling)) == alone
+        assert applicable_set([], u, 8, 3, ceiling=ceiling) == {}

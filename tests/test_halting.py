@@ -191,7 +191,7 @@ def test_simulator_memoizes_across_budgets():
     prog = encode_index(991) + "11"
     assert u_run(prog, 2, u) == ("u", 2)
     assert u_run(prog, 3, u) == ("h", 3, "11") == u_run(prog, 100, u)
-    prof = phi_profile("11", [2, 3, 100], u, cap=len(prog), ceiling=1 << 24)
+    prof = phi_profile(["11"], [2, 3, 100], u, cap=len(prog), ceiling=1 << 24)["11"]
     assert [(r.value, r.witness) for r in prof] == [
         (len(prog), None), (len(prog), prog), (len(prog), prog)
     ]

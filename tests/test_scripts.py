@@ -45,7 +45,7 @@ def test_script_runs(script, args):
     "script, args, digest",
     [
         ("flawed_vs_corrected.py", FVC_SMOKE,
-         "c48d96f1f7e560495f2e691e4c919207343630a1a51232e503d5026f74b5d91d"),
+         "c7ad38af4832cb619789637582c883a1ae479612c2426c8552e34dbe1c349936"),
         ("gap_report.py", GAP_SMOKE,
          "0fd703441dd47591b939766334e70ae1e8b971e4962bcada17b767f61511afed"),
         ("gap_report.py", ["--max-len", "2", "--budget", "64", "--interval", "1:400"],
