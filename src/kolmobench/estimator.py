@@ -130,7 +130,7 @@ def phi_profile(
     for q, i, p in _canonical_programs(universe, max(caps.values(), default=-1)):
         if len(q) > length:  # a string stays open up to its cap
             length = len(q)
-            open_n = {x: n for x, n in open_n.items() if n and caps[x] >= length}
+            open_n = {x: n for x, n in open_n.items() if caps[x] >= length}
             top = max(open_n.values(), default=0)
         if not top:
             break
@@ -224,7 +224,7 @@ def applicable_set(
     spans, jobs = universe.bit_length_spans(), []
     for n, lo, hi in universe.layers():
         boxes = [BoxCounter(n, a, b) for m, a, b in spans if m == n]
-        jobs += [(n, lo, hi, p, boxes, p, frozenset(wanted)) for p in programs]
+        jobs += [(n, lo, hi, p, boxes, p, wanted) for p in programs]
     classes = {x: [] for x in wanted}
     if jobs:  # an empty universe has no tree to sweep
         found, sweep_stats = sweep(_leaf_classes, jobs, budget, threads)

@@ -436,6 +436,26 @@ def test_duplicated_string_is_answered_once(small_universe):
     assert scans[0] == scans[1] and list(scans[0][0]) == ["01"]
 
 
+@pytest.mark.parametrize("universe, cap", [(MachineRange(1, 2, 8, 15), 14),
+                                           (MachineRange(1, 2, 990, 1040), None)])
+def test_phi_batch_analyses_each_program_at_the_largest_budget_a_string_needs(universe, cap):
+    # A string's open budgets depend only on its own halts, so the batch
+    # analyses exactly the programs some one-string scan analyses, each once,
+    # at the largest budget any of those scans analyses it at.
+    xs, schedule = _strings(3), [1, 2, 4, 8, 16, 64]
+    largest = {}
+    for x in xs:
+        cache = _RecordingCache()
+        phi_profile([x], schedule, universe, cap=cap, cache=cache)
+        for i, p, budget, _ in cache.records:
+            largest[i, p] = max(largest.get((i, p), 0), budget)
+    cache = _RecordingCache()
+    phi_profile(xs, schedule, universe, cap=cap, cache=cache)
+    analysed = {(i, p): budget for i, p, budget, _ in cache.records}
+    assert len(analysed) == len(cache.records) and analysed == largest
+    assert len(set(largest.values())) > 1  # the budgets differ from program to program
+
+
 def _refuses(call):
     try:
         call()
