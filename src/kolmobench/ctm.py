@@ -26,10 +26,10 @@ import sys
 from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
+from itertools import product
 
 from .enumeration import MachineRange, index_to_table
 from .halting import SweepStats, analyze_table, sweep
-from .tm_core import programs_of_length
 
 FLAWED, CORRECTED, FREQUENCY = "flawed", "corrected", "frequency"
 
@@ -144,9 +144,10 @@ def corrected_table(
     Each halting (i, program) pair adds 2^-(2|bin(i)|+1+L), summed as the
     integer 2^(2(K-|bin(i)|)) over 2^(2K+1+L), K the bit length of the
     largest index; each output's sum becomes one ``Fraction`` at the end.
-    The sweep walks one lazy leaf tree (``halting.sweep``) per layer, bit
-    length and program, so each tree has one weight; ``threads > 1``
-    spreads the trees over a fork pool.
+    The sweep walks one lazy leaf tree (``halting.sweep``) per layer and bit
+    length, so each tree has one weight, on L open input cells: a program
+    bit is read only where a run reads it.  ``threads > 1`` spreads the
+    trees over a fork pool.
     """
     if block_len < 0:
         raise ValueError("block length must be >= 0")
@@ -154,10 +155,9 @@ def corrected_table(
         raise ValueError("budget must be >= 1")
     if universe.count == 0:
         raise ValueError("empty universe")
-    programs = list(programs_of_length(block_len))
     kraft_max = _kraft_exponent(universe.index_bounds()[1].bit_length())
-    jobs = [(n, lo, hi, p, kraft_max - _kraft_exponent(lo.bit_length()))
-            for n, lo, hi in universe.bit_length_spans() for p in programs]
+    jobs = [(n, lo, hi, "?" * block_len, kraft_max - _kraft_exponent(lo.bit_length()))
+            for n, lo, hi in universe.bit_length_spans()]
     numerators, stats = sweep(_leaf_numerators, jobs, budget, threads)
     denom = 1 << (kraft_max + block_len)
     total = sum(numerators.values())
@@ -175,11 +175,14 @@ def corrected_table(
 
 def _leaf_numerators(leaves, shift: int) -> Counter:
     """Output -> numerator: a halting leaf with valid output adds its count,
-    shifted left by the tree's one weight exponent ``shift``."""
+    shifted left by the tree's one weight exponent ``shift``, to each output
+    its ``?`` cells (input cells it never read) stand for."""
     numerators = Counter()
     for _, count, res in leaves:
         if res[0] == "h" and res[2] is not None:
-            numerators[res[2]] += count << shift
+            template = res[2].replace("?", "{}")
+            for bits in product("01", repeat=res[2].count("?")):
+                numerators[template.format(*bits)] += count << shift
     return numerators
 
 

@@ -28,6 +28,9 @@ Certificate tuples by tag, each re-checked by
   later step then replays the segment with the blocks pumped wider each
   round.  With no cuts this degenerates to a pure translated recurrence,
   which is sound outright.
+
+Lazy sweeps (``layer_leaves``) run it on partial tables and open input
+cells; a child of an open read resumes a copy of the run at that read.
 """
 
 from __future__ import annotations
@@ -42,6 +45,8 @@ from .enumeration import BoxCounter, MachineRange, index_to_table, machine_count
 from .tm_core import (
     MOVE_LEFT,
     MOVE_RIGHT,
+    ONE,
+    ZERO,
     Table,
     read_output,
     steps,
@@ -220,7 +225,23 @@ def _splice_record(snaps, key, table, state, head, tape, steps):
     return None
 
 
-def analyze_table(table: Table, input_syms: tuple, budget: int):
+OPEN = -(1 << 40)  # an open input cell's symbol: its table positions are negative
+
+
+class Run(namedtuple("Run", "state head steps tape frozen seen rrec lrec snaps maxh minh")):
+    """A run's state between two stages of ``analyze_table``, as ``Undefined.run``."""
+
+    __slots__ = ()
+
+    def fork(self) -> "Run":
+        """A copy that resumes without changing this run."""
+        state, head, steps, tape, frozen, seen, rrec, lrec, snaps, maxh, minh = self
+        return Run(state, head, steps, dict(tape), frozen, dict(seen),
+                   {q: r[:] for q, r in rrec.items()}, {q: r[:] for q, r in lrec.items()},
+                   {k: v[:] for k, v in snaps.items()}, maxh, minh)
+
+
+def analyze_table(table: Table, input_syms: tuple, budget: int, run: Run | None = None):
     """Core detector loop on a raw table.
 
     Returns one of:
@@ -231,92 +252,108 @@ def analyze_table(table: Table, input_syms: tuple, budget: int):
     ('dir', a, b, dir), ('splice', a, b, shift, cuts).
     At a record step, where the head reaches a new extreme, it checks for a
     blank escape, a directional escape, then (late enough) a splice.
+
+    A stage is one step or one record step's checks.  Its reads that can
+    raise ``Undefined`` come before it changes the run, so ``e.run``, passed
+    back as ``run``, resumes that stage.  An ``OPEN`` input cell outputs as
+    ``?``; the splice search, which compares unvisited cells, raises first.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    # The hot path keeps its own inlined step loop: detector state updates between steps.
-    state, head, steps = 1, 0, 0
-    tape = dict(enumerate(input_syms))
     ilen = len(input_syms)
-    frozen = frozenset(tape.items())  # the tape in the cycle key; None once stale
-    seen = {(1, 0, frozen): 0}
-    # Right and left records by state: [step, head, extreme head since]; the
-    # extreme is the least head since a right record, the greatest since a
-    # left one.  A directional escape from record hj to hk needs equal views
-    # of the tape from the head outward; those cells are unvisited, so the
-    # views are slices of the input.  A record head is a strict new extreme
-    # and the head starts at 0, so a later right record has hk > hj, and a
-    # left record after step 0 has hk < min(hj, 0).  Right: input[hj:] ==
-    # input[hk:] iff both are empty, iff hj >= ilen.  Left: input[:hj + 1]
-    # (empty if hj < 0) equals the empty view at hk iff hj < 0 or ilen == 0.
-    # A record failing this is only ever replaced, so it is not kept.
-    rrec, lrec, snaps = {}, {}, {}
-    maxh = minh = 0
-    if not ilen:  # step 0: a record both ways (before SPLICE_FROM_STEP), on blank tape
-        a, q = table[0]
-        if q == 1 and a >= MOVE_LEFT:
-            return ("d", ("escape", 1, 0, "R" if a == MOVE_RIGHT else "L"), 0)
-        rrec[1], lrec[1] = [0, 0, 0], [0, 0, 0]
-    while steps < budget:
-        sym = tape.get(head, 0)
-        action, nxt = table[3 * (state - 1) + sym]
-        if action < MOVE_LEFT:
-            if action != sym:
-                if action:
-                    tape[head] = action
-                else:
-                    del tape[head]
-                frozen = None
-        elif action == MOVE_LEFT:
-            head -= 1
-            for rec in rrec.values():
-                if head < rec[2]:
-                    rec[2] = head
-        else:
-            head += 1
-            for rec in lrec.values():
-                if head > rec[2]:
-                    rec[2] = head
-        steps += 1
-        if nxt == 0:
-            return ("h", steps, read_output(tape))
-        state = nxt
-        if len(tape) <= CYCLE_TAPE_CAP:
-            if frozen is None:
-                frozen = frozenset(tape.items())
-            ckey = (state, head, frozen)
-            prev = seen.get(ckey)
-            if prev is not None:
-                return ("d", ("cycle", prev, steps), steps)
-            seen[ckey] = steps
-        if head > maxh:
-            maxh = head
-            right = True
-            if head >= ilen:
-                a, q = table[3 * (state - 1)]
-                if a == MOVE_RIGHT and q == state:
-                    return ("d", ("escape", state, steps, "R"), steps)
-                rec = rrec.get(state)
-                if rec is not None and rec[2] >= rec[1]:
-                    return ("d", ("dir", rec[0], steps, "R"), steps)
-                rrec[state] = [steps, head, head]
-        elif head < minh:
-            minh = head  # head < 0: a blank cell, and a left record worth keeping
-            right = False
-            a, q = table[3 * (state - 1)]
-            if a == MOVE_LEFT and q == state:
-                return ("d", ("escape", state, steps, "L"), steps)
-            rec = lrec.get(state)
-            if rec is not None and rec[2] <= rec[1]:
-                return ("d", ("dir", rec[0], steps, "L"), steps)
-            lrec[state] = [steps, head, head]
-        else:
-            continue
-        if steps >= SPLICE_FROM_STEP and len(tape) <= SNAPSHOT_TAPE_CAP:
-            cert = _splice_record(snaps, (state, right), table, state, head, tape, steps)
-            if cert is not None:
-                return ("d", cert, steps)
-    return ("u", budget)
+    # A cycle key holds the tape's symmetric difference with the input: exact
+    # within one run, and an input cell never read stays out of every key.
+    given = frozenset(enumerate(input_syms))
+    if run is not None:
+        state, head, steps, tape, frozen, seen, rrec, lrec, snaps, maxh, minh = run
+    else:
+        # The hot path keeps its own inlined step loop: detector state updates between steps.
+        state, head, steps = 1, 0, 0
+        tape = dict(enumerate(input_syms))
+        frozen = frozenset()  # the tape's cycle key; None once stale
+        seen = {(1, 0, frozen): 0}
+        # Right and left records by state: [step, head, extreme head since]; the
+        # extreme is the least head since a right record, the greatest since a
+        # left one.  A directional escape from record hj to hk needs equal views
+        # of the tape from the head outward; those cells are unvisited, so the
+        # views are slices of the input.  A record head is a strict new extreme
+        # and the head starts at 0, so a later right record has hk > hj, and a
+        # left record after step 0 has hk < min(hj, 0).  Right: input[hj:] ==
+        # input[hk:] iff both are empty, iff hj >= ilen.  Left: input[:hj + 1]
+        # (empty if hj < 0) equals the empty view at hk iff hj < 0 or ilen == 0.
+        # A record failing this is only ever replaced, so it is not kept.
+        rrec, lrec, snaps = {}, {}, {}
+        maxh = minh = 0
+        if not ilen:  # step 0: a record both ways (before SPLICE_FROM_STEP), on blank tape
+            a, q = table[0]
+            if q == 1 and a >= MOVE_LEFT:
+                return ("d", ("escape", 1, 0, "R" if a == MOVE_RIGHT else "L"), 0)
+            rrec[1], lrec[1] = [0, 0, 0], [0, 0, 0]
+    try:
+        while True:
+            if head > maxh or head < minh:  # the last step made a record
+                if head > maxh:
+                    right, recs = True, rrec if head >= ilen else None
+                    if recs is not None:
+                        a, q = table[3 * (state - 1)]
+                        if a == MOVE_RIGHT and q == state:
+                            return ("d", ("escape", state, steps, "R"), steps)
+                        rec = rrec.get(state)
+                        if rec is not None and rec[2] >= rec[1]:
+                            return ("d", ("dir", rec[0], steps, "R"), steps)
+                else:  # head < 0: a blank cell, and a left record worth keeping
+                    right, recs = False, lrec
+                    a, q = table[3 * (state - 1)]
+                    if a == MOVE_LEFT and q == state:
+                        return ("d", ("escape", state, steps, "L"), steps)
+                    rec = lrec.get(state)
+                    if rec is not None and rec[2] <= rec[1]:
+                        return ("d", ("dir", rec[0], steps, "L"), steps)
+                if steps >= SPLICE_FROM_STEP and len(tape) <= SNAPSHOT_TAPE_CAP:
+                    if OPEN in input_syms:
+                        raise Undefined(OPEN)
+                    cert = _splice_record(snaps, (state, right), table, state, head, tape, steps)
+                    if cert is not None:
+                        return ("d", cert, steps)
+                if recs is not None:  # stored after the search, which never reads it
+                    recs[state] = [steps, head, head]
+                maxh, minh = max(maxh, head), min(minh, head)
+            if steps >= budget:
+                return ("u", budget)
+            sym = tape.get(head, 0)
+            action, nxt = table[3 * (state - 1) + sym]
+            if action < MOVE_LEFT:
+                if action != sym:
+                    if action:
+                        tape[head] = action
+                    else:
+                        del tape[head]
+                    frozen = None
+            elif action == MOVE_LEFT:
+                head -= 1
+                for rec in rrec.values():
+                    if head < rec[2]:
+                        rec[2] = head
+            else:
+                head += 1
+                for rec in lrec.values():
+                    if head > rec[2]:
+                        rec[2] = head
+            steps += 1
+            if nxt == 0:
+                return ("h", steps, read_output(tape))
+            state = nxt
+            if len(tape) <= CYCLE_TAPE_CAP:
+                if frozen is None:
+                    frozen = given.symmetric_difference(tape.items())
+                ckey = (state, head, frozen)
+                prev = seen.get(ckey)
+                if prev is not None:
+                    return ("d", ("cycle", prev, steps), steps)
+                seen[ckey] = steps
+    except Undefined as e:
+        e.run = Run(state, head, steps, tape, frozen, seen, rrec, lrec, snaps, maxh, minh)
+        raise
 
 
 def _replay(table, input_syms, step_a, step_b):
@@ -470,7 +507,9 @@ class BBRecord(namedtuple("BBRecord", "n_states max_steps decided_all undecided_
 
 
 class Undefined(Exception):
-    """A run read table entry ``args[0]``, which its partial table leaves open."""
+    """A run read table entry ``args[0]``, which its partial table leaves
+    open, or (``args[0] < 0``) an ``OPEN`` input cell.  Raised inside
+    ``analyze_table``'s loop, it carries the run as ``run``."""
 
 
 class PartialTable(dict):
@@ -488,7 +527,8 @@ class _BoxTable(PartialTable):
     """A leaf's partial table in a lazy sweep, with the sweep's ``BoxCounter``.
     A read of an open entry that the box forces (one value with a nonzero
     count) pins it in place, and the run goes on; any other open read raises
-    ``Undefined(pos, counts)`` with the child counts."""
+    ``Undefined(pos, counts)`` with the child counts, and a read of an
+    ``OPEN`` input cell raises ``Undefined(pos)``."""
 
     __slots__ = ("boxes",)
 
@@ -497,6 +537,8 @@ class _BoxTable(PartialTable):
         self.boxes = boxes
 
     def __missing__(self, pos):
+        if pos < 0:
+            raise Undefined(pos)
         counts = self.boxes.children(self, pos)
         if counts.count(0) != len(counts) - 1:
             raise Undefined(pos, counts)
@@ -511,38 +553,53 @@ def layer_leaves(n: int, budget: int, lo: int, hi: int, verify: bool = False,
     Yields ``(table, count, result)`` per leaf: a partial table whose
     ``boxes`` is the sweep's ``BoxCounter``, how many indices in [lo, hi]
     complete it, and the ``analyze_table`` result they all share on
-    ``input_str``.  A run that
+    ``input_str``, whose ``?`` cells are open.  A run that
     reads an open entry which the box forces pins it and goes on
     (``_BoxTable``): every index of the box has that value there, so the box
-    and its count are unchanged.  A run that reads any other open entry is
-    re-run once per value of that entry with a nonzero count.  A run that
-    finishes read no entry outside its leaf, so every completion gets its
-    verdict.  With ``verify`` a divergent leaf's certificate tuple
+    and its count are unchanged.  A read of any other open entry, or of an
+    open cell (0 and 1 at the same count), branches once per value with a
+    nonzero count, each child resuming a copy of the run there.  A finished
+    run read no entry outside its leaf and no open cell (``?`` in its
+    output), so every completion, on every input, gets its verdict.
+    With ``verify`` (concrete inputs only) a divergent leaf's certificate tuple
     (``('cycle', ...)``, ``('escape', ...)``, ``('dir', ...)`` or
     ``('splice', ...)``) goes straight to ``verify_certificate(table,
     input_syms, cert)`` on the same partial table, which pins and branches
-    likewise; a failed replay raises.  A ``stats`` given counts each leaf
-    yielded and each certificate replayed.
+    likewise, from step 0; a failed replay raises.  A ``stats`` given counts
+    each leaf yielded, for its (index, input) pairs, and each replay.
     """
     boxes = BoxCounter(n, lo, hi)
-    input_syms = str_to_syms(input_str)
+    input_syms = tuple(OPEN if ch == "?" else s for ch, s in zip(input_str, str_to_syms(input_str)))
+    if verify and OPEN in input_syms:
+        raise ValueError("verify needs a concrete input")
     stats = SweepStats() if stats is None else stats
-    stack = [(_BoxTable(boxes), boxes.size)] if boxes.size else []
+    # (table, input, count, saved run or None for step 0, input cell it resolves or None)
+    stack = [(_BoxTable(boxes), input_syms, boxes.size, None, None)] if boxes.size else []
     while stack:
-        table, count = stack.pop()
+        table, syms, count, run, cell = stack.pop()
+        if run is not None:
+            if stack and stack[-1][3] is run:  # a sibling resumes it later
+                run = run.fork()
+            if cell is not None:
+                run.tape[cell] = syms[cell]
         try:
-            res = analyze_table(table, input_syms, budget)
+            res = analyze_table(table, syms, budget, run)
             if verify and res[0] == "d":
-                if not verify_certificate(table, input_syms, res[1]):
+                if not verify_certificate(table, syms, res[1]):
                     raise AssertionError(f"certificate failed replay on leaf {dict(table)}")
                 stats.leaves_verified += 1
         except Undefined as e:
-            pos, counts = e.args
-            for entry, c in zip(boxes.entries, counts):
+            pos, run = e.args[0], getattr(e, "run", None)
+            if pos < 0:  # the open cell under the head, else (for a splice search) the first
+                cell = run.head if run.tape.get(run.head) == OPEN else syms.index(OPEN)
+                for child in (syms[:cell] + (sym,) + syms[cell + 1:] for sym in (ZERO, ONE)):
+                    stack.append((_BoxTable(boxes, table), child, count, run, cell))
+                continue
+            for entry, c in zip(boxes.entries, e.args[1]):
                 if c:
-                    stack.append((_BoxTable(boxes, {**table, pos: entry}), c))
+                    stack.append((_BoxTable(boxes, {**table, pos: entry}), syms, c, run, None))
             continue
-        stats.add(res, count)
+        stats.add(res, count << syms.count(OPEN))
         yield table, count, res
 
 

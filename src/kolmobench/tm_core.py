@@ -112,7 +112,7 @@ def read_output(tape: dict[int, int]):
         return ""
     if cells[-1] - cells[0] + 1 != len(cells):
         return None
-    return "".join([SYMBOL_NAMES[tape[p]] for p in cells])  # no blank is stored
+    return "".join([SYMBOL_NAMES[tape[p]] if tape[p] > 0 else "?" for p in cells])  # "?": open
 
 
 def run(m: Machine, input_str: str, budget: int):

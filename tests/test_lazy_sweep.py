@@ -11,6 +11,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -39,7 +40,15 @@ from kolmobench.halting import (
     layer_leaves,
     verify_certificate,
 )
-from kolmobench.tm_core import MOVE_RIGHT, WRITE_ONE, str_to_syms
+from kolmobench.tm_core import (
+    MOVE_LEFT,
+    MOVE_RIGHT,
+    WRITE_BLANK,
+    WRITE_ONE,
+    identity_scanner,
+    programs_of_length,
+    str_to_syms,
+)
 
 LAYER2_LO = layer_offset(2) + 1
 WINDOW = (8_676_204, 8_680_203)  # a 4000-index window of the mixture benchmark
@@ -170,21 +179,116 @@ def test_leaf_stream_digest_is_pinned(n, input_str, span, verify, sha):
 def test_runs_end_only_at_leaves_and_branching_reads(monkeypatch):
     # A read of an entry that the window's box forces (one value with a
     # nonzero count) continues the run, so every analyze_table call ends at
-    # a leaf or at a read that branches the tree.
+    # a leaf or at a read that branches the tree.  A read of an open input
+    # cell (a negative position) always branches, into 0 and 1.
     boxes, calls, branching = BoxCounter(2, *WINDOW), [0], [0]
 
-    def counting(table, input_syms, budget):
+    def counting(table, *args):
         calls[0] += 1
         try:
-            return analyze_table(table, input_syms, budget)
+            return analyze_table(table, *args)
         except Undefined as e:
-            assert sum(c > 0 for c in boxes.children(table, e.args[0])) >= 2
+            pos = e.args[0]
+            assert pos < 0 or sum(c > 0 for c in boxes.children(table, pos)) >= 2
             branching[0] += 1
             raise
 
     monkeypatch.setattr(halting, "analyze_table", counting)
     stats = ctm.corrected_table(MachineRange(2, 2, *WINDOW), 6, 1024).stats
-    assert calls[0] == stats.leaves + branching[0] == 14_344
+    assert calls[0] == stats.leaves + branching[0] == 4_823
+
+
+def assert_open_tree_matches_programs(rng, block_len, budget):
+    """Per bit-length span of ``rng``: the tree on ``block_len`` open cells
+    has the numerators, machines and verdicts of the 2^L concrete trees
+    summed, and no more leaves."""
+    for n, lo, hi in rng.bit_length_spans():
+        got, want = SweepStats(), SweepStats()
+        leaves = layer_leaves(n, budget, lo, hi, input_str="?" * block_len, stats=got)
+        numerators, concrete = ctm._leaf_numerators(leaves, 0), Counter()
+        for p in programs_of_length(block_len):
+            concrete += ctm._leaf_numerators(layer_leaves(n, budget, lo, hi, False, p, want), 0)
+        assert numerators == concrete
+        assert (got.machines, got.verdicts) == (want.machines, want.verdicts)
+        assert got.machines == (hi - lo + 1) << block_len
+        assert got.leaves <= want.leaves
+
+
+def seeded_window(seed, width=400):
+    """A seeded (lo, hi) of the 2-state layer."""
+    lo = LAYER2_LO + random.Random(seed).randrange(machine_count(2) - width)
+    return lo, lo + width - 1
+
+
+@pytest.mark.parametrize(
+    "span, block_len, budget",
+    [
+        pytest.param((2, 2, *WINDOW), 6, 1024, id="window-8676204"),
+        pytest.param((2, 2, 3_091_719, 3_095_718), 6, 1024, id="window-3091719"),
+        pytest.param((1, 2, 990, 1040), 3, 64, id="two-layers"),
+        pytest.param((2, 2, 1020, 1030), 5, 256, id="bit-length-step"),
+        *(pytest.param((2, 2, *seeded_window(seed)), block_len, budget, id=f"seed{seed}")
+          for seed, (block_len, budget) in enumerate(
+              [(1, 1), (2, 4), (4, 16), (5, 64), (7, 256), (8, 1024)])),
+    ],
+)
+def test_open_input_tree_matches_every_program(span, block_len, budget):
+    assert_open_tree_matches_programs(MachineRange(*span), block_len, budget)
+
+
+def test_open_input_tree_reaches_splices():
+    # The window's 95 splice pairs: each search first resolves every open cell.
+    stats = ctm.corrected_table(MachineRange(2, 2, 3_091_719, 3_095_718), 6, 1024).stats
+    assert stats.verdicts["splice"] == 95
+
+
+def test_cycle_across_the_first_read_of_an_input_cell():
+    # State 1 steps right off cell 0 and state 2 back left off cell 1, whatever
+    # they read: the configuration of step 0 recurs at step 2.  The open tree
+    # reads both cells only after step 0 stored its cycle key, so a key of the
+    # whole tape (open cells in it) would miss that recurrence.
+    table = ((WRITE_BLANK, 0), (MOVE_RIGHT, 2), (MOVE_RIGHT, 2),
+             (WRITE_BLANK, 0), (MOVE_LEFT, 1), (MOVE_LEFT, 1))
+    want = ("d", ("cycle", 0, 2), 2)
+    for p in programs_of_length(2):
+        assert analyze_table(table, str_to_syms(p), 64) == want
+    i = table_to_index(2, table)
+    stats = SweepStats()
+    results = [res for _, _, res in layer_leaves(2, 64, i, i, input_str="??", stats=stats)]
+    assert results == [want] * 4
+    assert stats.verdicts == {"cycle": 4}
+
+
+def test_open_leaf_outputs_its_unread_cells():
+    # The identity scanner reads every cell, so its tree splits into the 2^L
+    # programs.  A machine that overwrites cell 0 with 1 and halts reads no
+    # other cell: two leaves, one per value of cell 0, stand for all eight
+    # programs, with "?" for each cell never read.
+    scanner = table_to_index(1, identity_scanner().table)
+    leaves = layer_leaves(1, 64, scanner, scanner, input_str="??")
+    assert sorted(res[2] for _, _, res in leaves) == ["00", "01", "10", "11"]
+    writer = table_to_index(1, ((WRITE_BLANK, 0), (WRITE_ONE, 0), (WRITE_ONE, 0)))
+    stats = SweepStats()
+    leaves = list(layer_leaves(1, 64, writer, writer, input_str="???", stats=stats))
+    assert [res for _, _, res in leaves] == [("h", 1, "1??")] * 2
+    assert (stats.leaves, stats.machines) == (2, 8)
+    assert ctm._leaf_numerators(leaves, 0) == {x: 2 for x in ["100", "101", "110", "111"]}
+
+
+def test_verify_refuses_an_open_input():
+    with pytest.raises(ValueError):
+        next(layer_leaves(1, 64, 1, 10, verify=True, input_str="0?"))
+
+
+def test_corrected_window_in_one_bit_length_starts_no_pool(pool_sizes):
+    # One tree per (layer, bit length): a window inside one bit length is one
+    # job, so --threads 2 forks nothing; a window across 2^10 is two jobs.
+    one = ctm.corrected_table(MachineRange(2, 2, *WINDOW), 6, 1024, threads=2)
+    assert pool_sizes == []
+    rng = MachineRange(2, 2, 1020, 1030)
+    two = ctm.corrected_table(rng, 6, 256, threads=2)
+    assert pool_sizes == [2]
+    assert two.entries == ctm.corrected_table(rng, 6, 256).entries and one.entries
 
 
 def test_frequency_over_two_layers_matches_plain_loop(pool_sizes):
