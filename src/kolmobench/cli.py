@@ -32,6 +32,7 @@ from .ctm import (
     table_to_json,
 )
 from .enumeration import (
+    MAX_PROGRAM_BITS,
     MAX_STATES_SUPPORTED,
     MachineRange,
     index_to_machine,
@@ -56,8 +57,8 @@ EXIT_RESOURCE = 3
 EXIT_CACHE_CORRUPT = 4
 EXIT_VERIFY_FAILED = 5
 
-ENV_PREFIX = "KOLMOBENCH_"
 CLI_DEFAULT_CEILING = 1 << 26
+MAX_THREADS = 64  # a fixed figure, not the host's core count: the manifest records threads
 AUTO_BUDGET_CEILING = 1 << 16  # the last budget of the bb --auto-budget schedule
 ESTIMATE_DEFAULT_INTERVAL = "1:4096"
 
@@ -79,22 +80,21 @@ def _int_between(low: int, high: int | None = None):
     return parse
 
 
-_positive_int = _int_between(1)  # --budget, --threads, --ceiling, --N
-_non_negative_int = _int_between(0)  # --limit, --cap, --max-prog-len, --sample, --L
+_positive_int = _int_between(1)  # --budget, --ceiling, --N
+_non_negative_int = _int_between(0)  # --limit, --cap, --sample
 _state_count = _int_between(1, MAX_STATES_SUPPORTED)  # n_states, --max-states
+_program_bits = _int_between(0, MAX_PROGRAM_BITS)  # --max-prog-len, --L
 
 # The flags several subcommands share.  Each subcommand takes only those it
-# reads, so argparse refuses the rest with exit 2.  Where a subcommand takes
-# --<name>, a set KOLMOBENCH_<NAME> is its default; argparse converts a string
-# default with the flag's own type and exits 2 on a bad one.
+# reads, so argparse refuses the rest with exit 2.
 SHARED_FLAGS = {
-    "--budget": dict(type=_positive_int, default="256", help="simulation step budget"),
+    "--budget": dict(type=_positive_int, default=256, help="simulation step budget"),
     "--max-states": dict(type=_state_count, default=2,
                          help="largest machine size in the universe"),
     "--out": dict(choices=("csv", "json"), default="csv", help="export format"),
     "--output": dict(default=None, help="export file path; stdout when unset"),
     "--cache-path": dict(default=None, help="verdict cache file"),
-    "--threads": dict(type=_positive_int, default=1,
+    "--threads": dict(type=_int_between(1, MAX_THREADS), default=1,
                       help="worker processes for sweeps; never changes results"),
     "--seed": dict(type=int, default=0,
                    help="recorded in the export config; seeds only cache verify's sample"),
@@ -103,11 +103,7 @@ SHARED_FLAGS = {
 
 def _add_shared(parser, *names) -> None:
     for name in names:
-        spec = dict(SHARED_FLAGS[name])
-        env = ENV_PREFIX + name[2:].upper().replace("-", "_")
-        spec["default"] = os.environ.get(env, spec["default"])
-        spec["help"] += f" (env {env})"
-        parser.add_argument(name, **spec)
+        parser.add_argument(name, **SHARED_FLAGS[name])
 
 
 def _config(args, **fields) -> dict:
@@ -270,13 +266,9 @@ def cmd_ctm(args, parser) -> int:
         config["N"] = args.n_ceiling
         table = flawed_table(args.n_ceiling, args.budget)
     else:
-        # The flags the flawed scheme does not read, left None at parse time, get
-        # their value as _add_shared gives it: KOLMOBENCH_<NAME>, else the default.
-        defaults = argparse.ArgumentParser(prog="kolmobench ctm")
-        _add_shared(defaults, "--max-states", "--threads")
-        for dest, value in vars(defaults.parse_args([])).items():  # a bad value exits 2
-            if getattr(args, dest) is None:
-                setattr(args, dest, value)
+        # Left None at parse time, so that the flawed scheme can refuse them.
+        args.max_states = args.max_states or SHARED_FLAGS["--max-states"]["default"]
+        args.threads = args.threads or SHARED_FLAGS["--threads"]["default"]
         universe = _universe_from_args(args, parser, args.max_states)
         config["universe"] = universe.describe()
         if args.scheme == CORRECTED:
@@ -383,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_shared(p, *SHARED_FLAGS)
     p.add_argument("x", help="binary target string")
     p.add_argument("--cap", type=_non_negative_int, default=None, help="program-length cap")
-    p.add_argument("--max-prog-len", type=_non_negative_int, default=4)
+    p.add_argument("--max-prog-len", type=_program_bits, default=4)
     p.add_argument("--ceiling", type=_positive_int, default=CLI_DEFAULT_CEILING,
                    help="program-enumeration refusal threshold")
     p.add_argument("--policy", choices=sorted(PRUNING_POLICIES), default="discard-dominated")
@@ -396,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scheme", choices=(FLAWED, CORRECTED, "frequency"), required=True)
     p.add_argument("--N", dest="n_ceiling", type=_positive_int, default=None,
                    help="index ceiling for the flawed scheme")
-    p.add_argument("--L", dest="block_len", type=_non_negative_int, default=None,
+    p.add_argument("--L", dest="block_len", type=_program_bits, default=None,
                    help="program block length for the corrected scheme")
     p.add_argument("--universe-interval", default=None,
                    help="explicit index range lo:hi (corrected and frequency schemes)")

@@ -28,7 +28,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from itertools import product
 
-from .enumeration import MachineRange, index_to_table
+from .enumeration import MAX_PROGRAM_BITS, MachineRange, index_to_table
 from .halting import SweepStats, analyze_table, sweep
 
 FLAWED, CORRECTED, FREQUENCY = "flawed", "corrected", "frequency"
@@ -149,8 +149,8 @@ def corrected_table(
     bit is read only where a run reads it.  ``threads > 1`` spreads the
     trees over a fork pool.
     """
-    if block_len < 0:
-        raise ValueError("block length must be >= 0")
+    if not 0 <= block_len <= MAX_PROGRAM_BITS:
+        raise ValueError(f"block length must be in 0..{MAX_PROGRAM_BITS}, got {block_len}")
     if budget < 1:
         raise ValueError("budget must be >= 1")
     if universe.count == 0:

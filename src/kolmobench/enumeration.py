@@ -18,6 +18,7 @@ from math import isqrt
 from .tm_core import Machine, Table
 
 MAX_STATES_SUPPORTED = 8  # enumeration stays exact beyond this; sweeps do not
+MAX_PROGRAM_BITS = 16  # program sweeps grow as 2^(L+1); far past 16 bits they run out of memory
 
 
 def machine_count(n: int) -> int:

@@ -26,7 +26,13 @@ from bisect import bisect_left
 from collections import namedtuple
 from functools import lru_cache
 
-from .enumeration import BoxCounter, MachineRange, machine_to_index, str_to_nat
+from .enumeration import (
+    MAX_PROGRAM_BITS,
+    BoxCounter,
+    MachineRange,
+    machine_to_index,
+    str_to_nat,
+)
 from .halting import Simulator, SweepStats, check_schedule, sweep
 from .tm_core import identity_scanner, programs_of_length, run
 
@@ -208,8 +214,8 @@ def applicable_set(
     wanted = _binary_strings(xs)
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    if max_prog_len < 0:
-        raise ValueError("max_prog_len must be >= 0")
+    if not 0 <= max_prog_len <= MAX_PROGRAM_BITS:
+        raise ValueError(f"max_prog_len must be in 0..{MAX_PROGRAM_BITS}, got {max_prog_len}")
     if policy not in PRUNING_POLICIES:
         raise ValueError(f"unknown pruning policy {policy!r}")
     if not wanted:

@@ -7,7 +7,6 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -21,8 +20,10 @@ from kolmobench.cli import (
     EXIT_OK,
     EXIT_RESOURCE,
     EXIT_VERIFY_FAILED,
+    MAX_THREADS,
     main,
 )
+from kolmobench.enumeration import MAX_PROGRAM_BITS
 
 
 def run_cli(argv, capsys):
@@ -32,6 +33,19 @@ def run_cli(argv, capsys):
         code = e.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def forbid_sweeps(monkeypatch):
+    """Make every sweep, and so every pool, fail the test."""
+    import kolmobench.ctm
+    import kolmobench.estimator
+    import kolmobench.halting
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a sweep ran before the refusal")
+
+    for module in (kolmobench.halting, kolmobench.ctm, kolmobench.estimator):
+        monkeypatch.setattr(module, "sweep", must_not_run)
 
 
 def test_enumerate_lists_first_machine(capsys):
@@ -130,7 +144,7 @@ def test_estimate_refusal_closes_the_cache(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(VerdictCache, "close", close)
     cache = str(tmp_path / "c.jsonl")
     code, _, err = run_cli(
-        ["estimate", "1", "--max-prog-len", "25", "--budget", "16", "--cache-path", cache],
+        ["estimate", "1", "--max-prog-len", "16", "--budget", "16", "--cache-path", cache],
         capsys,
     )
     assert code == EXIT_RESOURCE and "simulations exceed ceiling" in err
@@ -141,14 +155,7 @@ def test_estimate_refusal_closes_the_cache(tmp_path, capsys, monkeypatch):
 def test_estimate_refuses_the_phi_scan_before_any_sweep(capsys, monkeypatch):
     # Without index 1 the phi scan may run to the cap; its count is checked
     # before the applicable set sweeps 4095 x 31 pairs.
-    import kolmobench.estimator
-    import kolmobench.halting
-
-    def must_not_run(*args, **kwargs):
-        raise AssertionError("a sweep ran before the phi-scan refusal")
-
-    monkeypatch.setattr(kolmobench.halting, "sweep", must_not_run)
-    monkeypatch.setattr(kolmobench.estimator, "sweep", must_not_run)
+    forbid_sweeps(monkeypatch)
     code, out, err = run_cli(
         ["estimate", "1", "--cap", "40", "--budget", "4", "--universe-interval", "2:4096"],
         capsys,
@@ -514,23 +521,27 @@ def _argv(command, positional, required, optional):
 
 
 PATHS = st.sampled_from(sorted(PATH_KINDS))
+# Past their bounds, the size flags must exit 2 at parse time.  An accepted
+# thread count above 2 would start a pool of that many processes: never drawn.
+THREADS = st.one_of(st.integers(1, 2), st.sampled_from([0, MAX_THREADS + 1, 10**6]))
+PROGRAM_BITS = st.one_of(st.integers(0, 2), st.sampled_from([MAX_PROGRAM_BITS + 1, 40]))
 SHARED = {"--budget": BUDGETS, "--out": st.sampled_from(["csv", "json"]), "--output": PATHS,
-          "--threads": st.integers(1, 2), "--seed": st.integers(0, 3)}
+          "--threads": THREADS, "--seed": st.integers(0, 3)}
 ARGVS = st.one_of(
     _argv("enumerate", [st.integers(0, 3)], {},
           {"--budget": BUDGETS, "--limit": st.integers(-1, 3), "--verdicts": st.just(True)}),
     _argv("estimate", [st.sampled_from(["", "0", "1", "101", "2"])],
           {"--universe-interval": _intervals()},
           {**SHARED, "--max-states": st.integers(1, 2), "--cache-path": PATHS,
-           "--cap": st.integers(-1, 12), "--max-prog-len": st.integers(0, 2),
+           "--cap": st.integers(-1, 12), "--max-prog-len": PROGRAM_BITS,
            "--ceiling": st.sampled_from([0, 1, 100, 10**6]),
            "--policy": st.sampled_from(["discard-dominated", "none"])}),
     _argv("ctm", [], {"--scheme": st.sampled_from(["corrected", "frequency"]),
                       "--universe-interval": _intervals()},
-          {**SHARED, "--max-states": st.integers(1, 2), "--L": st.integers(0, 2),
+          {**SHARED, "--max-states": st.integers(1, 2), "--L": PROGRAM_BITS,
            "--N": st.integers(0, 16)}),
     _argv("ctm", [], {"--scheme": st.just("flawed"), "--N": st.integers(0, 16)},
-          {**SHARED, "--universe-interval": _intervals(), "--L": st.integers(0, 2)}),
+          {**SHARED, "--universe-interval": _intervals(), "--L": PROGRAM_BITS}),
     _argv("bb", [st.integers(0, 2)], {"--universe-interval": _intervals()},
           {**SHARED, "--verify": st.just(True), "--auto-budget": st.just(True)}),
     _argv("cache", [st.sampled_from(["inspect", "verify", "compact"])], {},
@@ -548,15 +559,13 @@ def test_every_argv_ends_in_a_documented_exit_code(argv):
     # In process, as the console script runs: argparse's exit is a SystemExit,
     # anything else escaping main is a bug.  A failed run leaves every file as
     # it found it, so it writes no export, manifest or .tmp file.
-    with tempfile.TemporaryDirectory() as d, mock.patch.dict(os.environ):
+    with tempfile.TemporaryDirectory() as d:
         root = Path(d)
         (root / "dir").mkdir()
         (root / "side.csv.manifest.json").mkdir()
         (root / "empty").write_text("")
         (root / "junk").write_text("5\n")
         argv = [str(root / PATH_KINDS[w]) if w in PATH_KINDS else w for w in argv]
-        for env in [k for k in os.environ if k.startswith("KOLMOBENCH_")]:
-            del os.environ[env]
         before = _tree(root)
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             try:
@@ -740,10 +749,22 @@ PINNED_EXPORTS = {
 }
 
 
+# A junk value for each shared flag's name: configuration comes from argv
+# alone, so none of these may change a run.  The paths lie in a missing
+# directory, so a run that took them would exit 2 and write nothing.
+JUNK_ENV = {"KOLMOBENCH_BUDGET": "0", "KOLMOBENCH_MAX_STATES": "x", "KOLMOBENCH_OUT": "xml",
+            "KOLMOBENCH_OUTPUT": "missing/out.csv", "KOLMOBENCH_CACHE_PATH": "missing/vc.jsonl",
+            "KOLMOBENCH_THREADS": "x", "KOLMOBENCH_SEED": "y"}
+
+
+@pytest.fixture
+def junk_env(monkeypatch):
+    for name, value in JUNK_ENV.items():
+        monkeypatch.setenv(name, value)
+
+
 @pytest.mark.parametrize("name", PINNED_EXPORTS)
-def test_export_bytes_are_pinned(name, tmp_path, capsys, monkeypatch):
-    for env in [k for k in os.environ if k.startswith("KOLMOBENCH_")]:
-        monkeypatch.delenv(env)
+def test_export_bytes_are_pinned(name, tmp_path, capsys, junk_env):
     argv, export_sha, manifest_digest, stderr = PINNED_EXPORTS[name]
     out = tmp_path / "export"
     code, stdout, err = run_cli(argv + ["--output", str(out)], capsys)
@@ -753,10 +774,8 @@ def test_export_bytes_are_pinned(name, tmp_path, capsys, monkeypatch):
     assert _manifest_digest(manifest) == manifest_digest
 
 
-def test_stdout_export_is_pinned(capsys, monkeypatch):
+def test_stdout_export_is_pinned(capsys, junk_env):
     # Without --output the export goes to stdout and its manifest to stderr, on one line.
-    for env in [k for k in os.environ if k.startswith("KOLMOBENCH_")]:
-        monkeypatch.delenv(env)
     code, stdout, err = run_cli(["bb", "1", "--budget", "16"], capsys)
     assert code == EXIT_OK
     assert hashlib.sha256(stdout.encode()).hexdigest() == (
@@ -765,6 +784,14 @@ def test_stdout_export_is_pinned(capsys, monkeypatch):
     manifest, summary = err.splitlines()
     assert _manifest_digest(json.loads(manifest)) == "30d96e8de2e30a9b"
     assert summary == "n=1: max_steps=3 decided_all=True undecided=0 budget=16"
+
+
+@pytest.mark.parametrize("command", [[], ["enumerate"], ["estimate"], ["ctm"], ["bb"], ["cache"]],
+                         ids=["kolmobench", "enumerate", "estimate", "ctm", "bb", "cache"])
+def test_help_names_no_variable(command, capsys, junk_env):
+    code, out, _ = run_cli(command + ["--help"], capsys)
+    assert code == EXIT_OK and out.startswith("usage: kolmobench")
+    assert "KOLMOBENCH" not in out and "(env" not in out
 
 
 @pytest.mark.parametrize(
@@ -835,7 +862,7 @@ def test_negative_counts_exit_2(argv, tmp_path, capsys):
     cache = tmp_path / "vc.jsonl"
     code, out, err = run_cli(argv + ["--budget", "8", "--cache-path", str(cache)], capsys)
     assert code == EXIT_BAD_INPUT
-    assert "must be >= 0" in err and not out
+    assert "must be" in err and f"got {argv[-1]}" in err and not out
     assert not cache.exists()
 
 
@@ -926,8 +953,6 @@ def test_ctm_rejects_flags_of_other_schemes(flags, tmp_path, capsys):
 def test_flawed_scheme_ignores_max_states_and_threads_variables(env, tmp_path, monkeypatch,
                                                                 capsys):
     # The flawed scheme reads neither flag, so it reads neither variable either.
-    for name in [k for k in os.environ if k.startswith("KOLMOBENCH_")]:
-        monkeypatch.delenv(name)
     for name, value in env.items():
         monkeypatch.setenv(name, value)
     argv, export_sha, manifest_digest, stderr = PINNED_EXPORTS["flawed-csv"]
@@ -937,19 +962,6 @@ def test_flawed_scheme_ignores_max_states_and_threads_variables(env, tmp_path, m
     manifest = json.loads((tmp_path / "export.manifest.json").read_text())
     assert manifest["runtime"]["threads"] == 1
     assert _manifest_digest(manifest) == manifest_digest
-
-
-def test_max_states_and_threads_variables_reach_the_other_schemes(tmp_path, monkeypatch,
-                                                                  capsys):
-    monkeypatch.setenv("KOLMOBENCH_MAX_STATES", "1")
-    monkeypatch.setenv("KOLMOBENCH_THREADS", "2")
-    argv, export_sha = PINNED_EXPORTS["frequency-json"][:2]
-    out = tmp_path / "export"
-    flagless = [a for a in argv if a not in ("--max-states", "1")]
-    assert run_cli(flagless + ["--output", str(out)], capsys)[0] == EXIT_OK
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == export_sha
-    manifest = json.loads((tmp_path / "export.manifest.json").read_text())
-    assert manifest["runtime"]["threads"] == 2
 
 
 def test_failed_export_write_keeps_previous_files(tmp_path, monkeypatch, capsys):
@@ -998,31 +1010,7 @@ def test_bb_export_identical_across_threads(tmp_path, capsys):
     assert outs[0] == outs[1]
 
 
-def test_env_variable_overrides_defaults(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("KOLMOBENCH_BUDGET", "32")
-    monkeypatch.setenv("KOLMOBENCH_OUT", "json")
-    code, out, _ = run_cli(["bb", "1"], capsys)
-    assert code == EXIT_OK
-    doc = json.loads(out)
-    assert doc["budget_used"] == 32
-    monkeypatch.setenv("KOLMOBENCH_BUDGET", "not-a-number")
-    with pytest.raises(SystemExit):
-        main(["bb", "1"])
-    capsys.readouterr()
-    monkeypatch.setenv("KOLMOBENCH_BUDGET", "0")
-    assert run_cli(["estimate", "1"], capsys)[0] == EXIT_BAD_INPUT
-
-
-@pytest.mark.parametrize(
-    "env, flags, flag",
-    [
-        ({"KOLMOBENCH_THREADS": "x"}, [], "--threads"),
-        ({"KOLMOBENCH_SEED": "y"}, [], "--seed"),
-        ({"KOLMOBENCH_MAX_STATES": "z"}, [], "--max-states"),
-        ({}, ["--threads", "0"], "--threads"),
-        ({}, ["--threads", "-3"], "--threads"),
-    ],
-)
+@pytest.mark.parametrize("threads", ["0", "-3", str(MAX_THREADS + 1), "100000"])
 @pytest.mark.parametrize(
     "argv",
     [
@@ -1030,29 +1018,37 @@ def test_env_variable_overrides_defaults(tmp_path, monkeypatch, capsys):
         ["ctm", "--scheme", "corrected", "--L", "1", "--universe-interval", "1:20"],
         ["estimate", "1", "--universe-interval", "1:20"],
     ],
+    ids=["bb", "ctm", "estimate"],
 )
-def test_malformed_env_values_and_threads_below_one_exit_2(
-    env, flags, flag, argv, tmp_path, monkeypatch, capsys
-):
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
+def test_threads_outside_1_to_64_exit_2(threads, argv, tmp_path, monkeypatch, capsys):
+    # Refused at parse time: no sweep runs, so no pool forks a worker.
+    forbid_sweeps(monkeypatch)
     out = tmp_path / "export"
-    code, _, err = run_cli(argv + flags + ["--budget", "8", "--output", str(out)], capsys)
-    if argv[0] == "bb" and flag == "--max-states":
-        # bb takes no --max-states, so it ignores KOLMOBENCH_MAX_STATES.
-        assert code == EXIT_OK and out.exists()
-        return
-    assert code == EXIT_BAD_INPUT
-    assert f"argument {flag}" in err
-    assert not out.exists()
+    code, stdout, err = run_cli(argv + ["--threads", threads, "--budget", "8",
+                                        "--output", str(out)], capsys)
+    assert code == EXIT_BAD_INPUT and not stdout
+    assert f"argument --threads: must be in 1..{MAX_THREADS}, got {threads}" in err
+    assert not list(tmp_path.iterdir())
 
 
-def test_env_threads_reaches_the_manifest(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("KOLMOBENCH_THREADS", "2")
-    out = tmp_path / "bb.csv"
-    assert run_cli(["bb", "1", "--budget", "8", "--output", str(out)], capsys)[0] == EXIT_OK
-    manifest = json.loads((tmp_path / "bb.csv.manifest.json").read_text())
-    assert manifest["runtime"]["threads"] == 2
+@pytest.mark.parametrize("bits", [str(MAX_PROGRAM_BITS + 1), "40"])
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["ctm", "--scheme", "corrected", "--universe-interval", "1:10"], "--L"),
+        (["estimate", "1", "--universe-interval", "1:1"], "--max-prog-len"),
+    ],
+    ids=["ctm", "estimate"],
+)
+def test_program_lengths_past_the_bound_exit_2(bits, argv, flag, tmp_path, monkeypatch, capsys):
+    # Both sweeps grow as 2^(L+1); past the bound they could run the host out of memory.
+    forbid_sweeps(monkeypatch)
+    out = tmp_path / "export"
+    code, stdout, err = run_cli(argv + [flag, bits, "--budget", "4", "--output", str(out)],
+                                capsys)
+    assert code == EXIT_BAD_INPUT and not stdout
+    assert f"argument {flag}: must be in 0..{MAX_PROGRAM_BITS}, got {bits}" in err
+    assert not list(tmp_path.iterdir())
 
 
 def _perfbench_run_module(monkeypatch):
@@ -1074,8 +1070,6 @@ def test_every_perfbench_op_argv_parses(monkeypatch):
 
     from kolmobench.cli import build_parser
 
-    for name in [k for k in os.environ if k.startswith("KOLMOBENCH_")]:
-        monkeypatch.delenv(name)  # the benchmark starts its ops without them
     run = _perfbench_run_module(monkeypatch)
     seconds = json.loads((Path(run.ROOT) / "BENCHMARK.json").read_text())["run_seconds"]
     argvs = []
@@ -1101,8 +1095,6 @@ def test_every_perfbench_traced_name_resolves_and_its_checks_pass(monkeypatch, t
     # checks.check_estimate; renaming either breaks it, so check both here.
     import importlib
 
-    for name in [k for k in os.environ if k.startswith("KOLMOBENCH_")]:
-        monkeypatch.delenv(name)
     run = _perfbench_run_module(monkeypatch)
     for name in run.tracer.TRACED:
         module, *path = name.split(".")

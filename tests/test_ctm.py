@@ -20,7 +20,7 @@ from kolmobench.ctm import (
     table_to_csv,
     table_to_json,
 )
-from kolmobench.enumeration import MachineRange, index_to_machine, index_to_table
+from kolmobench.enumeration import MAX_PROGRAM_BITS, MachineRange, index_to_machine, index_to_table
 from kolmobench.estimator import applicable_set, bound_from_pairs, identity_index
 from kolmobench.halting import SweepStats, analyze_table
 from kolmobench.tm_core import run, str_to_syms
@@ -114,6 +114,16 @@ def test_corrected_block_zero_degenerates_to_weighted_frequency():
         if out[0] == "h" and out[2] is not None:
             expected[out[2]] = expected.get(out[2], Fraction(0)) + default_alpha(i)
     assert t.entries == expected
+
+
+@pytest.mark.parametrize("bits", [-1, MAX_PROGRAM_BITS + 1, 40])
+def test_both_program_sweeps_refuse_lengths_outside_one_bound(bits):
+    # The CLI's --L and --max-prog-len read the same constant.
+    u = MachineRange(1, 1, 1, 1)
+    with pytest.raises(ValueError, match="block length"):
+        corrected_table(u, bits, budget=4)
+    with pytest.raises(ValueError, match="max_prog_len"):
+        applicable_set(["1"], u, 4, bits, ceiling=1 << 60)
 
 
 @functools.cache
