@@ -746,6 +746,14 @@ PINNED_EXPORTS = {
         "phi stabilized at 21 (cap 21); upper bound 43 via (i=1048580, p=''); "
         "282518 applicable pairs\n",
     ),
+    # An applicable set across both layers, 13 index bit lengths and the 511
+    # programs of up to 8 bits.
+    "estimate-two-layers-L8": (
+        ["estimate", "1", "--budget", "256", "--max-prog-len", "8", "--universe-interval",
+         "1:4096"],
+        "363a675cfc8cee8b0a459d822863d7c12060b9f08e902c4d28b065f835cc8455", "0f1805ebefd2070f",
+        "phi stabilized at 5 (cap 22); upper bound 5 via (i=1, p='01'); 4914 applicable pairs\n",
+    ),
 }
 
 
