@@ -178,7 +178,7 @@ def _leaf_numerators(leaves, shift: int) -> Counter:
     shifted left by the tree's one weight exponent ``shift``, to each output
     its ``?`` cells (input cells it never read) stand for."""
     numerators = Counter()
-    for _, count, res in leaves:
+    for _, _, count, res in leaves:
         if res[0] == "h" and res[2] is not None:
             template = res[2].replace("?", "{}")
             for bits in product("01", repeat=res[2].count("?")):

@@ -135,17 +135,10 @@ class BoxCounter:
             out = [o + sign * b for o, b in zip(out, below)]
         return out
 
-    def count(self, fixed) -> int:
-        """How many indices in [lo, hi] have a table that agrees with ``fixed``."""
-        pos = next((p for p in range(self.width) if p not in fixed), None)
-        if pos is None:
-            return int(self.lo <= self._index(fixed) <= self.hi)
-        return sum(self.children(fixed, pos))
-
     def first_member(self, fixed) -> int:
         """The smallest index in [lo, hi] whose table agrees with ``fixed``
-        (``count(fixed)`` must be nonzero): a walk down the open entries, top
-        digit first, into the first child with a nonzero count."""
+        (there must be one): a walk down the open entries, top digit first,
+        into the first child with a nonzero count."""
         fixed = dict(fixed)
         for pos in reversed(range(self.width)):
             if pos not in fixed:
@@ -187,8 +180,8 @@ class MachineRange(namedtuple("MachineRange", "min_states max_states index_lo in
             raise ValueError("need 1 <= min_states <= max_states")
         if (index_lo is None) != (index_hi is None):
             raise ValueError("index interval needs both ends")
-        if index_lo is not None and index_lo > index_hi:
-            raise ValueError("empty index interval")
+        if index_lo is not None and not 1 <= index_lo <= index_hi:
+            raise ValueError("indices start at 1" if index_lo < 1 else "empty index interval")
         return super().__new__(cls, min_states, max_states, index_lo, index_hi)
 
     def index_bounds(self) -> tuple[int, int]:

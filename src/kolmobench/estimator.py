@@ -28,13 +28,12 @@ from functools import lru_cache
 
 from .enumeration import (
     MAX_PROGRAM_BITS,
-    BoxCounter,
     MachineRange,
     machine_to_index,
     str_to_nat,
 )
 from .halting import Simulator, SweepStats, check_schedule, sweep
-from .tm_core import identity_scanner, programs_of_length, run
+from .tm_core import SYMBOL_NAMES, identity_scanner, programs_of_length, run
 
 DEFAULT_ENUM_CEILING = 1 << 22
 
@@ -206,10 +205,11 @@ def applicable_set(
     of its pairs output x, and the one of smallest index, with its step
     count.  In canonical order of the first pairs.
 
-    The sweep walks one lazy leaf tree (``halting.sweep``) per layer and
-    program; ``threads > 1`` spreads the trees over a fork pool.  A
-    ``stats`` given is updated with the trees' counts, (index, program)
-    pairs weighted.  An empty collection sweeps nothing.
+    The sweep walks one lazy leaf tree (``halting.sweep``) per layer, index
+    bit length and program length m, on m open input cells; ``threads > 1``
+    spreads the trees over a fork pool.  A ``stats`` given is updated with
+    the trees' counts, (index, program) pairs weighted.  An empty collection
+    sweeps nothing.
     """
     wanted = _binary_strings(xs)
     if budget < 1:
@@ -226,11 +226,8 @@ def applicable_set(
             f"{work} simulations exceed ceiling {ceiling}; shrink the "
             "universe or max_prog_len, or raise the ceiling"
         )
-    programs = [p for length in range(max_prog_len + 1) for p in programs_of_length(length)]
-    spans, jobs = universe.bit_length_spans(), []
-    for n, lo, hi in universe.layers():
-        boxes = [BoxCounter(n, a, b) for m, a, b in spans if m == n]
-        jobs += [(n, lo, hi, p, boxes, p, wanted) for p in programs]
+    jobs = [(n, lo, hi, "?" * m, wanted)
+            for n, lo, hi in universe.bit_length_spans() for m in range(max_prog_len + 1)]
     classes = {x: [] for x in wanted}
     if jobs:  # an empty universe has no tree to sweep
         found, sweep_stats = sweep(_leaf_classes, jobs, budget, threads)
@@ -243,21 +240,28 @@ def applicable_set(
             for x, found in classes.items()}
 
 
-def _leaf_classes(leaves, boxes, program, wanted) -> list:
-    """(x, count, first pair) per wanted output x and bit length of one leaf
-    tree on ``program``, with a ``BoxCounter`` in ``boxes`` per bit length of
-    the tree's interval: how many of its indices complete a halting leaf
-    with output x, and the smallest of them with that leaf's step count."""
-    found = {}
-    for table, _, res in leaves:
-        if res[0] == "h" and res[2] in wanted:
-            for j, box in enumerate(boxes):
-                count = box.count(table)
-                if count:
-                    key, first = (res[2], j), (box.first_member(table), res[1])
-                    total, least = found.get(key, (0, first))
-                    found[key] = (total + count, min(least, first))
-    return [(x, c, make_pair(i, program, steps)) for (x, _), (c, (i, steps)) in found.items()]
+def _leaf_classes(leaves, wanted) -> list:
+    """(x, count, first pair) per wanted output x and program p of one leaf
+    tree, whose indices share one bit length: how many of them halt on p with
+    output x, and the smallest of them with its step count.  A halting leaf
+    stands for one p per wanted x that agrees with its output's fixed
+    characters: x's bit at the k-th ``?`` fills the input's k-th ``OPEN`` cell."""
+    by_len, found = {}, {}
+    for x in wanted:
+        by_len.setdefault(len(x), []).append(x)
+    for table, syms, count, res in leaves:
+        if res[0] != "h" or res[2] is None:
+            continue
+        out, first = res[2], None
+        for x in by_len.get(len(out), ()):
+            bits = [b for o, b in zip(out, x) if o != b]  # just its bits at the ?s iff x agrees
+            if len(bits) == out.count("?"):
+                bits = iter(bits)
+                p = "".join([SYMBOL_NAMES[s] if s > 0 else next(bits) for s in syms])
+                first = first or (table.boxes.first_member(table), res[1])
+                total, least = found.get((x, p), (0, first))
+                found[x, p] = (total + count, min(least, first))
+    return [(x, c, make_pair(i, p, steps)) for (x, p), (c, (i, steps)) in found.items()]
 
 
 def bound_from_pairs(x: str, pairs) -> tuple[int, ProgramPair]:

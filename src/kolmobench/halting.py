@@ -550,10 +550,11 @@ def layer_leaves(n: int, budget: int, lo: int, hi: int, verify: bool = False,
                  input_str: str = "", stats: SweepStats | None = None):
     """Lazy (tree-normal-form) sweep of the n-state layer on one input.
 
-    Yields ``(table, count, result)`` per leaf: a partial table whose
-    ``boxes`` is the sweep's ``BoxCounter``, how many indices in [lo, hi]
-    complete it, and the ``analyze_table`` result they all share on
-    ``input_str``, whose ``?`` cells are open.  A run that
+    Yields ``(table, input, count, result)`` per leaf: a partial table whose
+    ``boxes`` is the sweep's ``BoxCounter``, its input, where a ``?`` cell
+    never read stays ``OPEN`` (a halting output shows it as ``?``, in order:
+    a write reads its cell first), how many indices in [lo, hi] complete the
+    table, and the ``analyze_table`` result they all share.  A run that
     reads an open entry which the box forces pins it and goes on
     (``_BoxTable``): every index of the box has that value there, so the box
     and its count are unchanged.  A read of any other open entry, or of an
@@ -600,7 +601,7 @@ def layer_leaves(n: int, budget: int, lo: int, hi: int, verify: bool = False,
                     stack.append((_BoxTable(boxes, {**table, pos: entry}), syms, c, run, None))
             continue
         stats.add(res, count << syms.count(OPEN))
-        yield table, count, res
+        yield table, syms, count, res
 
 
 def _sweep_job(fold, budget, verify, job):
@@ -647,7 +648,7 @@ def _bb_fold(leaves) -> list:
     """``[(max_steps, last_found)]`` of one tree: its largest halting step
     count and its latest certificate discovery step (0 where it has none)."""
     max_steps = last_found = 0
-    for _, _, res in leaves:
+    for _, _, _, res in leaves:
         if res[0] == "h":
             max_steps = max(max_steps, res[1])
         elif res[0] == "d":

@@ -727,7 +727,7 @@ PINNED_EXPORTS = {
     ),
     "estimate-csv": (
         ["estimate", "101", "--budget", "256", "--universe-interval", "1:1000"],
-        "3aa584a1380dcbc06daf0c841b71dd13e04e78b969c0d3bb5f4ad56330f6377c", "aff94d15e70c159e",
+        "3aa584a1380dcbc06daf0c841b71dd13e04e78b969c0d3bb5f4ad56330f6377c", "5efdb87b758a3d7e",
         "phi stabilized at 7 (cap 24); upper bound 7 via (i=1, p='0101'); 841 applicable pairs\n",
     ),
     # The applicable set of the empty string over the whole 2-state layer, then
@@ -735,7 +735,7 @@ PINNED_EXPORTS = {
     "estimate-full-layer-json": (
         ["estimate", "", "--universe-interval", "1001:11391625", "--max-prog-len", "0",
          "--out", "json"],
-        "4293bdca4a0fd6488663074c03836b0305608b73e5e5b6545a3848ac0c597cb2", "71ff34c7642c5c95",
+        "4293bdca4a0fd6488663074c03836b0305608b73e5e5b6545a3848ac0c597cb2", "18cd3277afc55333",
         "phi stabilized at 21 (cap 21); upper bound 21 via (i=1001, p=''); "
         "3089010 applicable pairs\n",
     ),
@@ -751,7 +751,7 @@ PINNED_EXPORTS = {
     "estimate-two-layers-L8": (
         ["estimate", "1", "--budget", "256", "--max-prog-len", "8", "--universe-interval",
          "1:4096"],
-        "363a675cfc8cee8b0a459d822863d7c12060b9f08e902c4d28b065f835cc8455", "0f1805ebefd2070f",
+        "363a675cfc8cee8b0a459d822863d7c12060b9f08e902c4d28b065f835cc8455", "75c1da6a52585cb3",
         "phi stabilized at 5 (cap 22); upper bound 5 via (i=1, p='01'); 4914 applicable pairs\n",
     ),
 }
@@ -1056,6 +1056,23 @@ def test_program_lengths_past_the_bound_exit_2(bits, argv, flag, tmp_path, monke
                                 capsys)
     assert code == EXIT_BAD_INPUT and not stdout
     assert f"argument {flag}: must be in 0..{MAX_PROGRAM_BITS}, got {bits}" in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("interval", ["-5:10", "0:10"])
+@pytest.mark.parametrize(
+    "argv",
+    [["estimate", "1", "--max-prog-len", "1"], ["ctm", "--scheme", "corrected"], ["bb", "1"]],
+    ids=["estimate", "ctm", "bb"],
+)
+def test_intervals_below_index_1_exit_2(argv, interval, tmp_path, monkeypatch, capsys):
+    # -5:10 would record a universe MachineRange.parse cannot read back, and
+    # 0:10 would sweep 1..10 under a second config digest.
+    forbid_sweeps(monkeypatch)
+    out = tmp_path / "export"
+    code, stdout, err = run_cli(argv + [f"--universe-interval={interval}", "--budget", "4",
+                                        "--output", str(out)], capsys)
+    assert code == EXIT_BAD_INPUT and not stdout and "indices start at 1" in err
     assert not list(tmp_path.iterdir())
 
 

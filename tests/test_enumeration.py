@@ -129,3 +129,6 @@ def test_machine_range_validation():
         MachineRange(1, 2, 5, None)
     with pytest.raises(ValueError):
         MachineRange(1, 2, 7, 3)
+    for lo in (0, -5):  # 0:10 would sweep 1..10 but describe itself as i0-10
+        with pytest.raises(ValueError, match="indices start at 1"):
+            MachineRange(1, 2, lo, 10)

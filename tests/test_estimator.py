@@ -28,10 +28,14 @@ from kolmobench.estimator import (
     make_pair,
     phi_profile,
 )
-from kolmobench.halting import SweepStats, analyze_table
+from kolmobench.halting import SweepStats, analyze_table, layer_leaves
 from kolmobench.tm_core import immediate_halt, programs_of_length, run, str_to_syms, u_run
 
 N1 = MachineRange(1, 1)
+
+
+def _strings(max_len):
+    return [p for length in range(max_len + 1) for p in programs_of_length(length)]
 
 
 def _bound(x, universe, budget, max_prog_len):
@@ -237,6 +241,63 @@ def test_applicable_set_matches_plain_loop(lo, hi, threads):
             assert classes == _classes(_pruned_pair_by_pair(policy, pairs)), (x, policy)
 
 
+def _per_program_classes(xs, universe, budget, max_prog_len, policy, stats):
+    """The applicable set from one concrete-input leaf tree per (layer, index
+    bit length, program): each leaf's count is its class's share, and its
+    table's first member the class's first pair."""
+    classes = {x: [] for x in xs}
+    for n, lo, hi in universe.bit_length_spans():
+        for p in _strings(max_prog_len):
+            found = {}
+            for table, _, count, res in layer_leaves(n, budget, lo, hi, input_str=p, stats=stats):
+                if res[0] == "h" and res[2] in classes:
+                    first = (table.boxes.first_member(table), res[1])
+                    total, least = found.get(res[2], (0, first))
+                    found[res[2]] = (total + count, min(least, first))
+            for x, (count, (i, steps)) in found.items():
+                classes[x].append((count, make_pair(i, p, steps)))
+    return {x: sorted(_prune(policy, c), key=lambda c: (c[1].i, len(c[1].p), str_to_nat(c[1].p)))
+            for x, c in classes.items()}
+
+
+# The open-input trees against the concrete ones: every string of up to 4
+# bits across both layers and their bit lengths, a few where the layer and
+# the bit length step (990:1040), and the whole 1-state layer.
+OPEN_INPUT_CASES = {
+    "1:2000": (MachineRange(1, 2, 1, 2000), _strings(4), 3_506),
+    "990:1040": (MachineRange(1, 2, 990, 1040), ["", "0", "11", "0110"], None),
+    "1-state": (MachineRange(1, 1), _strings(4), None),
+}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("case", OPEN_INPUT_CASES)
+def test_open_input_classes_match_per_program_trees(case, threads):
+    universe, xs, leaves = OPEN_INPUT_CASES[case]
+    for policy in PRUNING_POLICIES:
+        got, want = SweepStats(), SweepStats()
+        classes = applicable_set(xs, universe, 64, 4, policy=policy, threads=threads, stats=got)
+        assert classes == _per_program_classes(xs, universe, 64, 4, policy, want), policy
+        assert (got.machines, got.verdicts) == (want.machines, want.verdicts)
+        assert got.leaves < want.leaves and (leaves is None or got.leaves == leaves)
+
+
+@pytest.mark.parametrize(
+    "universe, xs, budget, max_prog_len",
+    [(MachineRange(1, 2, 1, 2000), _strings(4), 64, 4),
+     (MachineRange(1, 2, 1, 4096), ["1"], 256, 8)],  # test_cli's estimate-two-layers-L8
+    ids=["1:2000", "1:4096-L8"],
+)
+def test_open_input_first_pairs_replay_on_the_plain_stepper(universe, xs, budget, max_prog_len):
+    # Each class's program is read off the leaf's open cells; tm_core.run,
+    # not the detector, must give the output and step count recorded for it.
+    batch = applicable_set(xs, universe, budget, max_prog_len, policy="none")
+    assert any(len(pr.p) == max_prog_len for classes in batch.values() for _, pr in classes)
+    for x, classes in batch.items():
+        for _, pr in classes:
+            assert run(index_to_machine(pr.i), pr.p, budget) == ("h", pr.steps, x), (x, pr)
+
+
 def test_full_layer_applicable_set_builds_one_pair_per_class(monkeypatch):
     # The empty string's 3,089,010 pairs over the whole 2-state layer come from
     # one ProgramPair per (layer, index bit length, program): bit lengths 10..24.
@@ -348,10 +409,6 @@ def test_phi_profile_empty_string_reaches_minimal_program(small_universe):
 def test_phi_cap_zero_degenerates(small_universe):
     r = phi_profile([""], [5], small_universe, cap=0, ceiling=1 << 4)[""][0]
     assert r.value == 0 and r.witness is None
-
-
-def _strings(max_len):
-    return [p for length in range(max_len + 1) for p in programs_of_length(length)]
 
 
 DOUBLING_14 = [1 << k for k in range(15)]  # 1 .. 2^14

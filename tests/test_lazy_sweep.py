@@ -57,7 +57,7 @@ WINDOW = (8_676_204, 8_680_203)  # a 4000-index window of the mixture benchmark
 def leaf_stream_digest(leaves):
     """sha256 of the sorted leaf stream: one (table items, count, result)
     line per leaf, so any change to a leaf's box or result moves it."""
-    lines = sorted(repr((sorted(t.items()), c, res)) for t, c, res in leaves)
+    lines = sorted(repr((sorted(t.items()), c, res)) for t, _, c, res in leaves)
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
@@ -254,7 +254,7 @@ def test_cycle_across_the_first_read_of_an_input_cell():
         assert analyze_table(table, str_to_syms(p), 64) == want
     i = table_to_index(2, table)
     stats = SweepStats()
-    results = [res for _, _, res in layer_leaves(2, 64, i, i, input_str="??", stats=stats)]
+    results = [res for *_, res in layer_leaves(2, 64, i, i, input_str="??", stats=stats)]
     assert results == [want] * 4
     assert stats.verdicts == {"cycle": 4}
 
@@ -266,11 +266,11 @@ def test_open_leaf_outputs_its_unread_cells():
     # programs, with "?" for each cell never read.
     scanner = table_to_index(1, identity_scanner().table)
     leaves = layer_leaves(1, 64, scanner, scanner, input_str="??")
-    assert sorted(res[2] for _, _, res in leaves) == ["00", "01", "10", "11"]
+    assert sorted(res[2] for *_, res in leaves) == ["00", "01", "10", "11"]
     writer = table_to_index(1, ((WRITE_BLANK, 0), (WRITE_ONE, 0), (WRITE_ONE, 0)))
     stats = SweepStats()
     leaves = list(layer_leaves(1, 64, writer, writer, input_str="???", stats=stats))
-    assert [res for _, _, res in leaves] == [("h", 1, "1??")] * 2
+    assert [res for *_, res in leaves] == [("h", 1, "1??")] * 2
     assert (stats.leaves, stats.machines) == (2, 8)
     assert ctm._leaf_numerators(leaves, 0) == {x: 2 for x in ["100", "101", "110", "111"]}
 
@@ -393,7 +393,7 @@ def sample_member(boxes, table, rng):
 def test_sampled_members_get_their_leaf_result(seed):
     lo, hi = seeded_slice(3, seed)
     boxes, rng = BoxCounter(3, lo, hi), random.Random(seed)
-    for table, _, res in layer_leaves(3, 256, lo, hi, verify=True):
+    for table, _, _, res in layer_leaves(3, 256, lo, hi, verify=True):
         i = sample_member(boxes, table, rng)
         n, full = index_to_table(i)
         assert n == 3 and lo <= i <= hi
@@ -500,11 +500,11 @@ def test_box_members_match_brute_force(box):
         if all(index_to_table(i)[1][pos] == entry for pos, entry in fixed.items())
     ]
     counter = BoxCounter(n, lo, hi)
-    assert counter.count(fixed) == box_count(counter, fixed) == len(want)
+    assert box_count(counter, fixed) == len(want)
     # The first member of the box, then of the box above it, and so on: the
     # members in increasing order (the first eight).
     members, start = [], lo
-    while len(members) < 8 and (counter := BoxCounter(n, start, hi)).count(fixed):
+    while len(members) < 8 and box_count(counter := BoxCounter(n, start, hi), fixed):
         members.append(counter.first_member(fixed))
         start = members[-1] + 1
     assert members == want[:8]
@@ -514,11 +514,9 @@ def test_box_count_of_open_table_is_interval_size():
     assert BoxCounter(2, 1, 10**12).size == machine_count(2)
     assert BoxCounter(2, LAYER2_LO + 7, LAYER2_LO + 99).size == 93
     assert box_count(BoxCounter(1, 1, 1000), {0: (MOVE_RIGHT, 1)}) == 1000 // 10
-    assert BoxCounter(1, 1, 1000).count({0: (MOVE_RIGHT, 1)}) == 1000 // 10
     assert BoxCounter(1, 1, 1000).first_member({0: (MOVE_RIGHT, 1)}) == min(
         i for i in range(1, 1001) if index_to_table(i)[1][0] == (MOVE_RIGHT, 1)
     )
-    assert BoxCounter(2, 1, 10**12).count({}) == machine_count(2)
     assert BoxCounter(2, LAYER2_LO + 7, LAYER2_LO + 99).first_member({}) == LAYER2_LO + 7
     assert sum(BoxCounter(2, 1, 10**12).children({}, 5)) == machine_count(2)
 
