@@ -293,15 +293,16 @@ def cmd_ctm(args, parser) -> int:
 
 
 def cmd_bb(args, parser) -> int:
-    config = _config(args, n=args.n_states, verify=args.verify, auto_budget=args.auto_budget,
-                     interval=args.universe_interval)
-    schedule, rng = [args.budget], None
+    schedule, rng, interval = [args.budget], None, None
     if args.auto_budget:
         if args.universe_interval:
             parser.error("--auto-budget sweeps whole layers; drop --universe-interval")
         schedule = doubling_schedule(args.budget, AUTO_BUDGET_CEILING)
     elif args.universe_interval:
         rng = _universe_from_args(args, parser, args.n_states)
+        interval = f"{rng.index_lo}:{rng.index_hi}"  # parsed, so 01:050 records as 1:50
+    config = _config(args, n=args.n_states, verify=args.verify, auto_budget=args.auto_budget,
+                     interval=interval)
     try:
         rec = bb_table(args.n_states, schedule, machine_range=rng, verify=args.verify)
     except ValueError as e:

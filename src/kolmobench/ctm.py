@@ -176,13 +176,17 @@ def corrected_table(
 def _leaf_numerators(leaves, shift: int) -> Counter:
     """Output -> numerator: a halting leaf with valid output adds its count,
     shifted left by the tree's one weight exponent ``shift``, to each output
-    its ``?`` cells (input cells it never read) stand for."""
-    numerators = Counter()
+    its ``?`` cells (input cells it never read) stand for.  The counts are
+    summed by raw output first, so each template is expanded once."""
+    raw = {}
     for _, _, count, res in leaves:
         if res[0] == "h" and res[2] is not None:
-            template = res[2].replace("?", "{}")
-            for bits in product("01", repeat=res[2].count("?")):
-                numerators[template.format(*bits)] += count << shift
+            raw[res[2]] = raw.get(res[2], 0) + count
+    numerators = Counter()
+    for out, count in raw.items():
+        template = out.replace("?", "{}")
+        for bits in product("01", repeat=out.count("?")):
+            numerators[template.format(*bits)] += count << shift
     return numerators
 
 

@@ -78,6 +78,9 @@ def machine_to_index(m: Machine) -> int:
     return table_to_index(m.n_states, m.table)
 
 
+BOX_MEMO_CAP = 4096  # entries of one BoxCounter's memo; it is cleared when full
+
+
 class BoxCounter:
     """Counts the indices in [lo, hi] of n-state machines whose table agrees
     with a partial table ``fixed`` (entry position -> (action, next_state));
@@ -86,11 +89,21 @@ class BoxCounter:
     A digit DP over the mixed-radix offset, from the top digit down.  The
     digits and powers of the interval's bounds, and the entry of each digit
     value (``entries[d] == divmod(d, n + 1)``), are computed once, here.
+
+    ``branch`` memoizes each walk's answer under the key ``(pos,
+    fixed.get(0), ..., fixed.get(width - 1))``, everything the walk reads.
+    The memo holds at most ``BOX_MEMO_CAP`` answers and is emptied when it
+    reaches that many.  An answer, with its key and its ``5(n+1)`` counts,
+    takes at most about 1 KB at n = 3 and 2.6 KB at n = 8
+    (``MAX_STATES_SUPPORTED``), when every count is a distinct int; so a
+    full memo holds at most about 4 MB at n = 3 and 10.5 MB at n = 8.
     """
 
     def __init__(self, n: int, lo: int, hi: int):
         base, width, first = 5 * (n + 1), 3 * n, layer_offset(n) + 1
         self.n1, self.base, self.width, self.first = n + 1, base, width, first
+        self.positions = range(width)
+        self.memo = {}
         self.powers = [base**k for k in range(width + 1)]
         self.entries = [divmod(d, n + 1) for d in range(base)]
         self.lo, self.hi = max(lo, first), min(hi, first + machine_count(n) - 1)
@@ -107,7 +120,28 @@ class BoxCounter:
 
     def children(self, fixed, pos: int) -> list:
         """Counts of the boxes that pin the open entry ``pos`` of ``fixed``
-        to each value, in digit order (entry ``entries[d]`` at ``d``)."""
+        to each value, in digit order (entry ``entries[d]`` at ``d``).  The
+        list may be the memo's own: callers must not change it."""
+        return self.branch(fixed, pos)[0]
+
+    def branch(self, fixed, pos: int) -> tuple:
+        """``(children(fixed, pos), forced)``: ``forced`` is the entry that
+        every index of the box has at ``pos`` when exactly one child count
+        is nonzero, else None.  Memoized; see the class docstring."""
+        key = (pos, *map(fixed.get, self.positions))
+        hit = self.memo.get(key)
+        if hit is None:
+            if len(self.memo) >= BOX_MEMO_CAP:
+                self.memo.clear()
+            counts = self._walk(fixed, pos)
+            forced = None
+            if counts.count(0) == len(counts) - 1:
+                forced = self.entries[counts.index(max(counts))]
+            hit = self.memo[key] = (counts, forced)
+        return hit
+
+    def _walk(self, fixed, pos: int) -> list:
+        """``children`` by one uncached digit walk."""
         base, powers, n1 = self.base, self.powers, self.n1
         out = [0] * base
         for sign, digits in self.bounds:

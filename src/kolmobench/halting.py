@@ -226,6 +226,7 @@ def _splice_record(snaps, key, table, state, head, tape, steps):
 
 
 OPEN = -(1 << 40)  # an open input cell's symbol: its table positions are negative
+_new_tuple = tuple.__new__  # builds a Run from its fields without namedtuple's Python __new__
 
 
 class Run(namedtuple("Run", "state head steps tape frozen seen rrec lrec snaps maxh minh")):
@@ -234,11 +235,14 @@ class Run(namedtuple("Run", "state head steps tape frozen seen rrec lrec snaps m
     __slots__ = ()
 
     def fork(self) -> "Run":
-        """A copy that resumes without changing this run."""
+        """A copy that resumes without changing this run.  Snapshot lists
+        are copied, not the (never changed) tapes in them."""
         state, head, steps, tape, frozen, seen, rrec, lrec, snaps, maxh, minh = self
-        return Run(state, head, steps, dict(tape), frozen, dict(seen),
-                   {q: r[:] for q, r in rrec.items()}, {q: r[:] for q, r in lrec.items()},
-                   {k: v[:] for k, v in snaps.items()}, maxh, minh)
+        return _new_tuple(Run, (
+            state, head, steps, tape.copy(), frozen, seen.copy(),
+            {q: r[:] for q, r in rrec.items()} if rrec else {},
+            {q: r[:] for q, r in lrec.items()} if lrec else {},
+            {k: v[:] for k, v in snaps.items()} if snaps else {}, maxh, minh))
 
 
 def analyze_table(table: Table, input_syms: tuple, budget: int, run: Run | None = None):
@@ -261,9 +265,10 @@ def analyze_table(table: Table, input_syms: tuple, budget: int, run: Run | None 
     if budget < 1:
         raise ValueError("budget must be >= 1")
     ilen = len(input_syms)
-    # A cycle key holds the tape's symmetric difference with the input: exact
-    # within one run, and an input cell never read stays out of every key.
-    given = frozenset(enumerate(input_syms))
+    # A cycle key holds the tape's symmetric difference with the input, the
+    # frozenset ``given``: exact within one run, and an input cell never read
+    # stays out of every key.  It is built at the first key it is needed for.
+    given = None
     if run is not None:
         state, head, steps, tape, frozen, seen, rrec, lrec, snaps, maxh, minh = run
     else:
@@ -317,7 +322,10 @@ def analyze_table(table: Table, input_syms: tuple, budget: int, run: Run | None 
                         return ("d", cert, steps)
                 if recs is not None:  # stored after the search, which never reads it
                     recs[state] = [steps, head, head]
-                maxh, minh = max(maxh, head), min(minh, head)
+                if right:
+                    maxh = head
+                else:
+                    minh = head
             if steps >= budget:
                 return ("u", budget)
             sym = tape.get(head, 0)
@@ -345,14 +353,15 @@ def analyze_table(table: Table, input_syms: tuple, budget: int, run: Run | None 
             state = nxt
             if len(tape) <= CYCLE_TAPE_CAP:
                 if frozen is None:
+                    if given is None:
+                        given = frozenset(enumerate(input_syms))
                     frozen = given.symmetric_difference(tape.items())
-                ckey = (state, head, frozen)
-                prev = seen.get(ckey)
-                if prev is not None:
+                prev = seen.setdefault((state, head, frozen), steps)
+                if prev != steps:  # every stored step is an earlier one
                     return ("d", ("cycle", prev, steps), steps)
-                seen[ckey] = steps
     except Undefined as e:
-        e.run = Run(state, head, steps, tape, frozen, seen, rrec, lrec, snaps, maxh, minh)
+        e.run = _new_tuple(Run, (state, head, steps, tape, frozen, seen, rrec, lrec, snaps,
+                                 maxh, minh))
         raise
 
 
@@ -528,21 +537,26 @@ class _BoxTable(PartialTable):
     A read of an open entry that the box forces (one value with a nonzero
     count) pins it in place, and the run goes on; any other open read raises
     ``Undefined(pos, counts)`` with the child counts, and a read of an
-    ``OPEN`` input cell raises ``Undefined(pos)``."""
+    ``OPEN`` input cell raises ``Undefined(pos)``.  Both answers come from
+    ``BoxCounter.branch``, memoized per tree."""
 
     __slots__ = ("boxes",)
 
-    def __init__(self, boxes, fixed=()):
-        super().__init__(fixed)
-        self.boxes = boxes
+    def child(self, *pin):
+        """A copy on the same boxes, with the entry ``pin`` = (pos, entry) if given."""
+        table = _BoxTable(self)  # one C-level copy: the class adds no __init__
+        table.boxes = self.boxes
+        if pin:
+            table[pin[0]] = pin[1]
+        return table
 
     def __missing__(self, pos):
         if pos < 0:
             raise Undefined(pos)
-        counts = self.boxes.children(self, pos)
-        if counts.count(0) != len(counts) - 1:
+        counts, entry = self.boxes.branch(self, pos)
+        if entry is None:
             raise Undefined(pos, counts)
-        entry = self[pos] = self.boxes.entries[counts.index(max(counts))]
+        self[pos] = entry
         return entry
 
 
@@ -559,7 +573,13 @@ def layer_leaves(n: int, budget: int, lo: int, hi: int, verify: bool = False,
     (``_BoxTable``): every index of the box has that value there, so the box
     and its count are unchanged.  A read of any other open entry, or of an
     open cell (0 and 1 at the same count), branches once per value with a
-    nonzero count, each child resuming a copy of the run there.  A finished
+    nonzero count, each child resuming a fork of the run there (the last
+    child popped takes the run itself) on its own copy of the table.  The
+    child counts and the forced entry of an open read come from
+    ``BoxCounter.branch``, whose memo, keyed by the read position and the
+    leaf's fixed entries, holds at most ``BOX_MEMO_CAP`` answers: siblings
+    and cousins reading the same entry under the same fixed entries share
+    one digit walk.  A finished
     run read no entry outside its leaf and no open cell (``?`` in its
     output), so every completion, on every input, gets its verdict.
     With ``verify`` (concrete inputs only) a divergent leaf's certificate tuple
@@ -575,7 +595,9 @@ def layer_leaves(n: int, budget: int, lo: int, hi: int, verify: bool = False,
         raise ValueError("verify needs a concrete input")
     stats = SweepStats() if stats is None else stats
     # (table, input, count, saved run or None for step 0, input cell it resolves or None)
-    stack = [(_BoxTable(boxes), input_syms, boxes.size, None, None)] if boxes.size else []
+    root = _BoxTable()
+    root.boxes = boxes
+    stack = [(root, input_syms, boxes.size, None, None)] if boxes.size else []
     while stack:
         table, syms, count, run, cell = stack.pop()
         if run is not None:
@@ -593,12 +615,13 @@ def layer_leaves(n: int, budget: int, lo: int, hi: int, verify: bool = False,
             pos, run = e.args[0], getattr(e, "run", None)
             if pos < 0:  # the open cell under the head, else (for a splice search) the first
                 cell = run.head if run.tape.get(run.head) == OPEN else syms.index(OPEN)
-                for child in (syms[:cell] + (sym,) + syms[cell + 1:] for sym in (ZERO, ONE)):
-                    stack.append((_BoxTable(boxes, table), child, count, run, cell))
+                before, after = syms[:cell], syms[cell + 1:]
+                stack.append((table.child(), before + (ZERO,) + after, count, run, cell))
+                stack.append((table.child(), before + (ONE,) + after, count, run, cell))
                 continue
             for entry, c in zip(boxes.entries, e.args[1]):
                 if c:
-                    stack.append((_BoxTable(boxes, {**table, pos: entry}), syms, c, run, None))
+                    stack.append((table.child(pos, entry), syms, c, run, None))
             continue
         stats.add(res, count << syms.count(OPEN))
         yield table, syms, count, res

@@ -891,6 +891,21 @@ def test_bb_auto_budget_and_partial_interval(capsys):
     assert doc["decided_all"] is False and doc["undecided_count"] == 950
 
 
+@pytest.mark.parametrize("out", ["csv", "json"])
+def test_bb_records_the_parsed_interval(out, tmp_path, capsys):
+    # Two spellings of one interval are one sweep: one config, one export.
+    texts = []
+    for spelling in ("1:50", "01:050"):
+        path = tmp_path / f"{spelling.replace(':', '-')}.{out}"
+        argv = ["bb", "1", "--budget", "16", "--universe-interval", spelling, "--out", out]
+        assert run_cli([*argv, "--output", str(path)], capsys)[0] == EXIT_OK
+        manifest = json.loads(Path(f"{path}.manifest.json").read_text())
+        assert manifest["config"]["interval"] == "1:50"
+        config = json.dumps(manifest["config"], sort_keys=True).encode()
+        texts.append((path.read_bytes(), config))
+    assert texts[0] == texts[1]
+
+
 def test_bb_auto_budget_verifies_and_refuses_intervals(tmp_path, capsys):
     out = tmp_path / "bb.csv"
     code, _, _ = run_cli(
@@ -1113,6 +1128,25 @@ def test_every_perfbench_op_argv_parses(monkeypatch):
     for argv in argvs:
         args = parser.parse_args(argv)
         assert args.output and args.command == argv[0]
+
+
+def test_seed_one_mixture_exports_hold_with_box_memo_cap_one(monkeypatch, tmp_path, capsys):
+    # The six windows of the perfbench mixture run at seed 1, with a box-count
+    # memo that holds one answer: every export keeps its pinned digest.
+    import random
+
+    from kolmobench import enumeration
+
+    run = _perfbench_run_module(monkeypatch)
+    monkeypatch.setattr(enumeration, "BOX_MEMO_CAP", 1)
+    seconds = json.loads((Path(run.ROOT) / "BENCHMARK.json").read_text())["run_seconds"]
+    ops = run.mixture(random.Random("mixture:1"), round(seconds / run.UNIT_SECONDS["mixture"]))
+    reference = run.checks.load_reference()
+    assert len(ops) == 6
+    for op in ops:
+        out = tmp_path / f"op.{op.out}"
+        assert run_cli([*op.argv, "--output", str(out)], capsys)[0] == EXIT_OK
+        assert run.checks.sha256(out.read_text()) == reference[op.key], op.key
 
 
 def test_every_perfbench_traced_name_resolves_and_its_checks_pass(monkeypatch, tmp_path, capsys):

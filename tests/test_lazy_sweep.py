@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kolmobench import ctm, halting
+from kolmobench import ctm, enumeration, halting
 from kolmobench.ctm import output_frequency
 from kolmobench.enumeration import (
     BoxCounter,
@@ -131,49 +131,62 @@ def test_verified_two_state_layer_stats_are_pinned():
 # or candidate order moves a digest.  Each stream holds two-cut splice
 # leaves.  3-state slices of 1e8 indices stand in for the layer, which has
 # no exhaustive oracle.
-@pytest.mark.parametrize(
-    "n, input_str, span, verify, sha",
-    [
-        pytest.param(
-            2, "0", None, False, "cfe8678fe882e7132542b277a65733f74a96e1fb17328ad081405aaae8a9e1e1",
-            id="layer2-0",
-        ),
-        pytest.param(
-            2, "1", None, False, "5326526256aec47f3d0ee73ec073004b898199669c2d7260cc8558685cca6da9",
-            id="layer2-1",
-        ),
-        pytest.param(
-            2, "010110", None, False, "a0f7f80d9f6fea35d83b288e939306de5c0b7ffdae1637742a2c436fc72c528c",
-            id="layer2-010110", marks=pytest.mark.slow,
-        ),
-        pytest.param(
-            3, "", 0, True, "754311e3dfaeb449cdeda94d1b09d2c21e537ebe47ad1cce6503bf15cc733c2d",
-            id="slice3-seed0", marks=pytest.mark.slow,
-        ),
-        pytest.param(
-            3, "", 1, True, "db542c9d108b68d8e04b2b57af5f55a74efbf642dfffaf925a48512a1fef5ebc",
-            id="slice3-seed1", marks=pytest.mark.slow,
-        ),
-        pytest.param(
-            2, "010110", WINDOW, False, "64e41177f1b8bb2a83941f04d73eb9607127bd56cc406c7c8e1a8f7e3fa12a54",
-            id="window2-010110",
-        ),
-        pytest.param(
-            2, "010110", WINDOW, True, "64e41177f1b8bb2a83941f04d73eb9607127bd56cc406c7c8e1a8f7e3fa12a54",
-            id="window2-010110-verify",
-        ),
-    ],
-)
-def test_leaf_stream_digest_is_pinned(n, input_str, span, verify, sha):
-    # span: None for the whole layer, a seed for a seeded slice, else (lo, hi).
+DIGEST_CASES = [
+    pytest.param(
+        2, "0", None, False, "cfe8678fe882e7132542b277a65733f74a96e1fb17328ad081405aaae8a9e1e1",
+        id="layer2-0",
+    ),
+    pytest.param(
+        2, "1", None, False, "5326526256aec47f3d0ee73ec073004b898199669c2d7260cc8558685cca6da9",
+        id="layer2-1",
+    ),
+    pytest.param(
+        2, "010110", None, False, "a0f7f80d9f6fea35d83b288e939306de5c0b7ffdae1637742a2c436fc72c528c",
+        id="layer2-010110", marks=pytest.mark.slow,
+    ),
+    pytest.param(
+        3, "", 0, True, "754311e3dfaeb449cdeda94d1b09d2c21e537ebe47ad1cce6503bf15cc733c2d",
+        id="slice3-seed0", marks=pytest.mark.slow,
+    ),
+    pytest.param(
+        3, "", 1, True, "db542c9d108b68d8e04b2b57af5f55a74efbf642dfffaf925a48512a1fef5ebc",
+        id="slice3-seed1", marks=pytest.mark.slow,
+    ),
+    pytest.param(
+        2, "010110", WINDOW, False, "64e41177f1b8bb2a83941f04d73eb9607127bd56cc406c7c8e1a8f7e3fa12a54",
+        id="window2-010110",
+    ),
+    pytest.param(
+        2, "010110", WINDOW, True, "64e41177f1b8bb2a83941f04d73eb9607127bd56cc406c7c8e1a8f7e3fa12a54",
+        id="window2-010110-verify",
+    ),
+]
+
+
+def pinned_leaves(n, input_str, span, verify):
+    """The leaves of a DIGEST_CASES stream.  span: None for the whole layer,
+    a seed for a seeded slice, else (lo, hi)."""
     if span is None:
         lo, hi = layer_offset(n) + 1, layer_offset(n) + machine_count(n)
     elif isinstance(span, int):
         lo, hi = seeded_slice(n, span)
     else:
         lo, hi = span
-    leaves = layer_leaves(n, 256, lo, hi, verify, input_str)
-    assert leaf_stream_digest(leaves) == sha
+    return layer_leaves(n, 256, lo, hi, verify, input_str)
+
+
+@pytest.mark.parametrize("n, input_str, span, verify, sha", DIGEST_CASES)
+def test_leaf_stream_digest_is_pinned(n, input_str, span, verify, sha):
+    assert leaf_stream_digest(pinned_leaves(n, input_str, span, verify)) == sha
+
+
+@pytest.mark.parametrize("n, input_str, span, verify, sha", DIGEST_CASES)
+def test_leaf_stream_digest_holds_with_box_memo_cap_one(n, input_str, span, verify, sha,
+                                                        monkeypatch):
+    # A memo that holds one answer misses nearly every time, so nearly every
+    # box count comes from a fresh digit walk; no leaf may move.
+    monkeypatch.setattr(enumeration, "BOX_MEMO_CAP", 1)
+    assert leaf_stream_digest(pinned_leaves(n, input_str, span, verify)) == sha
 
 
 def test_runs_end_only_at_leaves_and_branching_reads(monkeypatch):
@@ -519,6 +532,40 @@ def test_box_count_of_open_table_is_interval_size():
     )
     assert BoxCounter(2, LAYER2_LO + 7, LAYER2_LO + 99).first_member({}) == LAYER2_LO + 7
     assert sum(BoxCounter(2, 1, 10**12).children({}, 5)) == machine_count(2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_memoized_box_counts_match_fresh_walks(n):
+    # Seeded partial tables from a small pool, so that queries repeat and hit
+    # the memo: each answer, hit or miss, equals an uncached digit walk on a
+    # fresh counter, and its forced entry is the one value with a nonzero count.
+    rng = random.Random(n)
+    first, width, base = layer_offset(n) + 1, 3 * n, 5 * (n + 1)
+    last = first + machine_count(n) - 1
+    for _ in range(25):
+        lo = rng.randrange(first - 5, last + 5)
+        hi = rng.choice([lo + rng.randrange(-2, 3000), last + 2, lo + rng.randrange(last - first)])
+        counter = BoxCounter(n, lo, hi)
+        pool = [{pos: divmod(rng.randrange(base), n + 1)
+                 for pos in rng.sample(range(width), rng.randrange(width))} for _ in range(6)]
+        for _ in range(60):
+            fixed = rng.choice(pool)
+            pos = rng.choice([p for p in range(width) if p not in fixed])
+            want = BoxCounter(n, lo, hi)._walk(fixed, pos)
+            nonzero = [d for d, c in enumerate(want) if c]
+            forced = counter.entries[nonzero[0]] if len(nonzero) == 1 else None
+            assert counter.branch(fixed, pos) == (want, forced)
+            assert counter.children(dict(fixed), pos) == want
+        assert 0 < len(counter.memo) < 60  # some queries hit
+
+
+def test_box_memo_stays_under_its_cap_on_a_three_state_slice():
+    # The 1e8-index 3-state slice at offset 300000000 asks for more distinct
+    # box counts than the cap: the memo fills, is emptied, and never passes it.
+    lo = layer_offset(3) + 1 + 300_000_000
+    sizes = [len(table.boxes.memo) for table, *_ in layer_leaves(3, 256, lo, lo + 10**8 - 1)]
+    assert max(sizes) <= enumeration.BOX_MEMO_CAP
+    assert any(b < a for a, b in zip(sizes, sizes[1:]))  # emptied at least once
 
 
 def test_speculative_blank_escape_read_branches():

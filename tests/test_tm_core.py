@@ -1,3 +1,4 @@
+import random
 from itertools import islice
 
 import pytest
@@ -5,11 +6,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kolmobench.enumeration import MachineRange
+from kolmobench.halting import OPEN
 from kolmobench.tm_core import (
     MOVE_RIGHT,
     ONE,
+    SYMBOL_NAMES,
     WRITE_BLANK,
     WRITE_ONE,
+    ZERO,
     Halted,
     Machine,
     decode_program,
@@ -17,6 +21,7 @@ from kolmobench.tm_core import (
     identity_scanner,
     immediate_halt,
     programs_of_length,
+    read_output,
     run,
     steps,
     str_to_syms,
@@ -201,3 +206,27 @@ def test_machine_validation():
         Machine(1, ((7, 0), (WRITE_BLANK, 0), (WRITE_BLANK, 0)))  # bad action
     with pytest.raises(ValueError):
         Machine(1, ((WRITE_BLANK, 2), (WRITE_BLANK, 0), (WRITE_BLANK, 0)))  # state range
+
+
+def span_walk(tape):
+    """The output by its definition: every cell from the leftmost to the
+    rightmost non-blank one must be non-blank; read them left to right, an
+    open cell as ``?``."""
+    if not tape:
+        return ""
+    span = range(min(tape), max(tape) + 1)
+    if any(p not in tape for p in span):
+        return None
+    return "".join(SYMBOL_NAMES[tape[p]] if tape[p] > 0 else "?" for p in span)
+
+
+def test_read_output_matches_the_span_walk():
+    # Tapes with and without gaps, open cells and cells written out of order.
+    rng = random.Random(0)
+    assert read_output({}) == span_walk({}) == ""
+    for _ in range(3000):
+        lo, width, gaps = rng.randrange(-12, 12), rng.randrange(1, 24), rng.choice([0, 0.05, 0.3])
+        cells = [p for p in range(lo, lo + width) if rng.random() >= gaps]
+        rng.shuffle(cells)
+        tape = {p: rng.choice((ZERO, ONE, ZERO, ONE, OPEN)) for p in cells}
+        assert read_output(tape) == span_walk(tape)
