@@ -90,13 +90,14 @@ class BoxCounter:
     digits and powers of the interval's bounds, and the entry of each digit
     value (``entries[d] == divmod(d, n + 1)``), are computed once, here.
 
-    ``branch`` memoizes each walk's answer under the key ``(pos,
-    fixed.get(0), ..., fixed.get(width - 1))``, everything the walk reads.
-    The memo holds at most ``BOX_MEMO_CAP`` answers and is emptied when it
-    reaches that many.  An answer, with its key and its ``5(n+1)`` counts,
-    takes at most about 1 KB at n = 3 and 2.6 KB at n = 8
-    (``MAX_STATES_SUPPORTED``), when every count is a distinct int; so a
-    full memo holds at most about 4 MB at n = 3 and 10.5 MB at n = 8.
+    Unless ``memo`` is None, ``branch`` memoizes each walk's answer under
+    the key ``(pos, fixed.get(0), ..., fixed.get(width - 1))``, everything
+    the walk reads.  The memo holds at most ``BOX_MEMO_CAP`` answers and is
+    emptied when it reaches that many.  Measured with ``tracemalloc``, an
+    answer, with its key and its ``5(n+1)`` children, takes about 2.1 KB at
+    n = 3 and 5.1 KB at n = 8 (``MAX_STATES_SUPPORTED``) when every count
+    is a distinct int; so a full memo holds about 9 MB at n = 3 and 21 MB
+    at n = 8.
     """
 
     def __init__(self, n: int, lo: int, hi: int):
@@ -118,30 +119,24 @@ class BoxCounter:
             if x > 0 and self.size
         ]
 
-    def children(self, fixed, pos: int) -> list:
-        """Counts of the boxes that pin the open entry ``pos`` of ``fixed``
-        to each value, in digit order (entry ``entries[d]`` at ``d``).  The
-        list may be the memo's own: callers must not change it."""
-        return self.branch(fixed, pos)[0]
-
     def branch(self, fixed, pos: int) -> tuple:
-        """``(children(fixed, pos), forced)``: ``forced`` is the entry that
-        every index of the box has at ``pos`` when exactly one child count
-        is nonzero, else None.  Memoized; see the class docstring."""
+        """The boxes that pin the open entry ``pos`` of ``fixed`` to each
+        value with a nonzero count: ``((entry, count), ...)`` in digit order.
+        A lone child is the entry every index of the box has at ``pos``.
+        Memoized; see the class docstring."""
+        memo = self.memo
+        if memo is None:
+            return self._walk(fixed, pos)
         key = (pos, *map(fixed.get, self.positions))
-        hit = self.memo.get(key)
+        hit = memo.get(key)
         if hit is None:
-            if len(self.memo) >= BOX_MEMO_CAP:
-                self.memo.clear()
-            counts = self._walk(fixed, pos)
-            forced = None
-            if counts.count(0) == len(counts) - 1:
-                forced = self.entries[counts.index(max(counts))]
-            hit = self.memo[key] = (counts, forced)
+            if len(memo) >= BOX_MEMO_CAP:
+                memo.clear()
+            hit = memo[key] = self._walk(fixed, pos)
         return hit
 
-    def _walk(self, fixed, pos: int) -> list:
-        """``children`` by one uncached digit walk."""
+    def _walk(self, fixed, pos: int) -> tuple:
+        """``branch`` by one uncached digit walk."""
         base, powers, n1 = self.base, self.powers, self.n1
         out = [0] * base
         for sign, digits in self.bounds:
@@ -167,21 +162,17 @@ class BoxCounter:
             else:  # the child at d walked on to the end
                 below[at] = count
             out = [o + sign * b for o, b in zip(out, below)]
-        return out
+        return tuple([(e, c) for e, c in zip(self.entries, out) if c])
 
     def first_member(self, fixed) -> int:
         """The smallest index in [lo, hi] whose table agrees with ``fixed``
         (there must be one): a walk down the open entries, top digit first,
-        into the first child with a nonzero count."""
+        into the first child."""
         fixed = dict(fixed)
         for pos in reversed(range(self.width)):
             if pos not in fixed:
-                counts = self.children(fixed, pos)
-                fixed[pos] = self.entries[next(d for d, c in enumerate(counts) if c)]
-        return self._index(fixed)
-
-    def _index(self, table) -> int:
-        return self.first + sum((a * self.n1 + s) * self.powers[p] for p, (a, s) in table.items())
+                fixed[pos] = self.branch(fixed, pos)[0][0]
+        return self.first + sum((a * self.n1 + s) * self.powers[p] for p, (a, s) in fixed.items())
 
 
 def iter_tables(n: int):

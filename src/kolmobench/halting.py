@@ -534,11 +534,11 @@ class PartialTable(dict):
 
 class _BoxTable(PartialTable):
     """A leaf's partial table in a lazy sweep, with the sweep's ``BoxCounter``.
-    A read of an open entry that the box forces (one value with a nonzero
-    count) pins it in place, and the run goes on; any other open read raises
-    ``Undefined(pos, counts)`` with the child counts, and a read of an
-    ``OPEN`` input cell raises ``Undefined(pos)``.  Both answers come from
-    ``BoxCounter.branch``, memoized per tree."""
+    A read of an open entry that the box forces (a lone child of
+    ``BoxCounter.branch``) pins it in place, and the run goes on; any other
+    open read raises ``Undefined(pos, children)`` with the ``(entry,
+    count)`` children, and a read of an ``OPEN`` input cell raises
+    ``Undefined(pos)``."""
 
     __slots__ = ("boxes",)
 
@@ -553,10 +553,10 @@ class _BoxTable(PartialTable):
     def __missing__(self, pos):
         if pos < 0:
             raise Undefined(pos)
-        counts, entry = self.boxes.branch(self, pos)
-        if entry is None:
-            raise Undefined(pos, counts)
-        self[pos] = entry
+        children = self.boxes.branch(self, pos)
+        if len(children) > 1:
+            raise Undefined(pos, children)
+        entry = self[pos] = children[0][0]
         return entry
 
 
@@ -572,27 +572,24 @@ def layer_leaves(n: int, budget: int, lo: int, hi: int, verify: bool = False,
     reads an open entry which the box forces pins it and goes on
     (``_BoxTable``): every index of the box has that value there, so the box
     and its count are unchanged.  A read of any other open entry, or of an
-    open cell (0 and 1 at the same count), branches once per value with a
-    nonzero count, each child resuming a fork of the run there (the last
-    child popped takes the run itself) on its own copy of the table.  The
-    child counts and the forced entry of an open read come from
-    ``BoxCounter.branch``, whose memo, keyed by the read position and the
-    leaf's fixed entries, holds at most ``BOX_MEMO_CAP`` answers: siblings
-    and cousins reading the same entry under the same fixed entries share
-    one digit walk.  A finished
-    run read no entry outside its leaf and no open cell (``?`` in its
-    output), so every completion, on every input, gets its verdict.
-    With ``verify`` (concrete inputs only) a divergent leaf's certificate tuple
-    (``('cycle', ...)``, ``('escape', ...)``, ``('dir', ...)`` or
-    ``('splice', ...)``) goes straight to ``verify_certificate(table,
-    input_syms, cert)`` on the same partial table, which pins and branches
-    likewise, from step 0; a failed replay raises.  A ``stats`` given counts
-    each leaf yielded, for its (index, input) pairs, and each replay.
+    open cell (0 and 1 at the same count), branches once per child, each
+    resuming a fork of the run there (the last child popped takes the run
+    itself) on its own copy of the table.  The children of an open entry
+    come from ``BoxCounter.branch``, memoized only on an input with an open
+    cell, where the leaves of each cell value ask the same questions; a
+    concrete input's tree never asks one twice.  A finished run read no
+    entry outside its leaf and no open cell (``?`` in its output), so every
+    completion, on every input, gets its verdict.  With ``verify`` a
+    divergent leaf's certificate is replayed by ``verify_certificate`` on
+    the finished leaf, from step 0; a replay that fails, or that reads an
+    entry or cell the leaf left open, raises ``AssertionError``.  A
+    ``stats`` given counts each leaf yielded, for its (index, input) pairs,
+    and each replay.
     """
     boxes = BoxCounter(n, lo, hi)
     input_syms = tuple(OPEN if ch == "?" else s for ch, s in zip(input_str, str_to_syms(input_str)))
-    if verify and OPEN in input_syms:
-        raise ValueError("verify needs a concrete input")
+    if OPEN not in input_syms:
+        boxes.memo = None
     stats = SweepStats() if stats is None else stats
     # (table, input, count, saved run or None for step 0, input cell it resolves or None)
     root = _BoxTable()
@@ -607,10 +604,6 @@ def layer_leaves(n: int, budget: int, lo: int, hi: int, verify: bool = False,
                 run.tape[cell] = syms[cell]
         try:
             res = analyze_table(table, syms, budget, run)
-            if verify and res[0] == "d":
-                if not verify_certificate(table, syms, res[1]):
-                    raise AssertionError(f"certificate failed replay on leaf {dict(table)}")
-                stats.leaves_verified += 1
         except Undefined as e:
             pos, run = e.args[0], getattr(e, "run", None)
             if pos < 0:  # the open cell under the head, else (for a splice search) the first
@@ -619,10 +612,17 @@ def layer_leaves(n: int, budget: int, lo: int, hi: int, verify: bool = False,
                 stack.append((table.child(), before + (ZERO,) + after, count, run, cell))
                 stack.append((table.child(), before + (ONE,) + after, count, run, cell))
                 continue
-            for entry, c in zip(boxes.entries, e.args[1]):
-                if c:
-                    stack.append((table.child(pos, entry), syms, c, run, None))
+            for entry, c in e.args[1]:
+                stack.append((table.child(pos, entry), syms, c, run, None))
             continue
+        if verify and res[0] == "d":
+            try:  # on a plain copy, whose open reads raise
+                replayed = verify_certificate(PartialTable(table), syms, res[1])
+            except Undefined:
+                replayed = False
+            if not replayed:
+                raise AssertionError(f"certificate failed replay on leaf {dict(table)}")
+            stats.leaves_verified += 1
         stats.add(res, count << syms.count(OPEN))
         yield table, syms, count, res
 

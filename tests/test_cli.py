@@ -746,6 +746,12 @@ PINNED_EXPORTS = {
         "phi stabilized at 21 (cap 21); upper bound 43 via (i=1048580, p=''); "
         "282518 applicable pairs\n",
     ),
+    # A 1e8-index slice of the 3-state layer on the empty input.
+    "bb-3-slice": (
+        ["bb", "3", "--budget", "256", "--universe-interval", "300000000:399999999"],
+        "78c3a42834b15928f9a3137fcd50606b2fde13ffa6ff0e49d5e82c4dfab7c547", "14bef08e3c71c3a7",
+        "n=3: max_steps=24 decided_all=False undecided=511900000004 budget=256\n",
+    ),
     # An applicable set across both layers, 13 index bit lengths and the 511
     # programs of up to 8 bits.
     "estimate-two-layers-L8": (

@@ -202,7 +202,7 @@ def test_runs_end_only_at_leaves_and_branching_reads(monkeypatch):
             return analyze_table(table, *args)
         except Undefined as e:
             pos = e.args[0]
-            assert pos < 0 or sum(c > 0 for c in boxes.children(table, pos)) >= 2
+            assert pos < 0 or len(boxes.branch(table, pos)) >= 2
             branching[0] += 1
             raise
 
@@ -288,9 +288,45 @@ def test_open_leaf_outputs_its_unread_cells():
     assert ctm._leaf_numerators(leaves, 0) == {x: 2 for x in ["100", "101", "110", "111"]}
 
 
-def test_verify_refuses_an_open_input():
-    with pytest.raises(ValueError):
-        next(layer_leaves(1, 64, 1, 10, verify=True, input_str="0?"))
+def test_verify_replays_an_open_input_tree():
+    # A replay re-reads only what its run read, so a certificate on an open
+    # input reads no open cell: the replays leave every leaf and count as is.
+    plain, verified = SweepStats(), SweepStats()
+    window = (2, 1024, 5_988_407, 5_992_406)
+    want = [(dict(t), *rest) for t, *rest in layer_leaves(*window, False, "?" * 6, plain)]
+    got = [(dict(t), *rest) for t, *rest in layer_leaves(*window, True, "?" * 6, verified)]
+    assert got == want and len(got) == 29_552
+    assert verified.leaves_verified == 21_143
+    verified.leaves_verified = 0
+    assert verified == plain
+
+
+def test_replay_that_reads_an_entry_the_leaf_left_open_fails(monkeypatch):
+    # A forged detector returns the genuine certificate of a machine that
+    # writes blank on blank forever, without reading the leaf's table.  The
+    # one-index box forces every entry, but the replay runs on the finished
+    # leaf: its first read fails it, with no branch and no leaf yielded.
+    full = ((WRITE_BLANK, 1), (WRITE_BLANK, 0), (WRITE_BLANK, 0))
+    real = analyze_table(full, (), 64)
+    assert real[0] == "d" and verify_certificate(full, (), real[1])
+    calls, branched, branch = [], [], BoxCounter.branch
+
+    def forged(table, *args):
+        calls.append(dict(table))
+        return real
+
+    def counting(self, fixed, pos):
+        branched.append(pos)
+        return branch(self, fixed, pos)
+
+    monkeypatch.setattr(halting, "analyze_table", forged)
+    monkeypatch.setattr(BoxCounter, "branch", counting)
+    i = table_to_index(1, full)
+    stats = SweepStats()
+    with pytest.raises(AssertionError, match="certificate failed replay"):
+        next(layer_leaves(1, 64, i, i, verify=True, stats=stats))
+    assert calls == [{}] and branched == []
+    assert (stats.leaves, stats.leaves_verified) == (0, 0)
 
 
 def test_corrected_window_in_one_bit_length_starts_no_pool(pool_sizes):
@@ -393,8 +429,8 @@ def sample_member(boxes, table, rng):
     fixed = dict(table)
     for pos in reversed(range(boxes.width)):
         if pos not in fixed:
-            counts = boxes.children(fixed, pos)
-            fixed[pos] = divmod(rng.choices(range(boxes.base), weights=counts)[0], boxes.n1)
+            entries, counts = zip(*boxes.branch(fixed, pos))
+            fixed[pos] = rng.choices(entries, weights=counts)[0]
     return table_to_index(boxes.n1 - 1, tuple(fixed[pos] for pos in range(boxes.width)))
 
 
@@ -478,17 +514,17 @@ def boxes(draw):
 def box_count(counter, fixed):
     """How many indices of the counter's interval agree with ``fixed``: the
     interval's size, else the child of the rest of ``fixed`` at one of its
-    pinned entries."""
+    pinned entries (0 where there is no such child)."""
     if not fixed:
         return counter.size
     pos = next(iter(fixed))
     rest = {k: v for k, v in fixed.items() if k != pos}
-    return counter.children(rest, pos)[counter.entries.index(fixed[pos])]
+    return dict(counter.branch(rest, pos)).get(fixed[pos], 0)
 
 
 @given(boxes())
 def test_box_count_matches_brute_force(box):
-    # Every child count too, the zeros of the children the sweep prunes included.
+    # Every child too: the entries with a nonzero count, in digit order.
     n, fixed, lo, hi = box
     first = layer_offset(n) + 1
     last = first + machine_count(n) - 1
@@ -498,8 +534,8 @@ def test_box_count_matches_brute_force(box):
     assert counter.entries == [divmod(d, n + 1) for d in range(5 * (n + 1))]
     assert box_count(counter, fixed) == len(members)
     for pos in set(range(3 * n)) - set(fixed):
-        want = [sum(t[pos] == divmod(d, n + 1) for t in members) for d in range(5 * (n + 1))]
-        assert counter.children(fixed, pos) == want
+        want = tuple((e, c) for e in counter.entries if (c := sum(t[pos] == e for t in members)))
+        assert counter.branch(fixed, pos) == want
 
 
 @given(boxes())
@@ -531,14 +567,14 @@ def test_box_count_of_open_table_is_interval_size():
         i for i in range(1, 1001) if index_to_table(i)[1][0] == (MOVE_RIGHT, 1)
     )
     assert BoxCounter(2, LAYER2_LO + 7, LAYER2_LO + 99).first_member({}) == LAYER2_LO + 7
-    assert sum(BoxCounter(2, 1, 10**12).children({}, 5)) == machine_count(2)
+    assert sum(c for _, c in BoxCounter(2, 1, 10**12).branch({}, 5)) == machine_count(2)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_memoized_box_counts_match_fresh_walks(n):
     # Seeded partial tables from a small pool, so that queries repeat and hit
     # the memo: each answer, hit or miss, equals an uncached digit walk on a
-    # fresh counter, and its forced entry is the one value with a nonzero count.
+    # fresh counter.
     rng = random.Random(n)
     first, width, base = layer_offset(n) + 1, 3 * n, 5 * (n + 1)
     last = first + machine_count(n) - 1
@@ -552,20 +588,30 @@ def test_memoized_box_counts_match_fresh_walks(n):
             fixed = rng.choice(pool)
             pos = rng.choice([p for p in range(width) if p not in fixed])
             want = BoxCounter(n, lo, hi)._walk(fixed, pos)
-            nonzero = [d for d, c in enumerate(want) if c]
-            forced = counter.entries[nonzero[0]] if len(nonzero) == 1 else None
-            assert counter.branch(fixed, pos) == (want, forced)
-            assert counter.children(dict(fixed), pos) == want
+            assert counter.branch(fixed, pos) == want
+            assert counter.branch(dict(fixed), pos) == want
         assert 0 < len(counter.memo) < 60  # some queries hit
 
 
 def test_box_memo_stays_under_its_cap_on_a_three_state_slice():
-    # The 1e8-index 3-state slice at offset 300000000 asks for more distinct
-    # box counts than the cap: the memo fills, is emptied, and never passes it.
+    # On one open cell, the 1e6-index 3-state slice at offset 300000000 asks
+    # for more distinct box counts than the cap: the memo fills, is emptied,
+    # and never passes it.
     lo = layer_offset(3) + 1 + 300_000_000
-    sizes = [len(table.boxes.memo) for table, *_ in layer_leaves(3, 256, lo, lo + 10**8 - 1)]
-    assert max(sizes) <= enumeration.BOX_MEMO_CAP
+    leaves = layer_leaves(3, 256, lo, lo + 10**6 - 1, input_str="?")
+    sizes = [len(table.boxes.memo) for table, *_ in leaves]
+    assert max(sizes) == enumeration.BOX_MEMO_CAP
     assert any(b < a for a, b in zip(sizes, sizes[1:]))  # emptied at least once
+
+
+def test_concrete_input_tree_keeps_no_memo():
+    # Without an open cell a child differs from its parent in the entry it
+    # branched on, so no two nodes ask one question, and a memo would never hit.
+    for input_str in ["", "010110"]:
+        leaves = list(layer_leaves(2, 256, *WINDOW, input_str=input_str))
+        assert leaves and all(table.boxes.memo is None for table, *_ in leaves)
+    table, *_ = next(layer_leaves(2, 256, *WINDOW, input_str="0?"))
+    assert table.boxes.memo is not None
 
 
 def test_speculative_blank_escape_read_branches():
@@ -586,7 +632,7 @@ def test_speculative_blank_escape_read_branches():
 
 
 def test_certificate_replay_of_open_entry_raises():
-    # The replay must branch on an entry the leaf leaves open, never pass it.
+    # The replay must raise on an entry the leaf leaves open, never pass it.
     table = PartialTable({0: (MOVE_RIGHT, 2)})
     with pytest.raises(Undefined):
         verify_certificate(table, (), ("escape", 2, 1, "R"))
