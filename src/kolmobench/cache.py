@@ -120,10 +120,6 @@ class VerdictCache:
             self._fh = open(self.path, "a", encoding="utf-8")
         self._fh.write(_line(rec))
 
-    def flush(self) -> None:
-        if self._fh is not None:
-            self._fh.flush()
-
     def close(self) -> None:
         if self._fh is not None:
             self._fh.close()

@@ -255,7 +255,8 @@ def analyze_table(table: Table, input_syms: tuple, budget: int, run: Run | None 
     Certificate tuples: ('cycle', a, b), ('escape', state, step, dir),
     ('dir', a, b, dir), ('splice', a, b, shift, cuts).
     At a record step, where the head reaches a new extreme, it checks for a
-    blank escape, a directional escape, then (late enough) a splice.
+    blank escape, a directional escape, then (late enough) a splice.  On
+    blank tape step 0 is a record step both ways, right side first.
 
     A stage is one step or one record step's checks.  Its reads that can
     raise ``Undefined`` come before it changes the run, so ``e.run``, passed
@@ -288,15 +289,10 @@ def analyze_table(table: Table, input_syms: tuple, budget: int, run: Run | None 
         # (empty if hj < 0) equals the empty view at hk iff hj < 0 or ilen == 0.
         # A record failing this is only ever replaced, so it is not kept.
         rrec, lrec, snaps = {}, {}, {}
-        maxh = minh = 0
-        if not ilen:  # step 0: a record both ways (before SPLICE_FROM_STEP), on blank tape
-            a, q = table[0]
-            if q == 1 and a >= MOVE_LEFT:
-                return ("d", ("escape", 1, 0, "R" if a == MOVE_RIGHT else "L"), 0)
-            rrec[1], lrec[1] = [0, 0, 0], [0, 0, 0]
+        maxh, minh = (0, 0) if ilen else (-1, 1)  # blank tape: step 0 is a record both ways
     try:
         while True:
-            if head > maxh or head < minh:  # the last step made a record
+            while head > maxh or head < minh:  # the last step made a record (step 0: twice)
                 if head > maxh:
                     right, recs = True, rrec if head >= ilen else None
                     if recs is not None:
@@ -306,7 +302,7 @@ def analyze_table(table: Table, input_syms: tuple, budget: int, run: Run | None 
                         rec = rrec.get(state)
                         if rec is not None and rec[2] >= rec[1]:
                             return ("d", ("dir", rec[0], steps, "R"), steps)
-                else:  # head < 0: a blank cell, and a left record worth keeping
+                else:  # head < 0 or blank tape: a blank cell, and a left record worth keeping
                     right, recs = False, lrec
                     a, q = table[3 * (state - 1)]
                     if a == MOVE_LEFT and q == state:
@@ -574,7 +570,8 @@ def layer_leaves(n: int, budget: int, lo: int, hi: int, verify: bool = False,
     and its count are unchanged.  A read of any other open entry, or of an
     open cell (0 and 1 at the same count), branches once per child, each
     resuming a fork of the run there (the last child popped takes the run
-    itself) on its own copy of the table.  The children of an open entry
+    itself) on its own copy of the table; a read in step 0's record stage
+    on blank tape resumes like any other.  The children of an open entry
     come from ``BoxCounter.branch``, memoized only on an input with an open
     cell, where the leaves of each cell value ask the same questions; a
     concrete input's tree never asks one twice.  A finished run read no
@@ -591,7 +588,7 @@ def layer_leaves(n: int, budget: int, lo: int, hi: int, verify: bool = False,
     if OPEN not in input_syms:
         boxes.memo = None
     stats = SweepStats() if stats is None else stats
-    # (table, input, count, saved run or None for step 0, input cell it resolves or None)
+    # (table, input, count, saved run or None at the root, input cell it resolves or None)
     root = _BoxTable()
     root.boxes = boxes
     stack = [(root, input_syms, boxes.size, None, None)] if boxes.size else []
@@ -605,7 +602,7 @@ def layer_leaves(n: int, budget: int, lo: int, hi: int, verify: bool = False,
         try:
             res = analyze_table(table, syms, budget, run)
         except Undefined as e:
-            pos, run = e.args[0], getattr(e, "run", None)
+            pos, run = e.args[0], e.run
             if pos < 0:  # the open cell under the head, else (for a splice search) the first
                 cell = run.head if run.tape.get(run.head) == OPEN else syms.index(OPEN)
                 before, after = syms[:cell], syms[cell + 1:]

@@ -97,7 +97,6 @@ def test_cache_lookup_and_persistence(tmp_path):
     assert c.lookup(1, "", 8) is None
     c.record(1, "", 8, ("h", 1, ""))
     c.record(2, "0", 8, ("u", 8))
-    c.flush()
     c.close()
     reopened = VerdictCache(path)
     assert reopened.lookup(1, "", 8) == ("h", 1, "")

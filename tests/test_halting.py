@@ -179,6 +179,17 @@ def test_verify_rejects_tampered_certificates():
     assert not verify_certificate(halts.table, str_to_syms("0"), splice)
     # An unknown tag is rejected, even around the facts of a good certificate.
     assert not verify_certificate(m.table, (), ("halt", *good[1][1:]))
+    # An escape needs every non-blank cell strictly behind the head.  On "1"
+    # these tables halt at step 1, reading the cell under the head.
+    for move, side in ((MOVE_LEFT, "L"), (MOVE_RIGHT, "R")):
+        table = ((move, 1), (move, 1), (WRITE_BLANK, 0))
+        assert analyze_table(table, str_to_syms("1"), 10)[0] == "h"
+        assert not verify_certificate(table, str_to_syms("1"), ("escape", 1, 0, side))
+    # Index 1 halts at step 1 on empty input; two halted configurations match,
+    # but they are no cycle.
+    first = index_to_machine(1).table
+    assert analyze_table(first, (), 10)[:2] == ("h", 1)
+    assert not verify_certificate(first, (), ("cycle", 1, 2))
 
 
 def test_simulator_memoizes_across_budgets():

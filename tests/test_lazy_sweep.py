@@ -631,6 +631,24 @@ def test_speculative_blank_escape_read_branches():
         _walk_check(PartialTable(), 1, 1, True, {})
 
 
+def test_step_zero_read_on_blank_tape_resumes_its_run():
+    # On blank tape step 0 is a record step like any other: its escape read
+    # raises with the run, and a fork of that run resumed on any entry gives
+    # the fresh run's result.
+    with pytest.raises(Undefined) as err:
+        analyze_table(PartialTable(), (), 4)
+    assert err.value.args == (0,)
+    run = err.value.run
+    assert run.steps == 0
+    for entry, want in [
+        ((MOVE_LEFT, 1), ("d", ("escape", 1, 0, "L"), 0)),
+        ((MOVE_RIGHT, 1), ("d", ("escape", 1, 0, "R"), 0)),
+        ((WRITE_ONE, 0), ("h", 1, "1")),
+    ]:
+        table = PartialTable({0: entry})
+        assert analyze_table(table, (), 4, run.fork()) == want == analyze_table(table, (), 4)
+
+
 def test_certificate_replay_of_open_entry_raises():
     # The replay must raise on an entry the leaf leaves open, never pass it.
     table = PartialTable({0: (MOVE_RIGHT, 2)})
