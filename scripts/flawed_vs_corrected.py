@@ -5,7 +5,7 @@ mixture stays a sub-probability at every tested scale."""
 
 import argparse
 
-from kolmobench.ctm import alpha_sum_upto, corrected_table, flawed_crossing, flawed_table
+from kolmobench.ctm import alpha_sum_upto, corrected_table, flawed_table
 from kolmobench.enumeration import MachineRange
 
 
@@ -17,11 +17,14 @@ def main():
     args = ap.parse_args()
 
     print("== flawed scheme: total mass of sum 1/i over halting machines ==")
-    for n in sorted({n for n in (1, 2, 3, 10, 100, 1000, args.n_cap) if n <= args.n_cap}):
-        m = flawed_table(n, args.budget).total_mass()
+    tables = {n: flawed_table(n, args.budget)
+              for n in sorted({n for n in (1, 2, 3, 10, 100, 1000, args.n_cap) if n <= args.n_cap})}
+    for n, table in tables.items():
+        m = table.total_mass()
         flag = "  <-- exceeds 1" if m > 1 else ""
         print(f"  N={n:>6}: {str(m):>24} ~ {float(m):.6f}{flag}")
-    crossing, mass = flawed_crossing(args.n_cap, args.budget)
+    cap = tables[args.n_cap]
+    crossing, mass = cap.crossing or (None, cap.total_mass())
     print(f"  first N with mass > 1: {crossing} (mass {mass})")
 
     lo, _, hi = args.interval.partition(":")

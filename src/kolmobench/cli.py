@@ -25,7 +25,6 @@ from .ctm import (
     _exact_int_text,
     corrected_table,
     export_text,
-    flawed_crossing,
     flawed_table,
     output_frequency,
     table_to_csv,
@@ -281,7 +280,7 @@ def cmd_ctm(args, parser) -> int:
     _write_export(text, args, config, table.stats)
     total, note = table.total_mass(), " <= 1"
     if flawed:
-        crossing, mass = flawed_crossing(args.n_ceiling, args.budget)
+        crossing, mass = table.crossing or (None, total)
         note = (
             f"\nflawed mass exceeds 1 first at N={crossing} (mass {mass}, exact comparison)"
             if crossing is not None

@@ -29,9 +29,11 @@ from fractions import Fraction
 from itertools import product
 
 from .enumeration import MAX_PROGRAM_BITS, MachineRange, index_to_table
+from .estimator import EnumerationLimitError
 from .halting import SweepStats, analyze_table, sweep
 
 FLAWED, CORRECTED, FREQUENCY = "flawed", "corrected", "frequency"
+FLAWED_MAX_N = 1_000_000  # the largest flawed N measured to finish: 233 s (README)
 
 
 class UndefinedMassError(ValueError):
@@ -45,10 +47,12 @@ class SubProbabilityError(ValueError):
 
 class DistributionTable:
     def __init__(self, entries: dict, scheme: str, universe: str, budget: int,
-                 block_len: int | None = None, stats: SweepStats | None = None):
+                 block_len: int | None = None, stats: SweepStats | None = None,
+                 crossing: tuple[int, Fraction] | None = None):
         self.entries = entries  # output string -> Fraction
         self.scheme, self.universe, self.budget, self.block_len = scheme, universe, budget, block_len
         self.stats = stats  # of the layer sweep behind it; never exported
+        self.crossing = crossing  # flawed: (N, mass) where the total first exceeds 1; never exported
 
     def total_mass(self) -> Fraction:
         return sum(self.entries.values(), Fraction(0))
@@ -103,34 +107,26 @@ def output_frequency(universe: MachineRange, budget: int) -> DistributionTable:
     )
 
 
-def _flawed_halts(n_max: int, budget: int):
-    """(i, output) for each machine 1..n_max halting with valid output on empty input."""
-    for i in range(1, n_max + 1):
-        _, table = index_to_table(i)
-        res = analyze_table(table, (), budget)
-        if res[0] == "h" and res[2] is not None:
-            yield i, res[2]
-
-
 def flawed_table(n_max: int, budget: int) -> DistributionTable:
-    """Each output's exact 1/i mass, over machines 1..n_max on empty input."""
+    """Each output's exact 1/i mass, over machines 1..n_max on empty input,
+    in one pass that also finds ``crossing``: (N, total mass at N) for the
+    first N whose total exceeds 1 exactly, or None if it never does."""
     if n_max < 1:
         raise ValueError("need at least one machine")
-    masses = {}
-    for i, x in _flawed_halts(n_max, budget):
-        masses[x] = masses.get(x, Fraction(0)) + Fraction(1, i)
-    return DistributionTable(masses, FLAWED, f"i1-{n_max}", budget)
-
-
-def flawed_crossing(n_cap: int, budget: int):
-    """First N <= n_cap where the total flawed mass exceeds 1 exactly,
-    with the mass at that N; (None, final mass) if never."""
-    total = Fraction(0)
-    for i, _ in _flawed_halts(n_cap, budget):
-        total += Fraction(1, i)
-        if total > 1:
-            return i, total
-    return None, total
+    if n_max > FLAWED_MAX_N:
+        raise EnumerationLimitError(
+            f"a flawed mixture over N={n_max} machines is past FLAWED_MAX_N = {FLAWED_MAX_N}"
+        )
+    masses, total, crossing = {}, Fraction(0), None
+    for i in range(1, n_max + 1):
+        res = analyze_table(index_to_table(i)[1], (), budget)
+        if res[0] == "h" and res[2] is not None:
+            masses[res[2]] = masses.get(res[2], Fraction(0)) + Fraction(1, i)
+            if crossing is None:
+                total += Fraction(1, i)
+                if total > 1:
+                    crossing = (i, total)
+    return DistributionTable(masses, FLAWED, f"i1-{n_max}", budget, crossing=crossing)
 
 
 def corrected_table(

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from kolmobench.ctm import alpha_sum_upto, corrected_table, flawed_crossing
+from kolmobench.ctm import alpha_sum_upto, corrected_table, flawed_table
 from kolmobench.enumeration import (
     MachineRange,
     cantor_pair,
@@ -134,10 +134,12 @@ def test_criterion_3_oracle_equivalence():
 
 
 def test_criterion_4_flawed_mass_crosses_one():
-    crossing_a, mass_a = flawed_crossing(10_000, budget=256)
-    crossing_b, mass_b = flawed_crossing(10_000, budget=256)
-    assert (crossing_a, mass_a) == (crossing_b, mass_b), "not stable across runs"
-    assert crossing_a is not None and crossing_a <= 10_000
+    first_a = flawed_table(10_000, budget=256).crossing
+    first_b = flawed_table(10_000, budget=256).crossing
+    assert first_a == first_b, "not stable across runs"
+    assert first_a is not None
+    crossing_a, mass_a = first_a
+    assert crossing_a <= 10_000
     assert mass_a > 1  # exact Fraction comparison
     assert crossing_a == REGRESSION["flawed_crossing_N"]
     assert mass_a == Fraction(REGRESSION["flawed_crossing_mass"])

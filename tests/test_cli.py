@@ -245,6 +245,39 @@ def test_ctm_flawed_reports_crossing(capsys):
     assert out.splitlines()[1].startswith("output_string,")
 
 
+def test_ctm_flawed_analyses_each_machine_once(tmp_path, monkeypatch, capsys):
+    # One pass: the export and the crossing come from N analyse calls, not N + 3.
+    import kolmobench.ctm
+
+    argv = ["ctm", "--scheme", "flawed", "--N", "50", "--budget", "64", "--output"]
+    plain = run_cli(argv + [str(tmp_path / "plain.csv")], capsys)
+    calls = []
+    analyze = kolmobench.ctm.analyze_table
+
+    def counting(*args):
+        calls.append(args)
+        return analyze(*args)
+
+    monkeypatch.setattr(kolmobench.ctm, "analyze_table", counting)
+    assert run_cli(argv + [str(tmp_path / "counted.csv")], capsys) == plain
+    assert len(calls) == 50
+    assert (tmp_path / "counted.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+
+
+def test_ctm_flawed_refuses_n_past_ceiling_before_any_analysis(tmp_path, monkeypatch, capsys):
+    import kolmobench.ctm
+
+    monkeypatch.setattr(kolmobench.ctm, "analyze_table",
+                        lambda *a: pytest.fail("a machine was analysed before the refusal"))
+    out = tmp_path / "f.csv"
+    code, stdout, err = run_cli(
+        ["ctm", "--scheme", "flawed", "--N", "1000000000000", "--output", str(out)], capsys
+    )
+    assert code == EXIT_RESOURCE and not stdout
+    assert "resource refusal" in err and "FLAWED_MAX_N" in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_ctm_flawed_exports_past_int_digit_limit(tmp_path, capsys, parse_table):
     # From about N = 14,341 mass denominators run past Python's default
     # 4300-digit int/str limit; exports must stay exact anyway.

@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 
 from kolmobench import ctm
 from kolmobench.ctm import (
+    FLAWED_MAX_N,
     DistributionTable,
     SubProbabilityError,
     UndefinedMassError,
     alpha_sum_upto,
     corrected_table,
     default_alpha,
-    flawed_crossing,
     flawed_table,
     neg_log_estimate,
     output_frequency,
@@ -21,7 +21,12 @@ from kolmobench.ctm import (
     table_to_json,
 )
 from kolmobench.enumeration import MAX_PROGRAM_BITS, MachineRange, index_to_machine, index_to_table
-from kolmobench.estimator import applicable_set, bound_from_pairs, identity_index
+from kolmobench.estimator import (
+    EnumerationLimitError,
+    applicable_set,
+    bound_from_pairs,
+    identity_index,
+)
 from kolmobench.halting import SweepStats, analyze_table
 from kolmobench.tm_core import run, str_to_syms
 
@@ -65,10 +70,25 @@ def test_flawed_mass_nondecreasing_in_ceiling():
     assert all(a <= b for a, b in zip(masses, masses[1:]))
 
 
-def test_flawed_crossing_is_three():
-    crossing, mass_at = flawed_crossing(100, budget=256)
-    assert crossing == 3
-    assert mass_at == Fraction(4, 3) > 1
+def test_flawed_crossing_matches_plain_runs():
+    # The oracle: a running total of 1/i over plain runs, apart from analyze_table.
+    total, first = Fraction(0), None
+    for n in range(1, 41):
+        res = run(index_to_machine(n), "", 64)
+        if first is None and res[0] == "h" and res[2] is not None:
+            total += Fraction(1, n)
+            if total > 1:
+                first = (n, total)
+        assert flawed_table(n, budget=64).crossing == first, n
+        assert (first is None) == (n <= 2)
+    assert flawed_table(100, budget=256).crossing == (3, Fraction(4, 3))
+
+
+def test_flawed_table_refuses_past_ceiling_before_any_analysis(monkeypatch):
+    monkeypatch.setattr(ctm, "analyze_table",
+                        lambda *a: pytest.fail("a machine was analysed before the refusal"))
+    with pytest.raises(EnumerationLimitError):
+        flawed_table(FLAWED_MAX_N + 1, 1)
 
 
 def test_flawed_table_masses_sum_to_all_mass():
