@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import hashlib
 import json
 import os
 import sys
@@ -49,6 +48,16 @@ from .estimator import (
 )
 from .halting import SweepStats, analyze_table, bb_table, doubling_schedule
 from .tm_core import run
+
+# CPython's builtin SHA-256, as the random module takes its sha512: hashlib
+# would load OpenSSL's libcrypto, about 3.4 MB of every process's peak RSS.
+try:
+    from _sha2 import sha256  # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # up to 3.11
+    except ImportError:  # a build without either, such as a FIPS build
+        from hashlib import sha256
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
@@ -114,7 +123,7 @@ def _config(args, **fields) -> dict:
 
 def _config_digest(config: dict) -> str:
     blob = json.dumps(config, sort_keys=True, separators=(",", ":")).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
+    return sha256(blob).hexdigest()[:16]
 
 
 def _write_export(text: str, args, config: dict, stats=None) -> None:
@@ -128,7 +137,7 @@ def _write_export(text: str, args, config: dict, stats=None) -> None:
                                      time.gmtime(now // 10**9)),
             "threads": args.threads,
             "cache_path": vars(args).get("cache_path"),
-            "export_sha256": hashlib.sha256(text.encode()).hexdigest(),
+            "export_sha256": sha256(text.encode()).hexdigest(),
         },
     }
     if stats is not None:

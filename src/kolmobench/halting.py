@@ -39,7 +39,7 @@ from bisect import bisect_left
 from collections import namedtuple
 from contextlib import nullcontext
 from functools import partial
-from itertools import islice
+from itertools import islice, repeat
 
 from .enumeration import BoxCounter, MachineRange, index_to_table, machine_count
 from .tm_core import (
@@ -58,6 +58,8 @@ from .tm_core import (
 SPLICE_FROM_STEP = 24
 SNAPSHOT_TAPE_CAP = 2048
 CYCLE_TAPE_CAP = 128
+COMPACT_KEY_CELLS = 24  # a cycle key is compact from this many non-blank cells
+COMPACT_KEY_SPAN = 4  # over a span of at most this many cells per non-blank cell
 MAX_SNAPSHOTS_PER_KEY = 6
 SNAPSHOT_GROWTH = (5, 4)  # admit a new snapshot when steps >= last * 5/4
 
@@ -161,7 +163,8 @@ def _splice_candidates(ta, ha, tb, hb):
         for x2 in {x1 + g1, xe + 1 - (g - g1)}:
             if x2 >= x1 + g1:
                 cuts = ((x1, g1, tb.get(x1, 0)), (x2, g - g1, tb.get(x2, 0)))
-                if _is_spliced_copy(ta, ha, tb, hb, d, cuts, blo, bhi):
+                # The range reaches the second block's last cell, which may lie past bhi.
+                if _is_spliced_copy(ta, ha, tb, hb, d, cuts, blo, max(bhi, x2 + g - g1 - 1)):
                     out.append((d, cuts))
     return out
 
@@ -226,10 +229,35 @@ def _splice_record(snaps, key, table, state, head, tape, steps):
 
 
 OPEN = -(1 << 40)  # an open input cell's symbol: its table positions are negative
+_low_byte = (255).__and__  # a symbol's byte in a compact key; OPEN & 255 == 0
+
+
+def _compact_key(tape: dict, input_syms: tuple):
+    """A dense tape's cycle key: (first cell, bytes), one byte per cell from
+    the first to the last non-blank or input cell, each the cell's symbol
+    XOR the input's there.  Exact like the frozenset key: the input is fixed
+    within a run, an agreeing cell gives 0, and an OPEN cell, never written
+    before it is read and resolved, gives 0 before and after.  None when the
+    span has more than COMPACT_KEY_SPAN cells per non-blank cell, so a key
+    never holds more bytes than that multiple of the tape's cells."""
+    lo, hi = min(tape), max(tape)
+    if input_syms:
+        lo, hi = min(lo, 0), max(hi, len(input_syms) - 1)
+    n = hi + 1 - lo
+    if n > COMPACT_KEY_SPAN * len(tape):
+        return None
+    cells = map(tape.get, range(lo, hi + 1), repeat(0, n))
+    if not input_syms:  # the XOR with a blank input changes no byte
+        return lo, bytes(cells)
+    given = int.from_bytes(bytes(map(_low_byte, input_syms)), "little") << -8 * lo
+    bits = int.from_bytes(bytes(map(_low_byte, cells)), "little") ^ given
+    return lo, bits.to_bytes(n, "little")
+
+
 _new_tuple = tuple.__new__  # builds a Run from its fields without namedtuple's Python __new__
 
 
-class Run(namedtuple("Run", "state head steps tape frozen seen rrec lrec snaps maxh minh")):
+class Run(namedtuple("Run", "state head steps tape key seen rrec lrec snaps maxh minh")):
     """A run's state between two stages of ``analyze_table``, as ``Undefined.run``."""
 
     __slots__ = ()
@@ -237,9 +265,9 @@ class Run(namedtuple("Run", "state head steps tape frozen seen rrec lrec snaps m
     def fork(self) -> "Run":
         """A copy that resumes without changing this run.  Snapshot lists
         are copied, not the (never changed) tapes in them."""
-        state, head, steps, tape, frozen, seen, rrec, lrec, snaps, maxh, minh = self
+        state, head, steps, tape, key, seen, rrec, lrec, snaps, maxh, minh = self
         return _new_tuple(Run, (
-            state, head, steps, tape.copy(), frozen, seen.copy(),
+            state, head, steps, tape.copy(), key, seen.copy(),
             {q: r[:] for q, r in rrec.items()} if rrec else {},
             {q: r[:] for q, r in lrec.items()} if lrec else {},
             {k: v[:] for k, v in snaps.items()} if snaps else {}, maxh, minh))
@@ -266,18 +294,23 @@ def analyze_table(table: Table, input_syms: tuple, budget: int, run: Run | None 
     if budget < 1:
         raise ValueError("budget must be >= 1")
     ilen = len(input_syms)
-    # A cycle key holds the tape's symmetric difference with the input, the
-    # frozenset ``given``: exact within one run, and an input cell never read
-    # stays out of every key.  It is built at the first key it is needed for.
+    # A cycle key holds the tape's difference with the input: exact within one
+    # run, and an input cell never read stays out of every key.  A tape of
+    # COMPACT_KEY_CELLS or more non-blank cells over a dense span keys by
+    # ``_compact_key``, any other by its symmetric difference with the
+    # frozenset ``given``, built at the first key it is needed for.  Which
+    # form a key takes depends only on the tape, so equal configurations
+    # always get equal keys.
     given = None
     if run is not None:
-        state, head, steps, tape, frozen, seen, rrec, lrec, snaps, maxh, minh = run
+        state, head, steps, tape, key, seen, rrec, lrec, snaps, maxh, minh = run
     else:
         # The hot path keeps its own inlined step loop: detector state updates between steps.
         state, head, steps = 1, 0, 0
         tape = dict(enumerate(input_syms))
-        frozen = frozenset()  # the tape's cycle key; None once stale
-        seen = {(1, 0, frozen): 0}
+        # The tape's cycle key, None once stale.  The input's cells are dense.
+        key = _compact_key(tape, input_syms) if ilen >= COMPACT_KEY_CELLS else frozenset()
+        seen = {(1, 0, key): 0}
         # Right and left records by state: [step, head, extreme head since]; the
         # extreme is the least head since a right record, the greatest since a
         # left one.  A directional escape from record hj to hk needs equal views
@@ -332,7 +365,7 @@ def analyze_table(table: Table, input_syms: tuple, budget: int, run: Run | None 
                         tape[head] = action
                     else:
                         del tape[head]
-                    frozen = None
+                    key = None
             elif action == MOVE_LEFT:
                 head -= 1
                 for rec in rrec.values():
@@ -348,15 +381,18 @@ def analyze_table(table: Table, input_syms: tuple, budget: int, run: Run | None 
                 return ("h", steps, read_output(tape))
             state = nxt
             if len(tape) <= CYCLE_TAPE_CAP:
-                if frozen is None:
-                    if given is None:
-                        given = frozenset(enumerate(input_syms))
-                    frozen = given.symmetric_difference(tape.items())
-                prev = seen.setdefault((state, head, frozen), steps)
+                if key is None:
+                    if len(tape) >= COMPACT_KEY_CELLS:
+                        key = _compact_key(tape, input_syms)
+                    if key is None:
+                        if given is None:
+                            given = frozenset(enumerate(input_syms))
+                        key = given.symmetric_difference(tape.items())
+                prev = seen.setdefault((state, head, key), steps)
                 if prev != steps:  # every stored step is an earlier one
                     return ("d", ("cycle", prev, steps), steps)
     except Undefined as e:
-        e.run = _new_tuple(Run, (state, head, steps, tape, frozen, seen, rrec, lrec, snaps,
+        e.run = _new_tuple(Run, (state, head, steps, tape, key, seen, rrec, lrec, snaps,
                                  maxh, minh))
         raise
 

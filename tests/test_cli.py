@@ -195,20 +195,28 @@ def test_estimate_without_small_indices_scans_only_their_programs():
     assert profile[0]["witness"] is None
 
 
-def test_cli_import_loads_no_process_pool_and_no_verdict_classes():
+def test_cli_import_loads_no_process_pool_and_no_verdict_classes(tmp_path):
     # Only a sweep with more than one worker needs a process pool, and the
     # detector's tuples are the one verdict and run vocabulary.  Records are named
     # tuples or plain classes, so start-up adds no dataclasses (nor its
     # inspect), datetime or random; these are compared with the modules
-    # loaded before the import, as site may already have loaded random.
+    # loaded before the import, as site may already have loaded random.  The
+    # digests of one export take CPython's builtin SHA-256 (_sha256 up to
+    # 3.11, _sha2 from 3.12), not hashlib's _hashlib, which loads OpenSSL's
+    # libcrypto (about 3.4 MB of peak RSS); only a build without either
+    # builtin module, such as a FIPS build, may load it.
     src = Path(__file__).resolve().parents[1] / "src"
     path = [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]
+    output = str(tmp_path / "o.csv")
     script = (
-        "import sys; before = set(sys.modules); "
+        "import sys, importlib.util; before = set(sys.modules); "
         "import kolmobench.cli, kolmobench.halting as h, kolmobench.tm_core as t; "
+        f"code = kolmobench.cli.main(['bb', '1', '--budget', '16', '--output', {output!r}]); "
+        "builtin = any(importlib.util.find_spec(m) for m in ('_sha2', '_sha256')); "
         "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules), "
         "sorted({'dataclasses', 'inspect', 'datetime', 'random'} & set(sys.modules) - before), "
-        "hasattr(h, 'ProvedDiverges'), [n for n in ('Cutoff', 'InvalidOutput') if hasattr(t, n)])"
+        "hasattr(h, 'ProvedDiverges'), [n for n in ('Cutoff', 'InvalidOutput') if hasattr(t, n)], "
+        "code, builtin and '_hashlib' in set(sys.modules) - before)"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script],
@@ -217,7 +225,10 @@ def test_cli_import_loads_no_process_pool_and_no_verdict_classes():
         text=True,
         timeout=60,
     )
-    assert proc.stdout.strip() == "[] [] False []", proc.stderr
+    assert proc.stdout.strip() == "[] [] False [] 0 False", proc.stderr
+    export = Path(output).read_bytes()
+    manifest = json.loads(Path(output + ".manifest.json").read_text())
+    assert manifest["runtime"]["export_sha256"] == hashlib.sha256(export).hexdigest()
 
 
 @pytest.mark.parametrize(
@@ -785,6 +796,13 @@ PINNED_EXPORTS = {
         "78c3a42834b15928f9a3137fcd50606b2fde13ffa6ff0e49d5e82c4dfab7c547", "14bef08e3c71c3a7",
         "n=3: max_steps=24 decided_all=False undecided=511900000004 budget=256\n",
     ),
+    # The same slice at the last --auto-budget budget, 2^16: four holdouts run
+    # to the budget, one (401581425) keeping a cycle-table entry almost every step.
+    "bb-3-slice-65536": (
+        ["bb", "3", "--budget", "65536", "--universe-interval", "300000000:399999999"],
+        "50fa290792417c3beb17d0fb792a4b79d7065f13aed9e1ae6b5c91729c0ad31c", "b0e4def8aa4ff04f",
+        "n=3: max_steps=24 decided_all=False undecided=511900000004 budget=65536\n",
+    ),
     # An applicable set across both layers, 13 index bit lengths and the 511
     # programs of up to 8 bits.
     "estimate-two-layers-L8": (
@@ -819,6 +837,29 @@ def test_export_bytes_are_pinned(name, tmp_path, capsys, junk_env):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == export_sha
     manifest = json.loads((tmp_path / "export.manifest.json").read_text())
     assert _manifest_digest(manifest) == manifest_digest
+
+
+def test_bb_verify_replays_a_two_cut_splice_past_the_tape_end(tmp_path, capsys):
+    # A two-cut splice certificate here once claimed a block whose last cell
+    # lay past the last non-blank cell, on a blank, and failed its replay.
+    argv = ["bb", "3", "--budget", "256", "--verify", "--universe-interval",
+            "510365560321:510365560321", "--output", str(tmp_path / "o.csv")]
+    code, _, err = run_cli(argv, capsys)
+    assert (code, err) == (
+        EXIT_OK, "n=3: max_steps=0 decided_all=False undecided=511999999999 budget=256\n")
+
+
+@pytest.mark.slow
+def test_bb_verify_replays_every_certificate_of_a_two_cut_splice_slice(tmp_path, capsys):
+    # 1e8 indices with many two-cut splices: every certificate replays, and
+    # the 18 machines whose only certificate was unsound stay undecided.
+    argv = ["bb", "3", "--budget", "256", "--verify", "--universe-interval",
+            "510300000000:510399999999", "--output", str(tmp_path / "o.csv")]
+    code, _, err = run_cli(argv, capsys)
+    assert (code, err) == (
+        EXIT_OK, "n=3: max_steps=37 decided_all=False undecided=511900022763 budget=256\n")
+    stats = json.loads((tmp_path / "o.csv.manifest.json").read_text())["runtime"]["stats"]
+    assert stats["leaves_verified"] > 0
 
 
 def test_stdout_export_is_pinned(capsys, junk_env):

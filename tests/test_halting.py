@@ -1,9 +1,17 @@
+import random
+import tracemalloc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kolmobench.enumeration import index_to_machine, iter_tables
-from kolmobench.halting import BBRecord, Simulator, analyze_table, bb_table, verify_certificate
+from kolmobench import halting
+from kolmobench.enumeration import (
+    index_to_machine, index_to_table, iter_tables, layer_offset, machine_count,
+)
+from kolmobench.halting import (
+    OPEN, BBRecord, Simulator, analyze_table, bb_table, verify_certificate,
+)
 from kolmobench.tm_core import (
     MOVE_LEFT,
     MOVE_RIGHT,
@@ -288,3 +296,79 @@ def test_bouncer_family_gets_splice_certificates(idx):
     assert v[1][0] == "splice"
     assert verify_certificate(m.table, (), v[1])
     assert run(m, "", 100_000) == ("u", 100_000)
+
+
+@pytest.mark.parametrize("idx", [510365560321, 250551314025])
+def test_two_cut_splice_checks_its_blocks_past_the_tape_end(idx):
+    # Each once got a two-cut splice whose second block ended past the last
+    # non-blank cell of step b, on a blank cell it claimed held a 0.
+    table = index_to_machine(idx).table
+    res = analyze_table(table, (), 256)
+    assert res[0] == "d" and res[1][0] == "splice" and len(res[1][4]) == 2, res
+    assert verify_certificate(table, (), res[1])
+
+
+def test_holdout_cycle_table_stays_small():
+    # 401581425 is undecided at 2^16 steps, and its tape passes CYCLE_TAPE_CAP
+    # only at step 57,794, so its cycle table takes an entry almost every step.
+    # Frozenset keys took 268 MB here; compact keys take about 16 MB.
+    table = index_to_machine(401581425).table
+    tracemalloc.start()
+    try:
+        assert analyze_table(table, (), 1 << 16) == ("u", 1 << 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 20
+
+
+def test_compact_key_encodes_the_difference_with_the_input():
+    _compact_key = halting._compact_key
+    dense = {p: 1 + p % 2 for p in range(-5, 19)}  # 24 cells
+    lo, cells = _compact_key(dense, ())
+    assert (lo, cells) == (-5, bytes(1 + p % 2 for p in range(-5, 19)))
+    # Over more than COMPACT_KEY_SPAN cells per non-blank cell: no compact key.
+    spread = {4 * p: 1 for p in range(23)}
+    assert _compact_key({**spread, 95: 2}, ()) is not None  # 96 cells for 24
+    assert _compact_key({**spread, 96: 2}, ()) is None
+    # An agreeing cell, and an open one before and after it is resolved, give
+    # 0; the span covers the input, so an erased input cell is in the key.
+    syms = (1, OPEN) + (2,) * 22
+    tape = dict(enumerate(syms))
+    assert _compact_key(tape, syms) == (0, bytes(24))
+    assert _compact_key({**tape, 1: 1}, syms[:1] + (1,) + syms[2:]) == (0, bytes(24))
+    tape[30] = 2
+    del tape[0]
+    assert _compact_key(tape, syms) == (0, bytes((1,) + (0,) * 29 + (2,)))
+
+
+def test_cycle_back_to_a_long_input():
+    # Step 0's key, over the 30 input cells, is compact like every later key
+    # of that tape: writing 1 over 0 and back returns to it at step 2.
+    toggle = ((WRITE_BLANK, 0), (WRITE_ONE, 1), (WRITE_ZERO, 1))
+    for x in ("0", "0" * 30):
+        assert analyze_table(toggle, str_to_syms(x), 64) == ("d", ("cycle", 0, 2), 2)
+
+
+def test_compact_cycle_keys_change_no_result(monkeypatch):
+    # Random 2- and 3-state machines on random inputs of up to 110 cells (an
+    # erasing run makes sparse tapes), and a holdout: equal results with
+    # frozenset keys alone.  Both compact and sparse tapes occur.
+    rng = random.Random(0)
+    cases = [(index_to_machine(401581425).table, (), 8192)]
+    for _ in range(1500):
+        n = rng.choice((2, 3))
+        _, table = index_to_table(layer_offset(n) + 1 + rng.randrange(machine_count(n)))
+        x = tuple(rng.choice((1, 2)) for _ in range(rng.choice((0, 3, 30, 110))))
+        cases.append((table, x, 1024))
+    forms, real = [], halting._compact_key
+
+    def recorded(*args):
+        forms.append(real(*args))
+        return forms[-1]
+
+    monkeypatch.setattr(halting, "_compact_key", recorded)
+    got = [analyze_table(*case) for case in cases]
+    assert any(f is None for f in forms) and any(f is not None for f in forms)
+    monkeypatch.setattr(halting, "COMPACT_KEY_CELLS", 1 << 30)
+    assert got == [analyze_table(*case) for case in cases]

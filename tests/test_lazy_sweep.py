@@ -270,6 +270,9 @@ def test_cycle_across_the_first_read_of_an_input_cell():
     results = [res for *_, res in layer_leaves(2, 64, i, i, input_str="??", stats=stats)]
     assert results == [want] * 4
     assert stats.verdicts == {"cycle": 4}
+    # With 24 more cells the tape's keys are compact, from step 0 on.
+    results = [res for *_, res in layer_leaves(2, 64, i, i, input_str="??" + "0" * 24)]
+    assert results == [want] * 4
 
 
 def test_open_leaf_outputs_its_unread_cells():
