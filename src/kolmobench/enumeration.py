@@ -10,7 +10,6 @@ over ``5*(n+1)`` values.  Indices are 1-based so that harmonic weights
 
 from __future__ import annotations
 
-import itertools
 from collections import namedtuple
 from functools import lru_cache
 from math import isqrt
@@ -173,20 +172,6 @@ class BoxCounter:
             if pos not in fixed:
                 fixed[pos] = self.branch(fixed, pos)[0][0]
         return self.first + sum((a * self.n1 + s) * self.powers[p] for p, (a, s) in fixed.items())
-
-
-def iter_tables(n: int):
-    """Yield (index, table) for every n-state machine, in index order.
-
-    Built from itertools.product directly so large sweeps avoid per-index
-    divmod decoding.
-    """
-    entries = [divmod(d, n + 1) for d in range(5 * (n + 1))]
-    start = layer_offset(n) + 1
-    width = 3 * n
-    for off, digits in enumerate(itertools.product(range(5 * (n + 1)), repeat=width)):
-        # product varies the last slot fastest; our digit 0 is least significant
-        yield start + off, tuple(entries[digits[width - 1 - j]] for j in range(width))
 
 
 class MachineRange(namedtuple("MachineRange", "min_states max_states index_lo index_hi")):

@@ -140,10 +140,12 @@ def programs_of_length(length: int):
 
 
 def decode_program(bits: str):
-    """Inverse of encode_index on a prefix; returns (i, p) or None.
+    """Split ``1^k 0 b p``, b of k bits, into (int(b, 2), p), or return None.
 
-    Malformed inputs (no separator, too few index bits, index zero) do not
-    decode; the reference machine treats them as diverging.
+    A b with leading zeros still decodes: ``1^(k+j) 0 0^j bin(i) p`` gives
+    (i, p), the pair of the shorter ``encode_index(i) + p``. Malformed inputs
+    (no separator, too few index bits, index zero) do not decode; the
+    reference machine treats them as diverging.
     """
     k = 0
     n = len(bits)
@@ -167,14 +169,6 @@ def identity_scanner() -> Machine:
             (MOVE_RIGHT, 1),
             (MOVE_RIGHT, 1),
         ),
-    )
-
-
-def immediate_halt() -> Machine:
-    """One-state machine that halts on its first step whatever it reads."""
-    return Machine(
-        n_states=1,
-        table=((WRITE_BLANK, 0), (WRITE_BLANK, 0), (WRITE_BLANK, 0)),
     )
 
 

@@ -24,7 +24,6 @@ from kolmobench.enumeration import (
     cantor_pair,
     cantor_unpair,
     index_to_table,
-    iter_tables,
     machine_count,
     nat_to_str,
     str_to_nat,
@@ -33,6 +32,8 @@ from kolmobench.enumeration import (
 from kolmobench.estimator import applicable_set, bound_from_pairs, cap_constant, phi_profile
 from kolmobench.halting import bb_table
 from kolmobench.tm_core import Machine, run, u_run
+
+from helpers import iter_tables
 
 DATA = Path(__file__).parent / "data" / "regression.json"
 ARTIFACTS = Path(__file__).parent / "artifacts"

@@ -1258,3 +1258,28 @@ def test_every_perfbench_traced_name_resolves_and_its_checks_pass(monkeypatch, t
         manifest = json.loads(Path(f"{out}.manifest.json").read_text())
         assert run.checks.check_export(op, text, manifest, reference) == [], op.kind
         assert run.checks.check_export(op, run.checks.corrupt(text), manifest, reference)
+
+
+def test_cli_import_alone_loads_every_traced_module(monkeypatch):
+    # perfbench/op.py imports kolmobench.cli and nothing else before
+    # Tracer.install reads sys.modules["kolmobench." + module] for each name in
+    # TRACED, so a trimmed or lazy import that drops one of those modules breaks
+    # every traced run. The package root re-exports nothing: it binds no
+    # function or class.
+    traced = _perfbench_run_module(monkeypatch).tracer.TRACED
+    modules = sorted({name.split(".")[0] for name in traced})
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]
+    script = (
+        "import sys, kolmobench.cli; "
+        f"print([m for m in {modules!r} if 'kolmobench.' + m not in sys.modules], "
+        "[n for n, v in vars(kolmobench).items() if callable(v)])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.stdout.strip() == "[] []", proc.stderr

@@ -8,7 +8,6 @@ from kolmobench.enumeration import (
     cantor_unpair,
     index_to_machine,
     index_to_table,
-    iter_tables,
     layer_offset,
     machine_count,
     machine_to_index,
@@ -17,6 +16,8 @@ from kolmobench.enumeration import (
     strlen_of_nat,
 )
 from kolmobench.tm_core import WRITE_BLANK
+
+from helpers import iter_tables
 
 
 def test_machine_count_values():

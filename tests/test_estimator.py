@@ -29,7 +29,9 @@ from kolmobench.estimator import (
     phi_profile,
 )
 from kolmobench.halting import SweepStats, analyze_table, layer_leaves
-from kolmobench.tm_core import immediate_halt, programs_of_length, run, str_to_syms, u_run
+from kolmobench.tm_core import programs_of_length, run, str_to_syms, u_run
+
+from helpers import immediate_halt
 
 N1 = MachineRange(1, 1)
 

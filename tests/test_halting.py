@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from kolmobench import halting
 from kolmobench.enumeration import (
-    index_to_machine, index_to_table, iter_tables, layer_offset, machine_count,
+    index_to_machine, index_to_table, layer_offset, machine_count,
 )
 from kolmobench.halting import (
     OPEN, BBRecord, Simulator, analyze_table, bb_table, verify_certificate,
@@ -20,11 +20,12 @@ from kolmobench.tm_core import (
     WRITE_ZERO,
     Machine,
     encode_index,
-    immediate_halt,
     run,
     str_to_syms,
     u_run,
 )
+
+from helpers import immediate_halt, iter_tables
 
 binary = st.text(alphabet="01", max_size=6)
 

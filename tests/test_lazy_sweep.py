@@ -25,7 +25,6 @@ from kolmobench.enumeration import (
     BoxCounter,
     MachineRange,
     index_to_table,
-    iter_tables,
     layer_offset,
     machine_count,
     table_to_index,
@@ -49,6 +48,8 @@ from kolmobench.tm_core import (
     programs_of_length,
     str_to_syms,
 )
+
+from helpers import iter_tables
 
 LAYER2_LO = layer_offset(2) + 1
 WINDOW = (8_676_204, 8_680_203)  # a 4000-index window of the mixture benchmark

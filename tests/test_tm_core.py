@@ -19,7 +19,6 @@ from kolmobench.tm_core import (
     decode_program,
     encode_index,
     identity_scanner,
-    immediate_halt,
     programs_of_length,
     read_output,
     run,
@@ -27,6 +26,8 @@ from kolmobench.tm_core import (
     str_to_syms,
     u_run,
 )
+
+from helpers import immediate_halt
 
 binary = st.text(alphabet="01", max_size=8)
 
@@ -163,11 +164,21 @@ def test_decode_program_examples():
     assert decode_program("101" + "0110") == (1, "0110")
     assert decode_program("111") is None
     assert decode_program("101") == (1, "")
+    assert decode_program("11001") == (1, "")  # index bits 01: the pair of "101"
 
 
 @given(st.integers(1, 10**9), binary)
 def test_encode_decode_round_trip(i, p):
     assert decode_program(encode_index(i) + p) == (i, p)
+
+
+@given(st.integers(1, 10**9), st.integers(0, 8), binary)
+def test_decode_program_reads_leading_zero_index_bits(i, j, p):
+    # j extra 1s widen the index field by j bits, padded with leading 0s, so
+    # the program decodes to the shorter canonical encode_index(i) + p's pair;
+    # the phi scan skips such programs for that reason (README).
+    k = i.bit_length()
+    assert decode_program("1" * (k + j) + "0" + "0" * j + format(i, "b") + p) == (i, p)
 
 
 @given(st.integers(1, 10**6))
