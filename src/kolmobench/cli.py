@@ -38,7 +38,6 @@ from .enumeration import (
     machine_count,
 )
 from .estimator import (
-    EnumerationLimitError,
     PRUNING_POLICIES,
     applicable_set,
     bound_from_pairs,
@@ -46,7 +45,14 @@ from .estimator import (
     check_phi_scan,
     phi_profile,
 )
-from .halting import SweepStats, analyze_table, bb_table, doubling_schedule
+from .halting import (
+    DEFAULT_ENUM_CEILING,
+    EnumerationLimitError,
+    SweepStats,
+    analyze_table,
+    bb_table,
+    doubling_schedule,
+)
 from .tm_core import run
 
 # CPython's builtin SHA-256, as the random module takes its sha512: hashlib
@@ -65,7 +71,6 @@ EXIT_RESOURCE = 3
 EXIT_CACHE_CORRUPT = 4
 EXIT_VERIFY_FAILED = 5
 
-CLI_DEFAULT_CEILING = 1 << 26
 MAX_THREADS = 64  # a fixed figure, not the host's core count: the manifest records threads
 AUTO_BUDGET_CEILING = 1 << 16  # the last budget of the bb --auto-budget schedule
 ESTIMATE_DEFAULT_INTERVAL = "1:4096"
@@ -352,10 +357,10 @@ def cmd_cache(args, parser) -> int:
     rng = random.Random(args.seed)
     sample = keys if len(keys) <= args.sample else rng.sample(keys, args.sample)
     steps = sum(budget for _, _, budget in sample)
-    if steps > CLI_DEFAULT_CEILING:
+    if steps > DEFAULT_ENUM_CEILING:
         raise EnumerationLimitError(
             f"replaying {len(sample)} sampled records may take {steps} steps, past "
-            f"{CLI_DEFAULT_CEILING}; pass a smaller --sample"
+            f"{DEFAULT_ENUM_CEILING}; pass a smaller --sample"
         )
     mismatches = 0
     for i, p, budget in sorted(sample):
@@ -385,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("x", help="binary target string")
     p.add_argument("--cap", type=_non_negative_int, default=None, help="program-length cap")
     p.add_argument("--max-prog-len", type=_program_bits, default=4)
-    p.add_argument("--ceiling", type=_positive_int, default=CLI_DEFAULT_CEILING,
+    p.add_argument("--ceiling", type=_positive_int, default=DEFAULT_ENUM_CEILING,
                    help="program-enumeration refusal threshold")
     p.add_argument("--policy", choices=sorted(PRUNING_POLICIES), default="discard-dominated")
     p.add_argument("--universe-interval", default=ESTIMATE_DEFAULT_INTERVAL,

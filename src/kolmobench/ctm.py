@@ -29,8 +29,7 @@ from fractions import Fraction
 from itertools import product
 
 from .enumeration import MAX_PROGRAM_BITS, MachineRange, index_to_table
-from .estimator import EnumerationLimitError
-from .halting import SweepStats, analyze_table, sweep
+from .halting import EnumerationLimitError, SweepStats, analyze_table, sweep
 
 FLAWED, CORRECTED, FREQUENCY = "flawed", "corrected", "frequency"
 FLAWED_MAX_N = 1_000_000  # the largest flawed N measured to finish: 233 s (README)
@@ -42,7 +41,7 @@ class UndefinedMassError(ValueError):
 
 
 class SubProbabilityError(ValueError):
-    """A corrected mixture's total mass exceeds 1: its weights sum past 1."""
+    """A frequency or corrected table's total mass exceeds 1: its weights sum past 1."""
 
 
 class DistributionTable:
@@ -91,20 +90,8 @@ def output_frequency(universe: MachineRange, budget: int) -> DistributionTable:
     the denominator.  Each layer is one lazy leaf tree (``halting.sweep``),
     all run in this process: the top layer's tree is nearly all the work.
     """
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-    total = universe.count
-    if total == 0:
-        raise ValueError("empty universe")
     jobs = [(n, lo, hi, "", 0) for n, lo, hi in universe.layers()]
-    counts, stats = sweep(_leaf_numerators, jobs, budget)
-    return DistributionTable(
-        entries={x: Fraction(c, total) for x, c in counts.items()},
-        scheme=FREQUENCY,
-        universe=universe.describe(),
-        budget=budget,
-        stats=stats,
-    )
+    return _sweep_table(FREQUENCY, universe, budget, jobs, universe.count)
 
 
 def flawed_table(n_max: int, budget: int) -> DistributionTable:
@@ -129,12 +116,8 @@ def flawed_table(n_max: int, budget: int) -> DistributionTable:
     return DistributionTable(masses, FLAWED, f"i1-{n_max}", budget, crossing=crossing)
 
 
-def corrected_table(
-    universe: MachineRange,
-    block_len: int,
-    budget: int,
-    threads: int = 1,
-) -> DistributionTable:
+def corrected_table(universe: MachineRange, block_len: int, budget: int,
+                    threads: int = 1) -> DistributionTable:
     """Mixture sum_i default_alpha(i) * #(length-L programs with output x) / 2^L.
 
     Each halting (i, program) pair adds 2^-(2|bin(i)|+1+L), summed as the
@@ -147,26 +130,29 @@ def corrected_table(
     """
     if not 0 <= block_len <= MAX_PROGRAM_BITS:
         raise ValueError(f"block length must be in 0..{MAX_PROGRAM_BITS}, got {block_len}")
+    kraft_max = _kraft_exponent(universe.index_bounds()[1].bit_length())
+    jobs = [(n, lo, hi, "?" * block_len, kraft_max - _kraft_exponent(lo.bit_length()))
+            for n, lo, hi in universe.bit_length_spans()]
+    return _sweep_table(CORRECTED, universe, budget, jobs, 1 << (kraft_max + block_len),
+                        block_len, threads)
+
+
+def _sweep_table(scheme: str, universe: MachineRange, budget: int, jobs: list, denom: int,
+                 block_len: int | None = None, threads: int = 1) -> DistributionTable:
+    """The table of both sweep schemes: ``_leaf_numerators`` over ``jobs``
+    (``halting.sweep``), each output's numerator over ``denom``.  Neither
+    scheme's weights sum past 1, so a total above 1 is a fault and raises
+    ``SubProbabilityError``."""
     if budget < 1:
         raise ValueError("budget must be >= 1")
     if universe.count == 0:
         raise ValueError("empty universe")
-    kraft_max = _kraft_exponent(universe.index_bounds()[1].bit_length())
-    jobs = [(n, lo, hi, "?" * block_len, kraft_max - _kraft_exponent(lo.bit_length()))
-            for n, lo, hi in universe.bit_length_spans()]
     numerators, stats = sweep(_leaf_numerators, jobs, budget, threads)
-    denom = 1 << (kraft_max + block_len)
     total = sum(numerators.values())
     if total > denom:
-        raise SubProbabilityError(f"corrected total mass {total / denom:.6f} exceeds 1")
-    return DistributionTable(
-        entries={x: Fraction(n, denom) for x, n in numerators.items()},
-        scheme=CORRECTED,
-        universe=universe.describe(),
-        budget=budget,
-        block_len=block_len,
-        stats=stats,
-    )
+        raise SubProbabilityError(f"{scheme} total mass {total / denom:.6f} exceeds 1")
+    entries = {x: Fraction(n, denom) for x, n in numerators.items()}
+    return DistributionTable(entries, scheme, universe.describe(), budget, block_len, stats)
 
 
 def _leaf_numerators(leaves, shift: int) -> Counter:

@@ -211,10 +211,6 @@ class MachineRange(namedtuple("MachineRange", "min_states max_states index_lo in
         lo, hi = self.index_bounds()
         return max(0, hi - lo + 1)
 
-    def indices(self) -> range:
-        lo, hi = self.index_bounds()
-        return range(lo, hi + 1)
-
     def layers(self) -> list:
         """(n, lo, hi) for each state count n with indices in the range."""
         lo, hi = self.index_bounds()

@@ -26,20 +26,16 @@ from bisect import bisect_left
 from collections import namedtuple
 from functools import lru_cache
 
-from .enumeration import (
-    MAX_PROGRAM_BITS,
-    MachineRange,
-    machine_to_index,
-    str_to_nat,
+from .enumeration import MAX_PROGRAM_BITS, MachineRange, machine_to_index, str_to_nat
+from .halting import (
+    DEFAULT_ENUM_CEILING,
+    EnumerationLimitError,
+    Simulator,
+    SweepStats,
+    check_schedule,
+    sweep,
 )
-from .halting import Simulator, SweepStats, check_schedule, sweep
 from .tm_core import SYMBOL_NAMES, identity_scanner, programs_of_length, run
-
-DEFAULT_ENUM_CEILING = 1 << 22
-
-
-class EnumerationLimitError(RuntimeError):
-    """A sweep, or a cache verify replay, would do more work than the configured ceiling."""
 
 
 @lru_cache(maxsize=1)

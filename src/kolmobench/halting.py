@@ -660,6 +660,13 @@ def layer_leaves(n: int, budget: int, lo: int, hi: int, verify: bool = False,
         yield table, syms, count, res
 
 
+DEFAULT_ENUM_CEILING = 1 << 26  # the one default refusal threshold of the CLI and the library
+
+
+class EnumerationLimitError(RuntimeError):
+    """A sweep, or a cache verify replay, would do more work than the configured ceiling."""
+
+
 def _sweep_job(fold, budget, verify, job):
     n, lo, hi, input_str, *extra = job
     stats = SweepStats()

@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -24,6 +25,7 @@ from kolmobench.cli import (
     main,
 )
 from kolmobench.enumeration import MAX_PROGRAM_BITS
+from kolmobench.estimator import applicable_set, phi_profile
 
 
 def run_cli(argv, capsys):
@@ -104,6 +106,26 @@ def test_estimate_profile_nonincreasing(capsys):
     assert phi_values and phi_values == sorted(phi_values, reverse=True)
     bound_rows = [r for r in rows if r[0] == "bound"]
     assert len(bound_rows) == 1
+
+
+def test_estimate_phi_budgets_stop_at_a_power_of_two(capsys):
+    # The phi rows double from 1 up to the largest power of two <= --budget;
+    # the bound row is the applicable set's, at --budget itself.
+    code, out, _ = run_cli(
+        ["estimate", "10", "--budget", "1000", "--universe-interval", "1:100",
+         "--max-prog-len", "2"],
+        capsys,
+    )
+    assert code == EXIT_OK
+    rows = [l.split(",") for l in out.splitlines()[2:]]
+    assert [int(r[2]) for r in rows if r[0] == "phi"] == [1 << k for k in range(10)]
+    assert [int(r[2]) for r in rows if r[0] == "bound"] == [1000]
+
+
+def test_library_and_cli_share_one_default_ceiling():
+    default = cli.build_parser().parse_args(["estimate", "1"]).ceiling
+    for function in (phi_profile, applicable_set):
+        assert inspect.signature(function).parameters["ceiling"].default == default
 
 
 def test_estimate_empty_string_works(capsys):
@@ -462,7 +484,7 @@ def test_cache_verify_runs_neither_detector_nor_replay(tmp_path, capsys, monkeyp
 
 def test_cache_verify_refuses_a_sample_past_the_step_ceiling(tmp_path, capsys, monkeypatch):
     # The sampled budgets bound the replay's steps; past the ceiling nothing runs.
-    monkeypatch.setattr(cli, "CLI_DEFAULT_CEILING", 100)
+    monkeypatch.setattr(cli, "DEFAULT_ENUM_CEILING", 100)
     monkeypatch.setattr(cli, "run", lambda *a: pytest.fail("cache verify replayed a record"))
     cache = tmp_path / "vc.jsonl"
     rec = {"i": 2, "p": "", "budget": 1000, "status": "unknown", "steps": None, "output": None}

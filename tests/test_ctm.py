@@ -22,12 +22,11 @@ from kolmobench.ctm import (
 )
 from kolmobench.enumeration import MAX_PROGRAM_BITS, MachineRange, index_to_machine, index_to_table
 from kolmobench.estimator import (
-    EnumerationLimitError,
     applicable_set,
     bound_from_pairs,
     identity_index,
 )
-from kolmobench.halting import SweepStats, analyze_table
+from kolmobench.halting import EnumerationLimitError, SweepStats, analyze_table
 from kolmobench.tm_core import run, str_to_syms
 
 N1 = MachineRange(1, 1)
@@ -180,7 +179,8 @@ def test_corrected_table_matches_plain_run_oracle_across_layers(threads):
     assert table.entries == _plain_run_masses(990, 1040, 2, 64)
     assert table.stats.machines == sum(table.stats.verdicts.values()) == u.count << 2
     want = SweepStats()
-    for i in u.indices():
+    lo, hi = u.index_bounds()
+    for i in range(lo, hi + 1):
         for p in ("00", "01", "10", "11"):
             want.add(analyze_table(index_to_table(i)[1], str_to_syms(p), 64), 1)
     assert table.stats.verdicts == want.verdicts
@@ -224,6 +224,16 @@ def test_alpha_summing_past_one_raises_named_error(monkeypatch):
     monkeypatch.setattr(ctm, "_kraft_exponent", lambda bits: 0)
     with pytest.raises(SubProbabilityError, match="exceeds 1"):
         corrected_table(u, 0, budget=16)
+
+
+def test_frequency_summing_past_one_raises_named_error(monkeypatch):
+    # Both sweep tables share one mass check: machines 1 and 3 halt on empty
+    # input, so doubled counts give the frequency table a total of 4/3.
+    leaf_numerators = ctm._leaf_numerators
+    monkeypatch.setattr(ctm, "_leaf_numerators",
+                        lambda leaves, shift: leaf_numerators(leaves, shift + 1))
+    with pytest.raises(SubProbabilityError, match="frequency total mass 1.333333 exceeds 1"):
+        output_frequency(MachineRange(1, 1, 1, 3), 16)
 
 
 def test_corrected_monotone_in_budget_and_universe():

@@ -16,7 +16,6 @@ from kolmobench.enumeration import (
     str_to_nat,
 )
 from kolmobench.estimator import (
-    EnumerationLimitError,
     PRUNING_POLICIES,
     _canonical_count,
     _canonical_programs,
@@ -28,7 +27,7 @@ from kolmobench.estimator import (
     make_pair,
     phi_profile,
 )
-from kolmobench.halting import SweepStats, analyze_table, layer_leaves
+from kolmobench.halting import EnumerationLimitError, SweepStats, analyze_table, layer_leaves
 from kolmobench.tm_core import programs_of_length, run, str_to_syms, u_run
 
 from helpers import immediate_halt
@@ -95,17 +94,17 @@ def test_phi_value_at_most_cap(small_universe):
 
 
 def test_phi_default_cap_is_length_plus_constant(small_universe):
-    r = phi_profile(["01"], [4], small_universe, ceiling=1 << 26)["01"][0]
+    r = phi_profile(["01"], [4], small_universe)["01"][0]
     assert r.cap == 2 + cap_constant()
 
 
 def test_phi_resource_refusal(small_universe):
     # Without index 1 the scan may run to the default cap 25: 8,380,418
-    # canonical programs exceed the default ceiling 2^22.
+    # canonical programs exceed a ceiling of 2^22.
     with pytest.raises(EnumerationLimitError, match="8380418 programs"):
-        phi_profile(["0101"], [4], MachineRange(1, 2, 2, 4096))
+        phi_profile(["0101"], [4], MachineRange(1, 2, 2, 4096), ceiling=1 << 22)
     # With index 1 it ends by length 4 + 4: 105 programs.
-    assert phi_profile(["0101"], [4], small_universe)["0101"][0].value <= 8
+    assert phi_profile(["0101"], [4], small_universe, ceiling=1 << 22)["0101"][0].value <= 8
 
 
 @pytest.mark.parametrize(
@@ -312,7 +311,7 @@ def test_full_layer_applicable_set_builds_one_pair_per_class(monkeypatch):
         return make_pair(*args)
 
     monkeypatch.setattr(kolmobench.estimator, "make_pair", counted_make_pair)
-    classes = applicable_set([""], u, 256, 0, ceiling=1 << 26)[""]
+    classes = applicable_set([""], u, 256, 0)[""]
     assert len(u.bit_length_spans()) == len(classes) == len(built) == 15
     assert sum(count for count, _ in classes) == 3_089_010
     assert bound_from_pairs("", [pr for _, pr in classes]) == (21, make_pair(1001, "", 1))
@@ -417,9 +416,9 @@ DOUBLING_14 = [1 << k for k in range(15)]  # 1 .. 2^14
 
 
 def _phi_batch_matches_one_string_calls(xs, universe):
-    batch = phi_profile(xs, DOUBLING_14, universe, ceiling=1 << 26)
+    batch = phi_profile(xs, DOUBLING_14, universe)
     assert list(batch) == xs
-    assert batch == {x: phi_profile([x], DOUBLING_14, universe, ceiling=1 << 26)[x] for x in xs}
+    assert batch == {x: phi_profile([x], DOUBLING_14, universe)[x] for x in xs}
 
 
 def test_phi_batch_matches_one_string_calls_up_to_6_bits():

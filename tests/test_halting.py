@@ -233,7 +233,8 @@ def test_simulator_warm_cache_serves_without_running(tmp_path, monkeypatch):
     from kolmobench.enumeration import MachineRange
 
     u, path = MachineRange(1, 1, 1, 300), str(tmp_path / "vc.jsonl")
-    keys = [(i, p) for i in u.indices() for p in ("", "0", "1")]
+    lo, hi = u.index_bounds()
+    keys = [(i, p) for i in range(lo, hi + 1) for p in ("", "0", "1")]
     cold = Simulator(VerdictCache(path))
     verdicts = [cold.raw_verdict(i, p, 32) for i, p in keys]
     assert len(cold.cache) == 900

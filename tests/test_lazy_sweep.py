@@ -347,7 +347,8 @@ def test_corrected_window_in_one_bit_length_starts_no_pool(pool_sizes):
 def test_frequency_over_two_layers_matches_plain_loop(pool_sizes):
     # Indices 990..1040 span the 1- and 2-state layers: one tree, one job, each.
     rng, want, counts = MachineRange(1, 2, 990, 1040), SweepStats(), {}
-    for i in rng.indices():
+    lo, hi = rng.index_bounds()
+    for i in range(lo, hi + 1):
         res = analyze_table(index_to_table(i)[1], (), 64)
         want.add(res, 1)
         if res[0] == "h" and res[2] is not None:
